@@ -53,8 +53,13 @@ pub struct SmoothnessSeries {
     pub rate_200ms: Vec<f64>,
     /// Delivered rate per 1 s window (bit/s) — the paper's dashed line.
     pub rate_1s: Vec<f64>,
-    /// Worst consecutive-window rate ratio over the 0.2 s series.
-    pub smoothness: f64,
+    /// Worst consecutive-window rate ratio over the 0.2 s series; `None`
+    /// when a mid-run stall makes it infinite. An `f64` here would not
+    /// survive the cell cache: the JSON shim writes every non-finite
+    /// float as `null` and reads `null` back as NaN, so a cached `inf`
+    /// replayed as `nan`. `None` writes the same `null` (artifact bytes
+    /// are what they always were) and reads back as `None`.
+    pub smoothness: Option<f64>,
     /// Coefficient of variation of the 0.2 s series.
     pub cov: f64,
     /// Mean throughput over the measured span (bit/s).
@@ -194,6 +199,11 @@ impl Experiment for SmoothnessExperiment {
     }
 }
 
+/// [`smoothness_metric`], with the infinite ratio of a stall as `None`.
+fn worst_ratio(rates: &[f64]) -> Option<f64> {
+    Some(smoothness_metric(rates)).filter(|r| r.is_finite())
+}
+
 fn run_one(
     flavor: Flavor,
     pattern: Pattern,
@@ -227,11 +237,23 @@ fn run_one(
     );
     SmoothnessSeries {
         label: flavor.label(),
-        smoothness: smoothness_metric(&rate_200ms),
+        smoothness: worst_ratio(&rate_200ms),
         cov: coefficient_of_variation(&rate_200ms),
         throughput_bps: stats.flow_throughput_bps(h.flow, warmup, duration),
         rate_200ms,
         rate_1s,
+    }
+}
+
+impl SmoothnessSeries {
+    /// This algorithm's row of the printed summary table.
+    fn summary_row(&self) -> [String; 4] {
+        [
+            self.label.clone(),
+            num(self.throughput_bps / 1e6),
+            num(self.smoothness.unwrap_or(f64::INFINITY)),
+            num(self.cov),
+        ]
     }
 }
 
@@ -274,12 +296,7 @@ impl Smoothness {
             "CoV (0.2s)",
         ]);
         for s in &self.series {
-            t.row([
-                s.label.clone(),
-                num(s.throughput_bps / 1e6),
-                num(s.smoothness),
-                num(s.cov),
-            ]);
+            t.row(s.summary_row());
         }
         println!("{}", t.render());
     }
@@ -323,6 +340,29 @@ mod tests {
             tfrc.throughput_bps,
             tcp8.throughput_bps
         );
+    }
+
+    /// A stalled flow's infinite worst ratio must replay from the cell
+    /// cache exactly as the cold run printed it. (With an `f64` field
+    /// the cache's `null` read back as NaN and `--resume` printed `nan`.)
+    #[test]
+    fn an_infinite_worst_ratio_survives_the_cell_cache() {
+        let rates = vec![4e6, 0.0, 4e6];
+        assert!(smoothness_metric(&rates).is_infinite());
+        let cold = SmoothnessSeries {
+            label: "TCP(1/8)".into(),
+            smoothness: worst_ratio(&rates),
+            cov: coefficient_of_variation(&rates),
+            throughput_bps: 1.6e6,
+            rate_1s: vec![2.67e6],
+            rate_200ms: rates,
+        };
+        let cached = serde_json::to_string(&cold).expect("cell outputs serialize");
+        assert!(cached.contains("\"smoothness\":null"), "{cached}");
+        let replayed: SmoothnessSeries = serde_json::from_str(&cached).expect("cache decodes");
+        assert_eq!(replayed.smoothness, None);
+        assert_eq!(replayed.summary_row(), cold.summary_row());
+        assert_eq!(cold.summary_row()[2], "inf");
     }
 
     /// Figure 19: IIAD achieves smoothness at the cost of throughput

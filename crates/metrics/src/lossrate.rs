@@ -155,7 +155,7 @@ mod tests {
     ///
     /// A [`Pulse`] agent emits a burst every 10 ms into a slow (1 ms per
     /// 100-byte packet) cap-4 DropTail link: of an `n`-packet burst, 5
-    /// survive (4 queued + 1 in service) and `n - 5` drop, so a target
+    /// survive (4 queued + 1 on the wire) and `n - 5` drop, so a target
     /// loss fraction `p` needs bursts of `5 / (1 - p)` packets. Callers
     /// still drive `run_until` themselves.
     fn scripted_stats(steady: f64, spike: f64, spike_rtts: u64) -> (Simulator, LinkId) {

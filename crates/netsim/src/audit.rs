@@ -15,7 +15,9 @@
 //! * **Link ledger.** Arrivals, departures, drops and transmitted bytes
 //!   are counted per link independently of [`crate::stats::Stats`]; at
 //!   teardown the conservation law `arrivals == departures + drops +
-//!   queued + in_service` must hold and both sets of counters must agree.
+//!   queued` must hold (a packet departs when it is committed to the
+//!   wire, so a link holds only its buffer) and both sets of counters
+//!   must agree.
 //! * **Timer ledger.** Armed and fired timers are counted per agent. A
 //!   *timer leak* — an agent whose [`crate::sim::Agent::audit_done`]
 //!   reports the flow finished, yet re-arms a timer from its own timer
@@ -496,7 +498,7 @@ impl Auditor {
         self.link_mut(link).arrivals += 1;
     }
 
-    /// A packet finished serializing on `link`.
+    /// A packet left `link`'s buffer and began serializing.
     pub(crate) fn on_link_departure(&mut self, link: LinkId, bytes: u32) {
         let l = self.link_mut(link);
         l.departures += 1;
@@ -547,11 +549,11 @@ impl Auditor {
     /// set, each link's conservation law and [`Stats`] counters, and
     /// produce the run's report.
     ///
-    /// `link_state[i]` is `(queue_len, in_service)` for link `i`.
+    /// `queued[i]` is the buffer occupancy of link `i`.
     pub(crate) fn finish(
         &mut self,
         mut pool_live_uids: Vec<u64>,
-        link_state: &[(usize, bool)],
+        queued: &[usize],
         stats: &Stats,
     ) -> AuditReport {
         // Exact uid-set equality between the pool and the ledger (native
@@ -589,15 +591,14 @@ impl Auditor {
         }
 
         // Per-link conservation and Stats reconciliation.
-        for ix in 0..self.links.len().max(link_state.len()) {
+        for ix in 0..self.links.len().max(queued.len()) {
             let id = LinkId::from_index(ix);
             let ledger = self.links.get(ix).cloned().unwrap_or_default();
-            let (queued, in_service) = link_state.get(ix).copied().unwrap_or((0, false));
-            let held = queued as u64 + u64::from(in_service);
+            let held = queued.get(ix).copied().unwrap_or(0) as u64;
             if ledger.arrivals != ledger.departures + ledger.drops + held {
                 self.violation(format!(
                     "link {id} conservation broken: {} arrivals != {} departures \
-                     + {} drops + {held} held",
+                     + {} drops + {held} queued",
                     ledger.arrivals, ledger.departures, ledger.drops
                 ));
             }

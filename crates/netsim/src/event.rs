@@ -50,9 +50,11 @@ pub enum EventKind {
         /// The token handed back to the agent.
         token: u64,
     },
-    /// A link finished serializing its current packet.
+    /// A link's transmitter frees up with at least one packet waiting in
+    /// its buffer. Scheduled only when something queues behind a
+    /// serialization in progress — an uncontended link never sees one.
     LinkTxComplete {
-        /// The link whose transmitter went idle.
+        /// The link whose transmitter frees up.
         link: LinkId,
     },
     /// A packet arrives at `node` after propagation.

@@ -9,7 +9,6 @@ use rand::{Rng, SeedableRng};
 use crate::faults::{FaultPlan, FaultState};
 use crate::ids::NodeId;
 use crate::packet::Packet;
-use crate::pool::PacketId;
 use crate::queue::QueueDiscipline;
 use crate::time::{transmission_time, SimDuration, SimTime};
 
@@ -105,10 +104,13 @@ impl MarkPattern for BernoulliLoss {
 
 /// A unidirectional link.
 ///
-/// The simulator drives the link: packets offered while the transmitter is
-/// busy go through the queue discipline; `start_service` pulls the next
-/// packet when the transmitter frees up. Propagation delay is added by the
-/// simulator after serialization completes.
+/// The simulator drives the link. Every offered packet passes through the
+/// queue discipline; on an idle transmitter it is pulled straight back out
+/// and committed to the wire, which stamps [`Link::busy_until`] with the
+/// end of its serialization and schedules its arrival (serialization +
+/// propagation) in one step. A packet offered while the transmitter is
+/// busy waits in the buffer, and only then is a wake event scheduled at
+/// `busy_until` to pull it. See DESIGN.md §5l.
 pub struct Link {
     /// Where delivered packets arrive.
     pub(crate) dst: NodeId,
@@ -128,10 +130,13 @@ pub struct Link {
     /// execution bit-identical to serial. Placeholder-seeded here;
     /// [`crate::sim::Simulator::add_link`] installs the real stream.
     pub(crate) rng: SmallRng,
-    /// The packet currently being serialized, if any. Living on the link
-    /// (rather than in a parallel simulator-side vector) keeps the
-    /// transmitter state on the same cache lines as the queue it feeds.
-    pub(crate) in_service: Option<PacketId>,
+    /// When the transmitter finishes the packet it last committed to the
+    /// wire (time zero on a link that never transmitted).
+    pub(crate) busy_until: SimTime,
+    /// Whether a wake (`LinkTxComplete`) is scheduled at `busy_until`.
+    /// Invariant: while `now < busy_until`, a wake is pending exactly
+    /// when the buffer is non-empty.
+    pub(crate) wake_pending: bool,
     /// Serialization-time memo: the last two distinct packet sizes seen
     /// and their [`transmission_time`], most recent first. Real traffic
     /// is bimodal (data segments and ACKs), so in steady state every
@@ -161,15 +166,18 @@ impl Link {
             marker: None,
             faults: None,
             rng: SmallRng::seed_from_u64(0),
-            in_service: None,
+            busy_until: SimTime::ZERO,
+            wake_pending: false,
             tx_memo: [(0, SimDuration::ZERO); 2],
         }
     }
 
-    /// Whether a packet is currently being serialized.
+    /// Whether a packet offered at `now` must wait: the transmitter is
+    /// mid-serialization, or it frees up at exactly `now` but the wake
+    /// that hands it to an earlier waiter has not been dispatched yet.
     #[inline]
-    pub(crate) fn busy(&self) -> bool {
-        self.in_service.is_some()
+    pub(crate) fn busy(&self, now: SimTime) -> bool {
+        self.wake_pending || now < self.busy_until
     }
 
     /// Serialization time for a packet of `size` bytes on this link,
@@ -246,7 +254,7 @@ impl core::fmt::Debug for Link {
             .field("rate_bps", &self.rate_bps)
             .field("delay", &self.delay)
             .field("queue_len", &self.queue.len())
-            .field("busy", &self.busy())
+            .field("busy_until", &self.busy_until)
             .finish()
     }
 }

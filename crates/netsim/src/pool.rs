@@ -1,7 +1,7 @@
 //! Slab allocator for in-flight packets.
 //!
-//! The simulator moves every packet through several owners per hop (the
-//! event queue, a link buffer, the in-service slot) and a [`Packet`] is a
+//! The simulator moves every packet through several owners per hop (a
+//! link buffer, then the event queue while on the wire) and a [`Packet`] is a
 //! 120-byte struct, so carrying packets *by value* through those layers
 //! meant memcpying them on every heap sift and `VecDeque` shuffle. The
 //! pool gives each live packet one stable slot and hands out a 4-byte
@@ -17,9 +17,9 @@
 //!
 //! * [`PacketPool::insert`] transfers ownership of the packet to the pool
 //!   and returns its id.
-//! * Exactly one owner holds each id at a time (an `Arrive` event, a link
-//!   buffer slot, or a link's in-service slot); ids are moved, never
-//!   duplicated.
+//! * Exactly one owner holds each id at a time (an `Arrive` event — from
+//!   the moment the packet starts serializing — or a link buffer slot);
+//!   ids are moved, never duplicated.
 //! * The owner ends the packet's life with [`PacketPool::remove`]
 //!   (delivery hands the value to the agent; drops discard it). Using an
 //!   id after `remove` is a logic error; debug builds panic on it.

@@ -114,7 +114,7 @@ struct Transit {
     /// Arrival time at the destination node (serialization end + link
     /// propagation delay + fault jitter).
     time: SimTime,
-    /// Source-shard clock when serialization completed — the timestamp
+    /// Source-shard clock when serialization started — the timestamp
     /// the arrival would have carried as its scheduling time in a serial
     /// run, preserved so same-instant events sort identically.
     sched: SimTime,
@@ -256,7 +256,9 @@ impl World {
     }
 
     /// Admit `pkt` to `link`: run the loss script, then the queue
-    /// discipline, then start serialization if the transmitter is idle.
+    /// discipline, then start serialization if the transmitter is idle —
+    /// or, if it is busy and nothing was waiting yet, arm the wake that
+    /// will pull the packet when it frees up.
     ///
     /// This is the hottest function in the simulator (every hop of every
     /// packet lands here), so the link is indexed once and held as a
@@ -335,7 +337,6 @@ impl World {
         // The buffer. The packet stays pooled whatever the discipline
         // decides, so the drop/mark outcomes trace straight from the pool
         // slot — no per-packet snapshot on either path.
-        let busy = link.busy();
         let result = link.queue.enqueue(pkt, pool, now, &mut link.rng);
         match result {
             EnqueueResult::Enqueued | EnqueueResult::Marked => {
@@ -343,7 +344,7 @@ impl World {
                     stats.record_link_mark(link_id, now);
                     trace_event(trace, now, TraceKind::Mark { link: link_id }, pool.get(pkt));
                 }
-                if !busy {
+                if !link.busy(now) {
                     // ns-2 style: the arriving packet traverses the
                     // (empty) discipline so RED's average sees it, then
                     // starts serializing immediately.
@@ -352,6 +353,8 @@ impl World {
                         .dequeue(now)
                         .expect("packet just enqueued must dequeue");
                     self.start_service(link_id, next);
+                } else if !link.wake_pending {
+                    self.arm_wake(link_id);
                 }
             }
             EnqueueResult::Dropped => {
@@ -373,16 +376,11 @@ impl World {
         }
     }
 
+    /// Commit `pkt` to `link`'s wire: the single place a packet leaves a
+    /// link. Stamps the transmitter busy through the end of
+    /// serialization, books the departure, and schedules the arrival at
+    /// the far end — no event marks the serialization end itself.
     fn start_service(&mut self, link_id: LinkId, pkt: PacketId) {
-        let link = &mut self.links[link_id.index()];
-        debug_assert!(!link.busy(), "start_service on busy link");
-        let tx = link.tx_time(self.pool.get(pkt).size);
-        link.in_service = Some(pkt);
-        self.queue
-            .schedule(self.now + tx, EventKind::LinkTxComplete { link: link_id });
-    }
-
-    fn on_tx_complete(&mut self, link_id: LinkId) {
         let now = self.now;
         let World {
             links,
@@ -395,13 +393,15 @@ impl World {
             ..
         } = self;
         let link = &mut links[link_id.index()];
-        let pkt = link
-            .in_service
-            .take()
-            .expect("TxComplete without a packet in flight");
-        stats.record_link_tx(link_id, now, pool.get(pkt).size);
+        debug_assert!(now >= link.busy_until, "start_service on busy link");
+        let size = pool.get(pkt).size;
+        let tx_end = now + link.tx_time(size);
+        link.busy_until = tx_end;
+        // Booked in the bin where serialization *ends*, so the per-bin
+        // `tx_bytes` series keeps meaning "bytes put on the wire by then".
+        stats.record_link_tx(link_id, tx_end, size);
         if let Some(a) = audit.as_deref_mut() {
-            a.on_link_departure(link_id, pool.get(pkt).size);
+            a.on_link_departure(link_id, size);
         }
         trace_event(trace, now, TraceKind::Dequeue { link: link_id }, pool.get(pkt));
         // Fault-layer delay jitter stretches this packet's propagation.
@@ -409,7 +409,7 @@ impl World {
             .faults
             .as_mut()
             .map_or(SimDuration::ZERO, |f| f.jitter());
-        let arrive_at = now + link.delay + jitter;
+        let arrive_at = tx_end + link.delay + jitter;
         let dst = link.dst;
         // Cross-shard hop: the packet leaves this shard's pool and rides
         // a transit record to the destination shard, which schedules the
@@ -417,7 +417,6 @@ impl World {
         // have used. The conservative window bound guarantees `arrive_at`
         // is beyond every shard's current window, so the import can never
         // violate causality.
-        let mut exported = false;
         if let Some(x) = xport.as_deref_mut() {
             let to = x.link_dst_shard[link_id.index()];
             if to != x.my_shard {
@@ -431,21 +430,40 @@ impl World {
                     node: dst,
                     pkt: p,
                 });
-                exported = true;
+                return;
             }
         }
-        if !exported {
-            queue.schedule(
-                arrive_at,
-                EventKind::Arrive {
-                    node: dst,
-                    packet: pkt,
-                },
-            );
-        }
-        // Pull the next packet, if any (`in_service` is already vacated).
-        if let Some(next) = link.queue.dequeue(now) {
-            self.start_service(link_id, next);
+        queue.schedule(
+            arrive_at,
+            EventKind::Arrive {
+                node: dst,
+                packet: pkt,
+            },
+        );
+    }
+
+    /// Schedule the wake that pulls the next waiting packet when
+    /// `link`'s transmitter frees up.
+    fn arm_wake(&mut self, link_id: LinkId) {
+        let link = &mut self.links[link_id.index()];
+        link.wake_pending = true;
+        self.queue
+            .schedule(link.busy_until, EventKind::LinkTxComplete { link: link_id });
+    }
+
+    /// The wake fired: the transmitter is free and a packet is waiting.
+    fn on_tx_complete(&mut self, link_id: LinkId) {
+        let now = self.now;
+        let link = &mut self.links[link_id.index()];
+        debug_assert!(link.wake_pending && now == link.busy_until, "stray wake");
+        link.wake_pending = false;
+        let next = link
+            .queue
+            .dequeue(now)
+            .expect("a wake is only pending while a packet waits");
+        self.start_service(link_id, next);
+        if !self.links[link_id.index()].queue.is_empty() {
+            self.arm_wake(link_id);
         }
     }
 
@@ -697,12 +715,8 @@ impl Simulator {
 
     fn audit_teardown(auditor: &mut Auditor, world: &World) -> AuditReport {
         let pool_live = world.pool.live_uids();
-        let link_state: Vec<(usize, bool)> = world
-            .links
-            .iter()
-            .map(|l| (l.queue_len(), l.busy()))
-            .collect();
-        auditor.finish(pool_live, &link_state, &world.stats)
+        let queued: Vec<usize> = world.links.iter().map(Link::queue_len).collect();
+        auditor.finish(pool_live, &queued, &world.stats)
     }
 
     /// Which event-scheduler backend this simulator runs on.
@@ -1735,7 +1749,7 @@ mod tests {
 
     #[test]
     fn queue_overflow_drops_are_counted() {
-        // Queue of 4: burst of 10 -> 1 in service + 4 queued, 5 dropped.
+        // Queue of 4: burst of 10 -> 1 on the wire + 4 queued, 5 dropped.
         let (mut sim, a, b) = two_node_world(1, 8e6, SimDuration::from_millis(1), 4);
         let received = Arc::new(AtomicU64::new(0));
         let sink = sim.add_agent(

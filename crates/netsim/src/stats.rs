@@ -48,7 +48,10 @@ pub struct LinkStats {
     /// bin; divided by `arrivals` this gives the mean queue seen on
     /// arrival (the queue-dynamics metric).
     pub queue_sum: Vec<u64>,
-    /// Bytes that completed serialization, per bin.
+    /// Bytes whose serialization ends in the bin. Booked when the packet
+    /// is committed to the wire, so the series can run one packet ahead
+    /// of the clock (a packet still serializing at the run's horizon is
+    /// already in the bin where it will finish).
     pub tx_bytes: Vec<u64>,
     /// Total packets offered to the link.
     pub total_arrivals: u64,
@@ -56,9 +59,12 @@ pub struct LinkStats {
     pub total_drops: u64,
     /// Total packets ECN-marked at the link.
     pub total_marks: u64,
-    /// Total bytes that completed serialization.
+    /// Total bytes committed to the wire (including a packet still
+    /// serializing when the run stopped).
     pub total_tx_bytes: u64,
-    /// Total packets that completed serialization.
+    /// Total packets committed to the wire: every packet that left the
+    /// buffer, so `total_arrivals == total_tx_packets + total_drops +
+    /// queue length` holds at any instant.
     pub total_tx_packets: u64,
     /// Packets cloned by the fault layer (see [`crate::faults`]). The
     /// clone later shows up in `total_arrivals` like any offered packet.
@@ -439,7 +445,7 @@ impl Stats {
             .collect()
     }
 
-    /// Bytes that completed serialization on `link` over `[from, to)`.
+    /// Bytes whose serialization on `link` ends in `[from, to)`.
     pub fn link_tx_bytes_in(&self, link: LinkId, from: SimTime, to: SimTime) -> u64 {
         self.link(link)
             .map_or(0, |l| self.sum_window(&l.tx_bytes, from, to))

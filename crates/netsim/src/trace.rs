@@ -34,7 +34,9 @@ pub enum TraceKind {
         /// The link involved.
         link: LinkId,
     },
-    /// The packet finished serializing onto the wire (ns-2 `-`: dequeue).
+    /// The packet left the link's buffer and began serializing onto the
+    /// wire (ns-2 `-`: dequeue). On an idle link this immediately follows
+    /// the packet's own `Enqueue`, at the same timestamp.
     Dequeue {
         /// The link involved.
         link: LinkId,
@@ -307,7 +309,7 @@ pub struct TraceBin {
     pub sends: u64,
     /// Link enqueues (ns-2 `+`).
     pub enqueues: u64,
-    /// Link dequeues, i.e. packets fully serialized (ns-2 `-`).
+    /// Link dequeues, i.e. packets that began serializing (ns-2 `-`).
     pub dequeues: u64,
     /// Packets delivered to destination agents.
     pub delivered_packets: u64,
@@ -325,9 +327,14 @@ pub struct TraceBin {
     pub fault_dups: u64,
     /// Fault-layer reorder holds.
     pub fault_holds: u64,
-    /// Peak queued-or-in-service packets across all links in the bin.
+    /// Peak buffered packets across all links in the bin. Like
+    /// [`crate::sim::Simulator::link_queue_len`], this excludes packets
+    /// on the wire; an arrival at an idle link still counts for the
+    /// instant between its enqueue and dequeue, so a bin with any
+    /// traffic peaks at 1 or more.
     pub occupancy_max: i64,
-    /// Queued-or-in-service packets at the end of the bin.
+    /// Buffered packets (excluding those on the wire) at the end of the
+    /// bin.
     pub occupancy_end: i64,
 }
 

@@ -77,7 +77,7 @@ fn overflowing_run_audits_clean_with_exact_conservation() {
 
     let report = sim.finish_audit().expect("auditor installed");
     report.assert_clean();
-    // Burst of 10 into a 4-deep queue: 1 in service + 4 queued survive,
+    // Burst of 10 into a 4-deep queue: 1 on the wire + 4 queued survive,
     // 5 drop; the 5 delivered data packets each produce one ack.
     assert_eq!(report.packets_injected, 15);
     assert_eq!(report.packets_dropped, 5);

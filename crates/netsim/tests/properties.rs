@@ -37,7 +37,7 @@ proptest! {
     }
 
     /// A burst through a DropTail link conserves packets exactly:
-    /// delivered + dropped + queued(+in service) == sent, and FIFO order
+    /// delivered + dropped + queued (+ on the wire) == sent, and FIFO order
     /// is preserved at the receiver.
     #[test]
     fn droptail_link_conserves_and_preserves_order(
@@ -97,7 +97,7 @@ proptest! {
         let l = sim.stats().link(ab).unwrap();
         prop_assert_eq!(l.total_arrivals, burst as u64);
         prop_assert_eq!(delivered + l.total_drops, burst as u64);
-        // Burst of n into capacity cap + 1 in service: min(n, cap+1)
+        // Burst of n into capacity cap + 1 on the wire: min(n, cap+1)
         // delivered.
         prop_assert_eq!(delivered as usize, burst.min(cap + 1));
         // FIFO: the delivered sequence numbers are strictly increasing.
@@ -259,19 +259,27 @@ fn trace_records_the_packet_lifecycle() {
             format!("{tag} seq{}", e.seq)
         })
         .collect();
-    // Packet 0 survives: send, enq, deq, recv. Packet 1 is eaten by the
-    // loss pattern: send, drop.
+    // Packet 0 survives: send, enq, deq, recv — the link is idle, so it
+    // leaves the buffer (`deq`, ns-2's `-`) the instant it enters.
+    // Packet 1 is eaten by the loss pattern: send, drop.
     assert_eq!(
         tags,
         vec![
             "send seq0",
             "enq seq0",
+            "deq seq0",
             "send seq1",
             "drop seq1",
-            "deq seq0",
             "recv seq0"
         ],
         "unexpected trace: {tags:?}"
     );
     assert_eq!(trace.total_seen(), 6);
+    // The dequeue is stamped with the start of serialization, not its end.
+    let deq = trace
+        .events()
+        .iter()
+        .find(|e| matches!(e.kind, TraceKind::Dequeue { .. }))
+        .expect("one dequeue");
+    assert_eq!(deq.time, SimTime::ZERO);
 }

@@ -3,8 +3,9 @@
 # the unified `repro` execution path — parallel and resumed sweeps must
 # be byte-identical, scheduler backends and shard counts
 # interchangeable, audits clean, a panicking cell isolated to itself,
-# and the dumbbell hot path no slower than the committed benchmark
-# baseline (see the bench gate at the bottom).
+# and the dumbbell hot path no slower — and no more eventful per
+# packet — than the committed benchmark baseline (see the bench gate at
+# the bottom).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -215,9 +216,10 @@ fi
 grep -q 'malformed-queue.toml:12: `red_\*` keys are only valid' "$tmp/malformed.txt"
 echo "scenario run byte-identical to registry twin and committed fixture; malformed rejected"
 
-echo "== bench regression gate (dumbbell events/sec vs committed baseline) =="
+echo "== bench regression gate (dumbbell packets/sec vs committed baseline) =="
 # Re-measures the dumbbell hot path and fails if mean_ms regresses >25%
-# or events/sec drops >20% against the committed BENCH_netsim.json, or
+# or packets/sec drops >20% against the committed BENCH_netsim.json, or
+# if it dispatches more than 4.5 events per packet (exact count), or
 # if an armed (untripped) cell budget costs >2% events/sec, or if the
 # streaming trace sink costs >35% wall clock / grows RSS past its O(1)
 # bound on the >1M-packet run.
