@@ -3,12 +3,6 @@
 //!
 //! Measurements, all plain `std::time::Instant` (no bench framework):
 //!
-//! * **schedulers** — a hold-model microbench of the event queue
-//!   itself at 1k, 10k and 100k pending events: fill each backend
-//!   (binary heap, calendar queue), then pop-and-reschedule in a tight
-//!   loop and report pops/sec per backend. This isolates the scheduler
-//!   from the rest of the simulator and shows how each backend scales
-//!   with occupancy.
 //! * **dumbbell** — simulate 5 s of 4 TCP flows on the 10 Mb/s paper
 //!   dumbbell, repeated after one untimed warmup; reports mean and min
 //!   per-run time plus the throughput counters the regression gate
@@ -72,21 +66,18 @@
 //! RSS by more than 64 MiB over the >1M-packet run (the O(1)-memory
 //! contract). Nothing is written in check mode. Set
 //! `SLOWCC_SKIP_BENCH_GATE=1` to skip the comparison (exit 0), e.g. on
-//! known-noisy CI hosts. The committed baseline is parsed with a small
-//! hand-rolled scanner (the vendored `serde_json` shim serializes
-//! only), which is enough because the file is always written by this
-//! binary.
+//! known-noisy CI hosts.
 
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use slowcc_core::tcp::{Tcp, TcpConfig};
 use slowcc_netsim::budget::Budget;
-use slowcc_netsim::event::{EventKind, EventQueue, SchedulerKind};
+use slowcc_netsim::event::EventKind;
 use slowcc_netsim::prelude::*;
 use slowcc_netsim::sim::set_default_shards;
 
@@ -95,15 +86,6 @@ struct Warning {
     /// Which report section the warning qualifies.
     section: &'static str,
     message: &'static str,
-}
-
-#[derive(Serialize)]
-struct SchedulerBench {
-    pending_events: usize,
-    hold_ops: u64,
-    heap_pops_per_sec: f64,
-    calendar_pops_per_sec: f64,
-    calendar_speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -238,7 +220,6 @@ struct SweepBench {
 struct BenchReport {
     available_parallelism: usize,
     warnings: Vec<Warning>,
-    schedulers: Vec<SchedulerBench>,
     dumbbell_4tcp_5s: DumbbellBench,
     shards: ShardsBench,
     supervisor_overhead: SupervisorBench,
@@ -280,61 +261,6 @@ const EVENTS_PER_PACKET_CEILING: f64 = 4.5;
 /// wall-clock probe must stay under 2%, or supervision is too hot for
 /// the sweep's inner loop.
 const SUPERVISOR_OVERHEAD_TOLERANCE: f64 = 0.02;
-
-/// Classic hold model: keep `pending` events in the queue and repeatedly
-/// pop the earliest and schedule a replacement a random increment later.
-/// Returns pops/sec. The increment stream is a fixed xorshift sequence,
-/// so both backends see the exact same workload.
-fn hold_model(kind: SchedulerKind, pending: usize, ops: u64) -> f64 {
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    let mut q = EventQueue::with_kind(kind);
-    for i in 0..pending {
-        let t = SimTime::from_nanos(next() % 1_000_000_000);
-        q.schedule(t, EventKind::AgentTimer { agent: AgentId::from_index(0), token: i as u64 });
-    }
-    let t0 = Instant::now();
-    for i in 0..ops {
-        let (t, _) = black_box(q.pop().expect("hold model keeps the queue non-empty"));
-        // Mean hold time ~100 µs, matching packet-event spacing on the
-        // paper dumbbell.
-        let hold = next() % 200_000;
-        q.schedule(
-            SimTime::from_nanos(t.as_nanos() + hold),
-            EventKind::AgentTimer { agent: AgentId::from_index(0), token: i },
-        );
-    }
-    ops as f64 / t0.elapsed().as_secs_f64()
-}
-
-fn bench_schedulers() -> Vec<SchedulerBench> {
-    const OPS: u64 = 2_000_000;
-    [1_000usize, 10_000, 100_000]
-        .into_iter()
-        .map(|pending| {
-            let heap = hold_model(SchedulerKind::Heap, pending, OPS);
-            let calendar = hold_model(SchedulerKind::Calendar, pending, OPS);
-            println!(
-                "schedulers         heap {:.1}M pops/s  calendar {:.1}M pops/s  ({:.2}x, {pending} pending)",
-                heap / 1e6,
-                calendar / 1e6,
-                calendar / heap
-            );
-            SchedulerBench {
-                pending_events: pending,
-                hold_ops: OPS,
-                heap_pops_per_sec: heap,
-                calendar_pops_per_sec: calendar,
-                calendar_speedup: calendar / heap,
-            }
-        })
-        .collect()
-}
 
 /// Read a `kB` field (e.g. `VmHWM`, `VmRSS`) from `/proc/self/status`.
 fn proc_status_kb(key: &str) -> Option<u64> {
@@ -811,20 +737,14 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Extract the number at `"key": <number>` inside the `"section"` object
-/// of `json`. Hand-rolled because the vendored `serde_json` shim cannot
-/// deserialize; sufficient for files this binary wrote itself.
-fn extract_number(json: &str, section: &str, key: &str) -> Option<f64> {
-    let sec = json.find(&format!("\"{section}\""))?;
-    let rest = &json[sec..];
-    let k = rest.find(&format!("\"{key}\""))?;
-    let rest = &rest[k..];
-    let colon = rest.find(':')?;
-    let rest = rest[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The number at `section.key` of the parsed baseline.
+fn extract_number(baseline: &Value, section: &str, key: &str) -> Option<f64> {
+    let section = serde::de_field(serde::de_object(baseline).ok()?, section).ok()?;
+    match serde::de_field(serde::de_object(section).ok()?, key).ok()? {
+        Value::Float(f) => Some(*f),
+        Value::Int(i) => Some(*i as f64),
+        _ => None,
+    }
 }
 
 /// `--check`: re-measure the dumbbell and gate against the committed
@@ -842,9 +762,16 @@ fn check_against_baseline() -> i32 {
             return 1;
         }
     };
+    let parsed = match serde_json::parse(&baseline) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("bench gate: {} is not JSON: {e}", path.display());
+            return 1;
+        }
+    };
     let (Some(base_mean), Some(base_pps)) = (
-        extract_number(&baseline, "dumbbell_4tcp_5s", "mean_ms"),
-        extract_number(&baseline, "dumbbell_4tcp_5s", "packets_per_sec"),
+        extract_number(&parsed, "dumbbell_4tcp_5s", "mean_ms"),
+        extract_number(&parsed, "dumbbell_4tcp_5s", "packets_per_sec"),
     ) else {
         eprintln!(
             "bench gate: {} lacks dumbbell_4tcp_5s.mean_ms / packets_per_sec — \
@@ -1009,14 +936,12 @@ fn main() {
     if single_core {
         warnings.push(SINGLE_CORE_WARNING);
     }
-    let schedulers = bench_schedulers();
     let dumbbell_4tcp_5s = bench_dumbbell(true);
     let shards = bench_shards(&mut warnings);
     let supervisor_overhead = bench_supervisor(6);
     let streaming_trace = bench_streaming_trace();
     let report = BenchReport {
         available_parallelism: jobs,
-        schedulers,
         dumbbell_4tcp_5s,
         shards,
         supervisor_overhead,

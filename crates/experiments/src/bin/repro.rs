@@ -16,7 +16,7 @@
 //!
 //! Cells are seeded independently and collected in declaration order,
 //! so tables, JSON and CSV are byte-identical across `--jobs`
-//! settings, scheduler backends, and resumed runs.
+//! settings, shard counts, and resumed runs.
 //!
 //! # Supervision, crash isolation, and resumption
 //!

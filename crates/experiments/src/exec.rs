@@ -26,7 +26,7 @@
 //!    `failures.json` (an empty, byte-stable file on a clean sweep);
 //! 6. assembles, renders and saves each fully-ok target serially in
 //!    command-line order — cells print nothing, so stdout is
-//!    byte-identical across `--jobs`, scheduler backends, and resumed
+//!    byte-identical across `--jobs`, shard counts, and resumed
 //!    runs — and reports failed cells on stderr with a classification
 //!    summary table.
 //!

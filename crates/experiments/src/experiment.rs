@@ -169,13 +169,13 @@ pub trait AnyExperiment: Send + Sync {
     fn finish(&self, scale: Scale, outs: Vec<Box<dyn Any + Send>>, out_dir: Option<&Path>);
     /// Run the whole experiment in-process and return the assembled
     /// output as pretty JSON — the determinism probe the registry
-    /// conformance test byte-compares across schedulers and job
+    /// conformance test byte-compares across shard and job
     /// counts.
     fn output_json(&self, scale: Scale) -> String;
     /// Run every cell through the worker pool and return the per-cell
     /// JSON encodings in cell order — the cell-level determinism probe
     /// (compared against a serial [`AnyExperiment::run_cell_dyn`]
-    /// loop and across scheduler backends).
+    /// loop and across shard counts).
     fn cell_jsons(&self, scale: Scale) -> Vec<String>;
 }
 

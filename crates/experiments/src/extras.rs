@@ -24,11 +24,7 @@ use crate::scenario::RTT;
 
 /// Run the 10:1-oscillation fairness experiment (TCP vs TFRC).
 pub fn run_fairness_extreme(scale: Scale) -> OscFairness {
-    run_with(
-        Flavor::standard_tfrc(),
-        OscConfig::extreme_for_scale(scale),
-        scale,
-    )
+    run_with(Flavor::standard_tfrc(), OscConfig::extreme_for_scale, scale)
 }
 
 /// Run the sawtooth and reverse-sawtooth variants of Figure 7.

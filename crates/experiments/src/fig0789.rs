@@ -111,17 +111,18 @@ pub struct OscFairness {
     pub points: Vec<OscPoint>,
 }
 
-/// Run a fairness sweep of TCP vs `other` under `config`.
-pub fn run_with(other: Flavor, config: OscConfig, scale: Scale) -> OscFairness {
-    let points = crate::runner::run_cells(config.periods_secs.clone(), |period| {
-        run_point(other, &config, period)
-    });
-    OscFairness {
-        scale,
-        other_label: other.label(),
+/// Run a fairness sweep of TCP vs `other` under `config` in-process.
+pub fn run_with(other: Flavor, config: fn(Scale) -> OscConfig, scale: Scale) -> OscFairness {
+    // The labels are only read by the registry and the renderer.
+    let exp = OscExperiment {
+        name: "",
+        description: "",
+        artifact: "",
+        title: "",
+        other,
         config,
-        points,
-    }
+    };
+    crate::experiment::run_experiment(&exp, scale)
 }
 
 /// Registry entry shape shared by Figures 7/8/9 and the 10:1 extreme
@@ -186,25 +187,7 @@ impl Experiment for OscExperiment {
 
 /// Figure 7: TCP vs TFRC(6).
 pub fn run_fig7(scale: Scale) -> OscFairness {
-    run_with(Flavor::standard_tfrc(), OscConfig::for_scale(scale), scale)
-}
-
-/// Figure 8: TCP vs TCP(1/8).
-pub fn run_fig8(scale: Scale) -> OscFairness {
-    run_with(
-        Flavor::Tcp { gamma: 8.0 },
-        OscConfig::for_scale(scale),
-        scale,
-    )
-}
-
-/// Figure 9: TCP vs SQRT(1/2).
-pub fn run_fig9(scale: Scale) -> OscFairness {
-    run_with(
-        Flavor::Sqrt { gamma: 2.0 },
-        OscConfig::for_scale(scale),
-        scale,
-    )
+    run_with(Flavor::standard_tfrc(), OscConfig::for_scale, scale)
 }
 
 fn cbr_schedule(cfg: &OscConfig, period: f64) -> RateSchedule {

@@ -98,17 +98,8 @@ fn family_flavor(family: ConvFamily, param: f64) -> Flavor {
     }
 }
 
-/// Run the Figure 10 sweep (TCP(b)).
-pub fn run_fig10(scale: Scale) -> Convergence {
-    run_family(ConvFamily::Tcp, scale)
-}
-
-/// Run the Figure 12 sweep (TFRC(b)).
-pub fn run_fig12(scale: Scale) -> Convergence {
-    run_family(ConvFamily::Tfrc, scale)
-}
-
-/// Run a convergence sweep for one family.
+/// Run a convergence sweep for one family ([`ConvFamily::Tcp`] is
+/// Figure 10, [`ConvFamily::Tfrc`] Figure 12).
 pub fn run_family(family: ConvFamily, scale: Scale) -> Convergence {
     let exp = ConvExperiment::for_family(family);
     crate::experiment::run_experiment(&exp, scale)

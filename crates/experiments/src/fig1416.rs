@@ -102,31 +102,20 @@ pub struct Osc2 {
     pub points: Vec<Osc2Point>,
 }
 
-/// Run Figures 14/15 (3:1) at `scale`.
-pub fn run_fig14(scale: Scale) -> Osc2 {
-    run_with(Osc2Config::for_scale(scale), scale)
-}
-
-/// Run Figure 16 (10:1) at `scale`.
-pub fn run_fig16(scale: Scale) -> Osc2 {
-    run_with(Osc2Config::extreme_for_scale(scale), scale)
-}
-
-/// Run a utilization sweep with explicit sizing.
-pub fn run_with(config: Osc2Config, scale: Scale) -> Osc2 {
-    let mut cells: Vec<(Flavor, f64)> = Vec::new();
-    for flavor in figure14_flavors() {
-        for &on_off in &config.on_off_secs {
-            cells.push((flavor, on_off));
-        }
-    }
-    let points =
-        crate::runner::run_cells(cells, |(flavor, on_off)| run_point(flavor, &config, on_off));
-    Osc2 {
-        scale,
+/// Run a utilization sweep in-process with the sizing `config` picks
+/// ([`Osc2Config::for_scale`] is Figures 14/15,
+/// [`Osc2Config::extreme_for_scale`] Figure 16).
+pub fn run_with(config: fn(Scale) -> Osc2Config, scale: Scale) -> Osc2 {
+    // The labels are only read by the registry and the renderer.
+    let exp = Osc2Experiment {
+        name: "",
+        description: "",
+        aliases: &[],
+        artifact: "",
+        title: "",
         config,
-        points,
-    }
+    };
+    crate::experiment::run_experiment(&exp, scale)
 }
 
 /// Registry entry shape shared by Figures 14/15 and Figure 16: one cell

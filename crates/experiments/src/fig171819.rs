@@ -81,26 +81,24 @@ pub struct Smoothness {
     pub series: Vec<SmoothnessSeries>,
 }
 
-/// Run one smoothness experiment over `flavors`.
-pub fn run_pattern(pattern: Pattern, flavors: &[Flavor], scale: Scale) -> Smoothness {
-    let duration = scale.pick(SimTime::from_secs(80), SimTime::from_secs(30));
-    let warmup = scale.pick(SimTime::from_secs(10), SimTime::from_secs(5));
-    let series =
-        crate::runner::run_cells(flavors.to_vec(), |f| run_one(f, pattern, warmup, duration));
-    Smoothness {
-        scale,
+/// Run one smoothness experiment over `flavors` in-process.
+pub fn run_pattern(pattern: Pattern, flavors: fn() -> Vec<Flavor>, scale: Scale) -> Smoothness {
+    // The labels are only read by the registry and the renderer.
+    let exp = SmoothnessExperiment {
+        name: "",
+        description: "",
+        title: "",
         pattern,
-        warmup_secs: warmup.as_secs_f64(),
-        duration_secs: duration.as_secs_f64(),
-        series,
-    }
+        flavors,
+    };
+    crate::experiment::run_experiment(&exp, scale)
 }
 
 /// Run Figure 17 (TFRC vs TCP(1/8), mild pattern).
 pub fn run_fig17(scale: Scale) -> Smoothness {
     run_pattern(
         Pattern::Mild,
-        &[Flavor::standard_tfrc(), Flavor::Tcp { gamma: 8.0 }],
+        || vec![Flavor::standard_tfrc(), Flavor::Tcp { gamma: 8.0 }],
         scale,
     )
 }
@@ -109,11 +107,13 @@ pub fn run_fig17(scale: Scale) -> Smoothness {
 pub fn run_fig18(scale: Scale) -> Smoothness {
     run_pattern(
         Pattern::Harsh,
-        &[
-            Flavor::standard_tfrc(),
-            Flavor::Tcp { gamma: 8.0 },
-            Flavor::standard_tcp(),
-        ],
+        || {
+            vec![
+                Flavor::standard_tfrc(),
+                Flavor::Tcp { gamma: 8.0 },
+                Flavor::standard_tcp(),
+            ]
+        },
         scale,
     )
 }
@@ -122,7 +122,7 @@ pub fn run_fig18(scale: Scale) -> Smoothness {
 pub fn run_fig19(scale: Scale) -> Smoothness {
     run_pattern(
         Pattern::Mild,
-        &[Flavor::Iiad { gamma: 2.0 }, Flavor::Sqrt { gamma: 2.0 }],
+        || vec![Flavor::Iiad { gamma: 2.0 }, Flavor::Sqrt { gamma: 2.0 }],
         scale,
     )
 }

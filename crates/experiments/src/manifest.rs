@@ -12,16 +12,17 @@
 //! two runs of the same sweep at the same scale produce byte-identical
 //! manifests, so it can sit inside byte-diffed determinism checks.
 //!
-//! The format is a fixed JSON shape written and parsed by this module
-//! alone (the vendored `serde_json` shim has no deserializer). The
-//! parser is intentionally a line-oriented reader of exactly what
-//! [`Manifest::write`] emits — it is not a general JSON parser, and a
-//! hand-edited manifest that strays from the shape is treated as
-//! absent rather than guessed at.
+//! The format is a fixed JSON shape. [`Manifest::render`] writes it by
+//! hand (one cell per line, so the ledger diffs well);
+//! [`Manifest::parse`] reads it back through `serde_json::parse` and
+//! accepts only that shape — a truncated or hand-edited manifest that
+//! strays from it is treated as absent rather than guessed at.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::Path;
+
+use serde::Value;
 
 /// Fate of one sweep cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,6 +49,29 @@ impl CellRecord {
             status: status.to_string(),
             message: Some(message),
         }
+    }
+
+    /// `{"status": "...", "message": "..."}`, the message optional.
+    fn from_value(record: Value) -> Option<Self> {
+        let Value::Object(fields) = record else {
+            return None;
+        };
+        let mut status = None;
+        let mut message = None;
+        for (key, value) in fields {
+            let Value::String(value) = value else {
+                return None;
+            };
+            match key.as_str() {
+                "status" => status = Some(value),
+                "message" => message = Some(value),
+                _ => return None,
+            }
+        }
+        Some(CellRecord {
+            status: status?,
+            message,
+        })
     }
 }
 
@@ -128,29 +152,21 @@ impl Manifest {
 
     /// Parse the fixed manifest shape (the inverse of [`Manifest::render`]).
     pub fn parse(text: &str) -> Option<Self> {
-        let mut scale: Option<String> = None;
+        let Value::Object(top) = serde_json::parse(text).ok()? else {
+            return None;
+        };
+        let mut scale = None;
         let mut cells = BTreeMap::new();
-        for line in text.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if let Some(rest) = line.strip_prefix("\"scale\":") {
-                scale = Some(unquote(rest.trim())?);
-            } else if line.starts_with('"') && line.contains("{\"status\":") {
-                let (name, rest) = split_key(line)?;
-                let rest = rest.trim().strip_prefix('{')?.trim_end_matches('}');
-                let mut status = None;
-                let mut message = None;
-                for field in split_fields(rest) {
-                    let (key, value) = split_key(field.trim())?;
-                    match key.as_str() {
-                        "status" => status = Some(unquote(value.trim())?),
-                        "message" => message = Some(unquote(value.trim())?),
-                        _ => return None,
+        for (key, value) in top {
+            match (key.as_str(), value) {
+                ("version", Value::Int(1)) => {}
+                ("scale", Value::String(s)) => scale = Some(s),
+                ("cells", Value::Object(records)) => {
+                    for (name, record) in records {
+                        cells.insert(name, CellRecord::from_value(record)?);
                     }
                 }
-                cells.insert(name, CellRecord {
-                    status: status?,
-                    message,
-                });
+                _ => return None,
             }
         }
         Some(Manifest {
@@ -178,92 +194,34 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
-/// Undo [`escape`] on a `"`-delimited string literal.
-fn unquote(s: &str) -> Option<String> {
-    let inner = s.strip_prefix('"')?.strip_suffix('"')?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let hex: String = (&mut chars).take(4).collect();
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Split `"key": rest` into `(key, rest)`, honoring escapes in the key.
-fn split_key(s: &str) -> Option<(String, &str)> {
-    let rest = s.strip_prefix('"')?;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            let key = unquote(&s[..i + 2])?;
-            let after = rest[i + 1..].trim_start().strip_prefix(':')?;
-            return Some((key, after));
-        }
-    }
-    None
-}
-
-/// Split `"a": "x", "b": "y"` on top-level commas (commas inside string
-/// literals don't split).
-fn split_fields(s: &str) -> Vec<&str> {
-    let mut fields = Vec::new();
-    let mut start = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            in_string = !in_string;
-        } else if c == ',' && !in_string {
-            fields.push(&s[start..i]);
-            start = i + 1;
-        }
-    }
-    if !s[start..].trim().is_empty() {
-        fields.push(&s[start..]);
-    }
-    fields
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_through_render_and_parse() {
+    fn round_trips_and_a_truncation_is_never_a_partial_ledger() {
         let mut m = Manifest::new("quick");
         m.record("fig45", CellRecord::ok());
         m.record(
             "panic-cell",
-            CellRecord::failed("panicked", "deliberate \"quoted\" panic,\nwith newline".into()),
+            CellRecord::failed(
+                "panicked",
+                "deliberate \"quoted\" \\ γ panic,\nwith newline \u{1} {\"status\": \"ok\"}".into(),
+            ),
         );
         m.record("chaos", CellRecord::failed("timeout", "cell exceeded the 2s deadline".into()));
         let text = m.render();
-        let back = Manifest::parse(&text).expect("own output parses");
-        assert_eq!(back, m);
+        assert_eq!(Manifest::parse(&text), Some(m.clone()));
+        // Every byte prefix (a cut inside the two-byte γ reads back as
+        // U+FFFD, as a lossy file read would give it).
+        for cut in 0..text.len() {
+            let prefix = String::from_utf8_lossy(&text.as_bytes()[..cut]);
+            let parsed = Manifest::parse(&prefix);
+            assert!(
+                parsed.as_ref().is_none_or(|p| *p == m),
+                "cut at byte {cut} parsed to a different ledger: {parsed:?}"
+            );
+        }
     }
 
     #[test]

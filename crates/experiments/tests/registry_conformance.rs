@@ -2,22 +2,20 @@
 //! fixtures excluded) must complete its Quick sweep cleanly under the
 //! audit, and infrastructure must be invisible in the results — the
 //! per-cell outputs of a multi-threaded pool run must be byte-identical
-//! to a plain serial loop over the same cells, and neither the choice
-//! of event scheduler (binary heap vs calendar queue) nor the shard
-//! count (serial vs conservative-parallel) may change a single byte
+//! to a plain serial loop over the same cells, and the shard count
+//! (serial vs conservative-parallel) may not change a single byte
 //! either. This replaces the old per-target copies of these checks,
 //! which covered Figure 4/5 only; a new experiment gets the same
 //! coverage just by being registered.
 //!
 //! Everything lives in one `#[test]` in its own integration-test
-//! binary: it pins the process-global worker-pool width, scheduler
+//! binary: it pins the process-global worker-pool width, shard
 //! default, and audit default, and splitting it into parallel tests
 //! (or sharing a binary with others) would race on those globals.
 
 use slowcc_experiments::scale::Scale;
 use slowcc_experiments::{registry, runner};
 use slowcc_netsim::audit::{set_default_audit, take_global_report, AuditMode};
-use slowcc_netsim::event::{set_default_scheduler, SchedulerKind};
 use slowcc_netsim::sim::set_default_shards;
 
 #[test]
@@ -28,7 +26,6 @@ fn every_experiment_is_schedule_invariant_and_audit_clean_at_quick() {
     impl Drop for Restore {
         fn drop(&mut self) {
             set_default_audit(None);
-            set_default_scheduler(None);
             set_default_shards(None);
         }
     }
@@ -46,8 +43,7 @@ fn every_experiment_is_schedule_invariant_and_audit_clean_at_quick() {
 
     for exp in registry::visible() {
         // Serial reference: every cell run one at a time on this
-        // thread, on the binary-heap scheduler.
-        set_default_scheduler(Some(SchedulerKind::Heap));
+        // thread.
         let n = exp.cell_meta(Scale::Quick).len();
         assert!(n > 0, "{}: no cells at Quick", exp.name());
         let serial: Vec<String> = (0..n)
@@ -64,22 +60,10 @@ fn every_experiment_is_schedule_invariant_and_audit_clean_at_quick() {
             exp.name()
         );
 
-        // The same cells on the calendar-queue backend: the scheduler
-        // is infrastructure and must not show up in the results.
-        set_default_scheduler(Some(SchedulerKind::Calendar));
-        let calendar = exp.cell_jsons(Scale::Quick);
-        assert_eq!(
-            calendar,
-            serial,
-            "{}: calendar-queue scheduler must reproduce the heap's output byte-for-byte",
-            exp.name()
-        );
-
         // The same cells on two conservative-parallel shards: the shard
         // sync contract (DESIGN.md §5h) promises any shard count
         // reproduces the serial engine bit-exactly, so the figures
         // cannot move a single byte.
-        set_default_scheduler(Some(SchedulerKind::Heap));
         set_default_shards(Some(2));
         let sharded = exp.cell_jsons(Scale::Quick);
         set_default_shards(None);

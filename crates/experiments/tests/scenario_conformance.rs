@@ -14,26 +14,24 @@
 //!    TCP(1/2)/3-hop Quick cell: the long flow's throughput and the
 //!    cross-flow mean (re-summed in installation order) are
 //!    bit-identical.
-//! 3. Every shipped scenario file replays byte-identically across the
-//!    heap and calendar schedulers and under two conservative-parallel
-//!    shards, exactly like the registry-wide conformance sweep.
+//! 3. Every shipped scenario file replays byte-identically under two
+//!    conservative-parallel shards, exactly like the registry-wide
+//!    conformance sweep.
 //!
-//! Lives in its own integration binary because it pins process-global
-//! scheduler/shard defaults (same reasoning as registry_conformance).
+//! Lives in its own integration binary because it pins the
+//! process-global shard default (same reasoning as registry_conformance).
 
 use slowcc_experiments::dsl::{self, builtin};
 use slowcc_experiments::experiment::Experiment;
 use slowcc_experiments::flavor::Flavor;
 use slowcc_experiments::scale::Scale;
 use slowcc_experiments::{chaos, hetero};
-use slowcc_netsim::event::{set_default_scheduler, SchedulerKind};
 use slowcc_netsim::sim::set_default_shards;
 
-/// Restore process-global defaults on every exit path.
+/// Restore the process-global shard default on every exit path.
 struct Restore;
 impl Drop for Restore {
     fn drop(&mut self) {
-        set_default_scheduler(None);
         set_default_shards(None);
     }
 }
@@ -41,7 +39,6 @@ impl Drop for Restore {
 #[test]
 fn scenario_twins_are_bit_identical_and_schedule_invariant() {
     let _restore = Restore;
-    set_default_scheduler(Some(SchedulerKind::Heap));
 
     // --- Contract 1: chaos twin vs the hand-coded chaos cell. ---
     let hand = chaos::ChaosExperiment.run_cell(Scale::Quick, (Flavor::standard_tcp(), 1000));
@@ -97,7 +94,7 @@ fn scenario_twins_are_bit_identical_and_schedule_invariant() {
         hand.cross_mean_bps
     );
 
-    // --- Contract 3: every shipped scenario is schedule-invariant. ---
+    // --- Contract 3: every shipped scenario is shard-invariant. ---
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
     let mut checked = 0;
     for entry in std::fs::read_dir(&dir).expect("examples/scenarios exists") {
@@ -109,18 +106,9 @@ fn scenario_twins_are_bit_identical_and_schedule_invariant() {
         let exp = dsl::load_experiment(&path).unwrap_or_else(|e| panic!("{e}"));
         checked += 1;
 
-        set_default_scheduler(Some(SchedulerKind::Heap));
         let serial = exp.cell_jsons(Scale::Quick);
         assert!(!serial.is_empty(), "{name}: no cells at Quick");
 
-        set_default_scheduler(Some(SchedulerKind::Calendar));
-        let calendar = exp.cell_jsons(Scale::Quick);
-        assert_eq!(
-            calendar, serial,
-            "{name}: calendar-queue scheduler must reproduce the heap byte-for-byte"
-        );
-
-        set_default_scheduler(Some(SchedulerKind::Heap));
         set_default_shards(Some(2));
         let sharded = exp.cell_jsons(Scale::Quick);
         set_default_shards(None);

@@ -66,7 +66,7 @@ static ENV_MODE: OnceLock<Option<AuditMode>> = OnceLock::new();
 /// Force every subsequently created [`crate::sim::Simulator`] to audit in
 /// `mode` (or not audit at all for `Some` of nothing — pass `None` to
 /// restore the default resolution: environment, then off). Mirrors
-/// [`crate::event::set_default_scheduler`].
+/// [`crate::sim::set_default_shards`].
 pub fn set_default_audit(mode: Option<AuditMode>) {
     let v = match mode {
         None => 0,

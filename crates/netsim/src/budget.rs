@@ -24,7 +24,7 @@
 //! that never trips leaves every simulation byte-identical.
 //!
 //! Budgets reach deeply-constructed simulators the same way the
-//! scheduler, shard-count, and audit knobs do: a worker thread calls
+//! shard-count and audit knobs do: a worker thread calls
 //! [`set_thread_budget`] and every `Simulator::new` on that thread
 //! captures it. [`crate::sim::Simulator::set_budget`] overrides it
 //! per-instance (before the first `run_until`).
@@ -161,7 +161,7 @@ thread_local! {
 /// set it on worker threads before running a cell (and reset it after),
 /// so budgets reach simulators built deep inside experiment code
 /// without threading a parameter through every layer — the same
-/// pattern as the scheduler and shard-count knobs.
+/// pattern as the shard-count and audit knobs.
 pub fn set_thread_budget(budget: Budget) {
     THREAD_BUDGET.with(|b| b.set(budget));
 }

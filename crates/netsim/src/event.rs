@@ -1,36 +1,32 @@
 //! The event scheduler.
 //!
-//! Two interchangeable backends produce the *same* event order:
-//!
-//! * [`SchedulerKind::Calendar`] (the default) — a calendar queue in the
-//!   style of Brown (1988) and ns-2's scheduler: events are hashed into
-//!   time buckets of width 2^k nanoseconds, insert and pop are amortized
-//!   O(1), and the bucket array resizes (and re-picks its width from the
-//!   observed event spacing) as the pending-event population drifts.
-//! * [`SchedulerKind::Heap`] — the original `BinaryHeap`, kept as the
-//!   O(log n) reference implementation for equivalence tests and the
-//!   `bench_netsim` scheduler microbench.
+//! [`EventQueue`] is a calendar queue in the style of Brown (1988) and
+//! ns-2's scheduler: events are hashed into time buckets of width 2^k
+//! nanoseconds, insert and pop are amortized O(1), and the bucket array
+//! resizes (and re-picks its width from the observed event spacing) as
+//! the pending-event population drifts.
 //!
 //! Ordering is by `(time, sched, sequence)`: the instant the event fires,
 //! the instant it was *scheduled at* (the queue's clock when `schedule`
 //! was called), and a monotone token assigned at scheduling time. Ties in
 //! simulated time are therefore broken by scheduling time, then by
-//! scheduling order — explicitly, not by backend internals — which is
-//! what makes runs bit-for-bit reproducible and the two backends
-//! byte-identical. In a single-queue run the scheduling time is
-//! non-decreasing in the sequence number, so the triple orders exactly
-//! like the historical `(time, seq)` pair; the `sched` component only
-//! starts discriminating when events from *different* shards of a
-//! sharded run (see `sim::Simulator`) are merged into one queue via
-//! [`EventQueue::schedule_from`] — there it reproduces the order the
-//! serial run would have used. The property test in
-//! `tests/scheduler_equivalence.rs` and the `verify.sh` smoke step pin
-//! this down.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
-use std::sync::OnceLock;
+//! scheduling order — explicitly, not by bucket layout — which is what
+//! makes runs bit-for-bit reproducible. In a single-queue run the
+//! scheduling time is non-decreasing in the sequence number, so the
+//! triple orders exactly like the historical `(time, seq)` pair; the
+//! `sched` component only starts discriminating when events from
+//! *different* shards of a sharded run (see `sim::Simulator`) are merged
+//! into one queue via [`EventQueue::schedule_from`] — there it
+//! reproduces the order the serial run would have used.
+//!
+//! Two checks pin the order down. The property tests in
+//! `tests/scheduler_equivalence.rs` and `tests/batch_equivalence.rs`
+//! compare pop order against a binary-heap model (`tests/common`) on
+//! arbitrary schedules; and in builds with debug assertions — the whole
+//! test suite — every queue asserts that each pop's key is strictly
+//! greater than the previous pop's, which for a simulation (nothing is
+//! ever scheduled into the past) holds exactly when every pop was the
+//! pending minimum.
 
 use crate::ids::{AgentId, LinkId, NodeId};
 use crate::pool::PacketId;
@@ -82,7 +78,11 @@ pub enum EventKind {
     },
 }
 
-/// One scheduled event. Shared by both backends.
+/// The ordering key: fire time, then scheduling time, then scheduling
+/// order.
+type Key = (SimTime, SimTime, u64);
+
+/// One scheduled event.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     time: SimTime,
@@ -94,77 +94,9 @@ struct Entry {
 }
 
 impl Entry {
-    /// The ordering key: fire time, then scheduling time, then
-    /// scheduling order.
     #[inline]
-    fn key(&self) -> (SimTime, SimTime, u64) {
+    fn key(&self) -> Key {
         (self.time, self.sched, self.seq)
-    }
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want earliest-first.
-        other.key().cmp(&self.key())
-    }
-}
-
-/// Which scheduler backend an [`EventQueue`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Binary-heap reference scheduler (O(log n) per operation).
-    Heap,
-    /// Calendar-queue scheduler (amortized O(1) per operation).
-    Calendar,
-}
-
-/// Process-wide programmatic override: 0 = unset, 1 = heap, 2 = calendar.
-static SCHEDULER_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// The `SLOWCC_SCHEDULER` environment knob, read once per process.
-static ENV_KIND: OnceLock<SchedulerKind> = OnceLock::new();
-
-/// Force every subsequently created [`EventQueue`] (and therefore every
-/// new [`crate::sim::Simulator`]) onto `kind`; `None` restores the
-/// default resolution (environment, then calendar). Used by equivalence
-/// tests that run the same figure under both backends in one process.
-pub fn set_default_scheduler(kind: Option<SchedulerKind>) {
-    let v = match kind {
-        None => 0,
-        Some(SchedulerKind::Heap) => 1,
-        Some(SchedulerKind::Calendar) => 2,
-    };
-    SCHEDULER_OVERRIDE.store(v, AtomicOrdering::Relaxed);
-}
-
-impl SchedulerKind {
-    /// The backend new queues get: the [`set_default_scheduler`] override
-    /// if set, else the `SLOWCC_SCHEDULER` environment variable (`heap` or
-    /// `calendar`), else [`SchedulerKind::Calendar`].
-    pub fn default_kind() -> SchedulerKind {
-        match SCHEDULER_OVERRIDE.load(AtomicOrdering::Relaxed) {
-            1 => SchedulerKind::Heap,
-            2 => SchedulerKind::Calendar,
-            _ => *ENV_KIND.get_or_init(|| match std::env::var("SLOWCC_SCHEDULER") {
-                Ok(v) if v == "heap" => SchedulerKind::Heap,
-                Ok(v) if v == "calendar" => SchedulerKind::Calendar,
-                Ok(v) => panic!("SLOWCC_SCHEDULER must be `heap` or `calendar`, got `{v}`"),
-                Err(_) => SchedulerKind::Calendar,
-            }),
-        }
     }
 }
 
@@ -177,12 +109,13 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// from the observed spacing anyway).
 const INITIAL_SHIFT: u32 = 16;
 
-/// Calendar queue: `buckets[(time >> shift) & mask]` holds the events of
-/// every "day" (bucket-width slice of time) congruent to that index. A
-/// cursor walks days in order; each pop scans the current day's bucket
-/// for the `(time, seq)` minimum.
+/// Deterministic earliest-first event queue, implemented as a calendar
+/// queue: `buckets[(time >> shift) & mask]` holds the events of every
+/// "day" (bucket-width slice of time) congruent to that index. A cursor
+/// walks days in order; each pop scans the current day's bucket for the
+/// `(time, sched, seq)` minimum.
 #[derive(Debug)]
-struct CalendarQueue {
+pub struct EventQueue {
     buckets: Vec<Vec<Entry>>,
     /// Bucket width is `1 << shift` nanoseconds.
     shift: u32,
@@ -201,40 +134,25 @@ struct CalendarQueue {
     /// handed out. Kept on the queue so steady-state batch drains never
     /// allocate.
     scratch: Vec<(SimTime, u64, EventKind)>,
+    next_seq: u64,
+    /// Time of the most recently popped event — the instant handlers run
+    /// at, recorded as the `sched` component of anything they schedule.
+    clock: SimTime,
+    /// Key of the most recent pop, for the pop-order assertion in
+    /// [`Self::note_pop`]; only maintained when debug assertions are on.
+    last_popped: Option<Key>,
 }
 
-impl CalendarQueue {
-    fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::with_capacity(8)).collect(),
-            shift: INITIAL_SHIFT,
-            mask: (MIN_BUCKETS - 1) as u64,
-            len: 0,
-            cursor_day: 0,
-            pops_since_resize: 0,
-            scratch: Vec::new(),
-        }
+impl Default for EventQueue {
+    fn default() -> Self {
+        EventQueue::new()
     }
+}
 
+impl EventQueue {
     #[inline]
     fn day_of(&self, time: SimTime) -> u64 {
         time.as_nanos() >> self.shift
-    }
-
-    #[inline]
-    fn push(&mut self, entry: Entry) {
-        let day = self.day_of(entry.time);
-        // Keep the cursor invariant when an event lands in the past of
-        // the cursor (arbitrary schedules in tests) or when the queue was
-        // drained and the clock has moved far ahead.
-        if day < self.cursor_day || self.len == 0 {
-            self.cursor_day = day;
-        }
-        self.buckets[(day & self.mask) as usize].push(entry);
-        self.len += 1;
-        if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.resize(self.buckets.len() * 2);
-        }
     }
 
     /// Locate the `(time, sched, seq)` minimum: advance the cursor to its
@@ -275,7 +193,7 @@ impl CalendarQueue {
         let nb = self.buckets.len() as u64;
         for day in self.cursor_day..self.cursor_day + nb {
             let b = (day & self.mask) as usize;
-            let mut best: Option<(usize, (SimTime, SimTime, u64))> = None;
+            let mut best: Option<(usize, Key)> = None;
             for (i, e) in self.buckets[b].iter().enumerate() {
                 if self.day_of(e.time) == day && best.is_none_or(|(_, k)| e.key() < k) {
                     best = Some((i, e.key()));
@@ -290,7 +208,7 @@ impl CalendarQueue {
         // far-future timers behind a drained present): fall back to a
         // direct scan of all buckets for the global minimum, then jump
         // the cursor to it.
-        let mut best: Option<(usize, usize, (SimTime, SimTime, u64))> = None;
+        let mut best: Option<(usize, usize, Key)> = None;
         for (b, bucket) in self.buckets.iter().enumerate() {
             for (i, e) in bucket.iter().enumerate() {
                 if best.is_none_or(|(_, _, k)| e.key() < k) {
@@ -303,28 +221,62 @@ impl CalendarQueue {
         (b, i)
     }
 
+    /// Pop the entry [`Self::locate_min`] found, advancing the clock to it.
     #[inline]
-    fn remove(&mut self, pos: (usize, usize)) -> Entry {
+    fn remove(&mut self, pos: (usize, usize)) -> (SimTime, EventKind) {
         let entry = self.buckets[pos.0].swap_remove(pos.1);
         self.len -= 1;
+        self.note_pop(entry.key());
+        self.clock = entry.time;
         if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
             self.resize(self.buckets.len() / 2);
         }
-        entry
+        (entry.time, entry.kind)
     }
 
-    /// Fused minimum-search and batch-drain behind
-    /// [`EventQueue::drain_batch`]: one walk from the cursor both locates
-    /// the `(time, sched, seq)` minimum *and* counts how many entries tie
-    /// its timestamp (ties always share a day, hence a bucket), so the
-    /// untied common case drains with a single O(1) `swap_remove` and no
-    /// second bucket pass. Extracted kinds are appended to `out` in
-    /// ascending `(sched, seq)` order — exactly the order repeated
-    /// [`Self::remove`] calls would have produced. Returns the batch
-    /// timestamp, or `None` when the queue is empty or the head is past
-    /// `horizon` (located-but-rejected heads still advance the cursor, as
+    /// The whole-simulation ordering check: every pop's key must be
+    /// strictly greater than the previous pop's. Nothing in a simulation
+    /// schedules below a key already popped, and then strictly increasing
+    /// pops are equivalent to every pop having been the pending minimum.
+    /// (Queue-level tests do schedule into the past; [`Self::schedule_from`]
+    /// forgets the previous pop when that happens.)
+    #[inline]
+    fn note_pop(&mut self, key: Key) {
+        if cfg!(debug_assertions) {
+            debug_assert!(
+                self.last_popped.is_none_or(|last| key > last),
+                "popped {key:?} after {:?}: not the pending minimum",
+                self.last_popped
+            );
+            self.last_popped = Some(key);
+        }
+    }
+
+    /// Remove every event sharing the earliest pending timestamp, if that
+    /// timestamp is at or before `horizon`, appending their kinds to `out`
+    /// in exactly the order repeated [`Self::pop`] calls would have
+    /// produced (ascending `(sched, seq)`). Returns the batch timestamp,
+    /// or `None` when the queue is empty or the head is past the horizon
+    /// (a located-but-rejected head still advances the cursor, as
     /// `locate_min` would).
-    fn drain_batch(&mut self, horizon: SimTime, out: &mut Vec<EventKind>) -> Option<SimTime> {
+    ///
+    /// Events scheduled *while a batch is being dispatched* — even at the
+    /// batch's own timestamp — get strictly larger sequence numbers than
+    /// everything already extracted, so picking them up in the *next*
+    /// `drain_batch` call reproduces the single-pop order exactly. This is
+    /// the ordering contract `Simulator::run_until` batching relies on;
+    /// see DESIGN.md §5g and `tests/batch_equivalence.rs`.
+    ///
+    /// `out` is a caller-owned arena buffer (cleared here) so steady-state
+    /// batch dispatch performs no allocation.
+    ///
+    /// Minimum search and drain are fused: one walk from the cursor both
+    /// locates the `(time, sched, seq)` minimum *and* counts how many
+    /// entries tie its timestamp (ties always share a day, hence a
+    /// bucket), so the untied common case drains with a single O(1)
+    /// `swap_remove` and no second bucket pass.
+    pub fn drain_batch(&mut self, horizon: SimTime, out: &mut Vec<EventKind>) -> Option<SimTime> {
+        out.clear();
         if self.len == 0 {
             return None;
         }
@@ -345,8 +297,10 @@ impl CalendarQueue {
             }
             let bucket = &mut self.buckets[b];
             if ties == 1 {
-                out.push(bucket.swap_remove(i).kind);
+                let e = bucket.swap_remove(i);
+                out.push(e.kind);
                 self.len -= 1;
+                self.note_pop(e.key());
             } else {
                 let mut scratch = std::mem::take(&mut self.scratch);
                 scratch.clear();
@@ -360,9 +314,13 @@ impl CalendarQueue {
                 });
                 self.len -= scratch.len();
                 scratch.sort_unstable_by_key(|&(sched, seq, _)| (sched, seq));
-                out.extend(scratch.iter().map(|&(_, _, kind)| kind));
+                for &(sched, seq, kind) in &scratch {
+                    out.push(kind);
+                    self.note_pop((t, sched, seq));
+                }
                 self.scratch = scratch;
             }
+            self.clock = t;
             // Same shrink trigger as `remove`, applied once per batch.
             if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
                 self.resize((self.buckets.len() / 2).max(MIN_BUCKETS));
@@ -378,7 +336,7 @@ impl CalendarQueue {
         let mut day = self.cursor_day;
         for _ in 0..nb {
             let b = (day & self.mask) as usize;
-            let mut best: Option<(usize, (SimTime, SimTime, u64))> = None;
+            let mut best: Option<(usize, Key)> = None;
             let mut ties = 0usize;
             for (i, e) in self.buckets[b].iter().enumerate() {
                 if self.day_of(e.time) != day {
@@ -464,61 +422,20 @@ impl CalendarQueue {
     }
 }
 
-enum Backend {
-    Heap(BinaryHeap<Entry>),
-    Calendar(CalendarQueue),
-}
-
-impl std::fmt::Debug for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::Heap(h) => f.debug_struct("Heap").field("len", &h.len()).finish(),
-            Backend::Calendar(c) => f.debug_struct("Calendar").field("len", &c.len).finish(),
-        }
-    }
-}
-
-/// Deterministic earliest-first event queue over a pluggable backend.
-#[derive(Debug)]
-pub struct EventQueue {
-    backend: Backend,
-    next_seq: u64,
-    /// Time of the most recently popped event — the instant handlers run
-    /// at, recorded as the `sched` component of anything they schedule.
-    clock: SimTime,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
 impl EventQueue {
-    /// A queue on the process default backend (see
-    /// [`SchedulerKind::default_kind`]).
+    /// An empty queue with its clock at time zero.
     pub fn new() -> Self {
-        EventQueue::with_kind(SchedulerKind::default_kind())
-    }
-
-    /// A queue on an explicit backend.
-    pub fn with_kind(kind: SchedulerKind) -> Self {
-        let backend = match kind {
-            SchedulerKind::Heap => Backend::Heap(BinaryHeap::new()),
-            SchedulerKind::Calendar => Backend::Calendar(CalendarQueue::new()),
-        };
         EventQueue {
-            backend,
+            buckets: (0..MIN_BUCKETS).map(|_| Vec::with_capacity(8)).collect(),
+            shift: INITIAL_SHIFT,
+            mask: (MIN_BUCKETS - 1) as u64,
+            len: 0,
+            cursor_day: 0,
+            pops_since_resize: 0,
+            scratch: Vec::new(),
             next_seq: 0,
             clock: SimTime::ZERO,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Heap(_) => SchedulerKind::Heap,
-            Backend::Calendar(_) => SchedulerKind::Calendar,
+            last_popped: None,
         }
     }
 
@@ -548,89 +465,42 @@ impl EventQueue {
             seq,
             kind,
         };
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(entry),
-            Backend::Calendar(cal) => cal.push(entry),
+        // Scheduled below the last pop (queue-level tests only): the next
+        // pop may legitimately be smaller, so `note_pop` starts over.
+        if cfg!(debug_assertions) && self.last_popped.is_some_and(|last| entry.key() < last) {
+            self.last_popped = None;
+        }
+        let day = self.day_of(time);
+        // Keep the cursor invariant when an event lands in the past of
+        // the cursor (arbitrary schedules in tests) or when the queue was
+        // drained and the clock has moved far ahead.
+        if day < self.cursor_day || self.len == 0 {
+            self.cursor_day = day;
+        }
+        self.buckets[(day & self.mask) as usize].push(entry);
+        self.len += 1;
+        if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
+            self.resize(self.buckets.len() * 2);
         }
     }
 
     /// Remove and return the earliest event.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        let popped = match &mut self.backend {
-            Backend::Heap(heap) => heap.pop().map(|e| (e.time, e.kind)),
-            Backend::Calendar(cal) => {
-                let pos = cal.locate_min()?;
-                let e = cal.remove(pos);
-                Some((e.time, e.kind))
-            }
-        };
-        if let Some((t, _)) = popped {
-            self.clock = t;
-        }
-        popped
+        let pos = self.locate_min()?;
+        Some(self.remove(pos))
     }
 
     /// Remove and return the earliest event if it fires at or before
-    /// `horizon` — the single-pass form of "peek, compare, pop" that
-    /// [`crate::sim::Simulator::run_until`] drives the event loop with.
+    /// `horizon` — the single-event form of [`Self::drain_batch`].
     #[inline]
     pub fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        let popped = match &mut self.backend {
-            Backend::Heap(heap) => {
-                if heap.peek().is_some_and(|e| e.time <= horizon) {
-                    heap.pop().map(|e| (e.time, e.kind))
-                } else {
-                    None
-                }
-            }
-            Backend::Calendar(cal) => {
-                let pos = cal.locate_min()?;
-                if cal.buckets[pos.0][pos.1].time > horizon {
-                    None
-                } else {
-                    let e = cal.remove(pos);
-                    Some((e.time, e.kind))
-                }
-            }
-        };
-        if let Some((t, _)) = popped {
-            self.clock = t;
+        let pos = self.locate_min()?;
+        if self.buckets[pos.0][pos.1].time > horizon {
+            None
+        } else {
+            Some(self.remove(pos))
         }
-        popped
-    }
-
-    /// Remove every event sharing the earliest pending timestamp, if that
-    /// timestamp is at or before `horizon`, appending their kinds to `out`
-    /// in exactly the order repeated [`Self::pop`] calls would have
-    /// produced (ascending `(sched, seq)`). Returns the batch timestamp,
-    /// or `None` when the queue is empty or the head is past the horizon.
-    ///
-    /// Events scheduled *while a batch is being dispatched* — even at the
-    /// batch's own timestamp — get strictly larger sequence numbers than
-    /// everything already extracted, so picking them up in the *next*
-    /// `drain_batch` call reproduces the single-pop order exactly. This is
-    /// the ordering contract `Simulator::run_until` batching relies on;
-    /// see DESIGN.md §5g and `tests/batch_equivalence.rs`.
-    ///
-    /// `out` is a caller-owned arena buffer (cleared here) so steady-state
-    /// batch dispatch performs no allocation.
-    pub fn drain_batch(&mut self, horizon: SimTime, out: &mut Vec<EventKind>) -> Option<SimTime> {
-        out.clear();
-        let t = match &mut self.backend {
-            Backend::Heap(heap) => {
-                let t = heap.peek().map(|e| e.time).filter(|&t| t <= horizon)?;
-                while heap.peek().is_some_and(|e| e.time == t) {
-                    out.push(heap.pop().expect("peeked entry exists").kind);
-                }
-                Some(t)
-            }
-            Backend::Calendar(cal) => cal.drain_batch(horizon, out),
-        };
-        if let Some(t) = t {
-            self.clock = t;
-        }
-        t
     }
 
     /// Total number of events ever scheduled on this queue (the next
@@ -650,24 +520,16 @@ impl EventQueue {
         self.clock = self.clock.max(t);
     }
 
-    /// Time of the earliest scheduled event. `&mut` because the calendar
-    /// backend advances its day cursor while searching.
+    /// Time of the earliest scheduled event. `&mut` because the search
+    /// advances the day cursor.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.peek().map(|e| e.time),
-            Backend::Calendar(cal) => {
-                let pos = cal.locate_min()?;
-                Some(cal.buckets[pos.0][pos.1].time)
-            }
-        }
+        let pos = self.locate_min()?;
+        Some(self.buckets[pos.0][pos.1].time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Calendar(cal) => cal.len,
-        }
+        self.len
     }
 
     /// True when no events are pending.
@@ -680,8 +542,6 @@ impl EventQueue {
 mod tests {
     use super::*;
 
-    const KINDS: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Calendar];
-
     fn timer(agent: usize, token: u64) -> EventKind {
         EventKind::AgentTimer {
             agent: AgentId::from_index(agent),
@@ -689,71 +549,69 @@ mod tests {
         }
     }
 
+    fn token_of(kind: EventKind) -> u64 {
+        match kind {
+            EventKind::AgentTimer { token, .. } => token,
+            _ => unreachable!("only timers are scheduled"),
+        }
+    }
+
+    /// Pop everything; the tokens in pop order.
+    fn drain_tokens(q: &mut EventQueue) -> Vec<u64> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(_, k)| token_of(k))
+            .collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_millis(30), timer(0, 0));
-            q.schedule(SimTime::from_millis(10), timer(0, 1));
-            q.schedule(SimTime::from_millis(20), timer(0, 2));
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(t, _)| t.as_nanos() / 1_000_000)
-                .collect();
-            assert_eq!(order, vec![10, 20, 30], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(30), timer(0, 0));
+        q.schedule(SimTime::from_millis(10), timer(0, 1));
+        q.schedule(SimTime::from_millis(20), timer(0, 2));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(t, _)| t.as_nanos() / 1_000_000)
+            .collect();
+        assert_eq!(order, vec![10, 20, 30]);
     }
 
     #[test]
     fn ties_break_by_scheduling_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_millis(5);
-            for token in 0..100 {
-                q.schedule(t, timer(0, token));
-            }
-            let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(_, k)| match k {
-                    EventKind::AgentTimer { token, .. } => token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(tokens, (0..100).collect::<Vec<_>>(), "{kind:?}");
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        for token in 0..100 {
+            q.schedule(t, timer(0, token));
         }
+        let tokens = drain_tokens(&mut q);
+        assert_eq!(tokens, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_time_matches_next_pop() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            assert_eq!(q.peek_time(), None);
-            q.schedule(SimTime::from_secs(2), timer(0, 0));
-            q.schedule(SimTime::from_secs(1), timer(0, 1));
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)), "{kind:?}");
-            q.pop();
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)), "{kind:?}");
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.schedule(SimTime::from_secs(2), timer(0, 0));
+        q.schedule(SimTime::from_secs(1), timer(0, 1));
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+        q.pop();
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn pop_if_at_or_before_respects_the_horizon() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_millis(10), timer(0, 0));
-            q.schedule(SimTime::from_millis(20), timer(0, 1));
-            assert!(
-                q.pop_if_at_or_before(SimTime::from_millis(5)).is_none(),
-                "{kind:?}"
-            );
-            // Inclusive horizon.
-            let (t, _) = q.pop_if_at_or_before(SimTime::from_millis(10)).unwrap();
-            assert_eq!(t, SimTime::from_millis(10));
-            assert!(q.pop_if_at_or_before(SimTime::from_millis(15)).is_none());
-            assert_eq!(q.len(), 1);
-            let (t, _) = q.pop_if_at_or_before(SimTime::from_secs(1)).unwrap();
-            assert_eq!(t, SimTime::from_millis(20));
-            assert!(q.pop_if_at_or_before(SimTime::from_secs(9)).is_none());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(10), timer(0, 0));
+        q.schedule(SimTime::from_millis(20), timer(0, 1));
+        assert!(q.pop_if_at_or_before(SimTime::from_millis(5)).is_none());
+        // Inclusive horizon.
+        let (t, _) = q.pop_if_at_or_before(SimTime::from_millis(10)).unwrap();
+        assert_eq!(t, SimTime::from_millis(10));
+        assert!(q.pop_if_at_or_before(SimTime::from_millis(15)).is_none());
+        assert_eq!(q.len(), 1);
+        let (t, _) = q.pop_if_at_or_before(SimTime::from_secs(1)).unwrap();
+        assert_eq!(t, SimTime::from_millis(20));
+        assert!(q.pop_if_at_or_before(SimTime::from_secs(9)).is_none());
     }
 
     #[test]
@@ -761,35 +619,22 @@ mod tests {
         // Cross-shard imports carry a foreign scheduling time; at an
         // equal fire time the earlier-scheduled event must pop first even
         // when it was inserted later (higher seq).
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let fire = SimTime::from_millis(20);
-            q.schedule_from(SimTime::from_millis(10), fire, timer(0, 0));
-            q.schedule_from(SimTime::from_millis(5), fire, timer(0, 1));
-            q.schedule_from(SimTime::from_millis(5), fire, timer(0, 2));
-            let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(_, k)| match k {
-                    EventKind::AgentTimer { token, .. } => token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(tokens, vec![1, 2, 0], "{kind:?}");
+        let mut q = EventQueue::new();
+        let fire = SimTime::from_millis(20);
+        q.schedule_from(SimTime::from_millis(10), fire, timer(0, 0));
+        q.schedule_from(SimTime::from_millis(5), fire, timer(0, 1));
+        q.schedule_from(SimTime::from_millis(5), fire, timer(0, 2));
+        let tokens = drain_tokens(&mut q);
+        assert_eq!(tokens, vec![1, 2, 0]);
 
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule_from(SimTime::from_millis(10), fire, timer(0, 0));
-            q.schedule_from(SimTime::from_millis(5), fire, timer(0, 1));
-            q.schedule_from(SimTime::from_millis(5), fire, timer(0, 2));
-            let mut out = Vec::new();
-            assert_eq!(q.drain_batch(fire, &mut out), Some(fire), "{kind:?}");
-            let tokens: Vec<u64> = out
-                .iter()
-                .map(|k| match k {
-                    EventKind::AgentTimer { token, .. } => *token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(tokens, vec![1, 2, 0], "{kind:?} drain_batch");
-        }
+        let mut q = EventQueue::new();
+        q.schedule_from(SimTime::from_millis(10), fire, timer(0, 0));
+        q.schedule_from(SimTime::from_millis(5), fire, timer(0, 1));
+        q.schedule_from(SimTime::from_millis(5), fire, timer(0, 2));
+        let mut out = Vec::new();
+        assert_eq!(q.drain_batch(fire, &mut out), Some(fire));
+        let tokens: Vec<u64> = out.iter().map(|&k| token_of(k)).collect();
+        assert_eq!(tokens, vec![1, 2, 0], "drain_batch");
     }
 
     #[test]
@@ -797,86 +642,57 @@ mod tests {
         // An event scheduled from a handler (i.e. after a pop at time T)
         // is stamped sched=T and therefore beats a same-fire-time entry
         // imported with a later sched stamp.
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_millis(1), timer(0, 9));
-            q.pop();
-            let fire = SimTime::from_millis(7);
-            q.schedule_from(SimTime::from_millis(2), fire, timer(0, 0));
-            q.schedule(fire, timer(0, 1)); // sched = 1 ms (the pop time)
-            let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(_, k)| match k {
-                    EventKind::AgentTimer { token, .. } => token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(tokens, vec![1, 0], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(1), timer(0, 9));
+        q.pop();
+        let fire = SimTime::from_millis(7);
+        q.schedule_from(SimTime::from_millis(2), fire, timer(0, 0));
+        q.schedule(fire, timer(0, 1)); // sched = 1 ms (the pop time)
+        let tokens = drain_tokens(&mut q);
+        assert_eq!(tokens, vec![1, 0]);
     }
 
     #[test]
     fn far_future_events_pop_correctly() {
         // Events many "years" past the calendar cursor exercise the
         // overflow fallback scan.
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(5), timer(0, 0));
-            q.schedule(SimTime::from_secs(3600), timer(0, 1));
-            q.schedule(SimTime::from_secs(7200), timer(0, 2));
-            let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(_, k)| match k {
-                    EventKind::AgentTimer { token, .. } => token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(tokens, vec![0, 1, 2], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(5), timer(0, 0));
+        q.schedule(SimTime::from_secs(3600), timer(0, 1));
+        q.schedule(SimTime::from_secs(7200), timer(0, 2));
+        let tokens = drain_tokens(&mut q);
+        assert_eq!(tokens, vec![0, 1, 2]);
     }
 
     #[test]
     fn interleaved_schedule_and_pop_stays_sorted() {
         // Deterministic pseudo-random churn big enough to force the
         // calendar through several grow and shrink resizes.
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let mut state = 0x9E3779B97F4A7C15u64;
-            let mut rand = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut last = None;
-            let mut pending = 0i64;
-            for i in 0..200_000u64 {
-                if pending == 0 || rand() % 3 != 0 {
-                    q.schedule(SimTime::from_nanos(rand() % 50_000_000), timer(0, i));
-                    pending += 1;
-                } else {
-                    let (t, _) = q.pop().unwrap();
-                    pending -= 1;
-                    if let Some(prev) = last {
-                        // Pops within one drain phase are non-decreasing
-                        // only relative to what is still pending; a full
-                        // ordering check happens in the drain below.
-                        let _ = prev;
-                    }
-                    last = Some(t);
-                }
+        let mut q = EventQueue::new();
+        let mut state = 0x9E3779B97F4A7C15u64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut pending = 0i64;
+        for i in 0..200_000u64 {
+            if pending == 0 || rand() % 3 != 0 {
+                q.schedule(SimTime::from_nanos(rand() % 50_000_000), timer(0, i));
+                pending += 1;
+            } else {
+                // Mid-churn pops are ordered only relative to what is
+                // still pending; the drain below checks the full order.
+                q.pop().unwrap();
+                pending -= 1;
             }
-            let mut drained: Vec<(SimTime, u64)> = Vec::new();
-            while let Some((t, k)) = q.pop() {
-                let token = match k {
-                    EventKind::AgentTimer { token, .. } => token,
-                    _ => unreachable!(),
-                };
-                drained.push((t, token));
-            }
-            assert_eq!(drained.len(), pending as usize, "{kind:?}");
-            assert!(
-                drained.windows(2).all(|w| w[0].0 <= w[1].0),
-                "{kind:?} drain out of order"
-            );
         }
+        let drained: Vec<SimTime> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t).collect();
+        assert_eq!(drained.len(), pending as usize);
+        assert!(
+            drained.windows(2).all(|w| w[0] <= w[1]),
+            "drain out of order"
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! The simulator moves every packet through several owners per hop (a
 //! link buffer, then the event queue while on the wire) and a [`Packet`] is a
 //! 120-byte struct, so carrying packets *by value* through those layers
-//! meant memcpying them on every heap sift and `VecDeque` shuffle. The
+//! meant memcpying them on every scheduler move and `VecDeque` shuffle. The
 //! pool gives each live packet one stable slot and hands out a 4-byte
 //! [`PacketId`]; events and queue disciplines move ids, and the packet
 //! bytes are written once at send time and read in place until delivery

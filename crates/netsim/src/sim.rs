@@ -37,7 +37,7 @@ use rand::SeedableRng;
 
 use crate::audit::{self, AuditMode, AuditReport, Auditor};
 use crate::budget::{self, Budget, BudgetState};
-use crate::event::{EventKind, EventQueue, SchedulerKind};
+use crate::event::{EventKind, EventQueue};
 use crate::ids::{AgentId, FlowId, LinkId, NodeId};
 use crate::link::Link;
 use crate::node::Node;
@@ -589,8 +589,7 @@ pub struct Simulator {
 pub const DEFAULT_STATS_BIN: SimDuration = SimDuration::from_millis(10);
 
 impl Simulator {
-    /// A fresh simulator with the given RNG seed, on the process default
-    /// event scheduler (see [`SchedulerKind::default_kind`]).
+    /// A fresh simulator with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         Simulator::with_stats_bin(seed, DEFAULT_STATS_BIN)
     }
@@ -717,11 +716,6 @@ impl Simulator {
         let pool_live = world.pool.live_uids();
         let queued: Vec<usize> = world.links.iter().map(Link::queue_len).collect();
         auditor.finish(pool_live, &queued, &world.stats)
-    }
-
-    /// Which event-scheduler backend this simulator runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.shards[0].world.queue.kind()
     }
 
     /// Number of events dispatched so far: everything ever scheduled
@@ -1081,7 +1075,6 @@ impl Simulator {
         let mut agent_slots = build_agents;
         let audit_mode = build_world.audit.as_deref().map(Auditor::mode);
         let bin_width = build_world.stats.bin_width();
-        let queue_kind = build_world.queue.kind();
         let link_dst_shard: Vec<u32> = link_dst
             .iter()
             .map(|dst| self.node_shard[dst.index()])
@@ -1127,7 +1120,7 @@ impl Simulator {
                 Shard {
                     world: World {
                         now: SimTime::ZERO,
-                        queue: EventQueue::with_kind(queue_kind),
+                        queue: EventQueue::new(),
                         nodes: build_world.nodes.clone(),
                         links,
                         pool: PacketPool::new(),

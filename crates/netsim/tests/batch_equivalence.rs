@@ -1,42 +1,20 @@
-//! Property tests pinning `EventQueue::drain_batch` to the single-pop
-//! reference on both scheduler backends: for *any* schedule — massed
-//! equal-timestamp ties, far-future jumps into the calendar's overflow
-//! scan, and events inserted mid-batch by the handlers of the batch
-//! being dispatched — batched dispatch must produce the identical
-//! `(time, token)` sequence. This is the ordering contract batched
-//! `Simulator::run_until` relies on for byte-identical figures
-//! (DESIGN.md §5g).
+//! Property tests pinning `EventQueue::drain_batch` to single pops, and
+//! both to the `BinaryHeap` reference model in `tests/common`: for *any*
+//! schedule — massed equal-timestamp ties, far-future jumps into the
+//! calendar's overflow scan, and events inserted mid-batch by the
+//! handlers of the batch being dispatched — batched dispatch must
+//! produce the identical `(time, token)` sequence. This is the ordering
+//! contract batched `Simulator::run_until` relies on for byte-identical
+//! figures (DESIGN.md §5g).
+
+mod common;
 
 use proptest::prelude::*;
 
-use slowcc_netsim::event::{EventKind, EventQueue, SchedulerKind};
-use slowcc_netsim::ids::AgentId;
+use slowcc_netsim::event::EventQueue;
 use slowcc_netsim::time::SimTime;
 
-const KINDS: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Calendar];
-
-fn ev(token: u64) -> EventKind {
-    EventKind::AgentTimer { agent: AgentId::from_index(0), token }
-}
-
-fn token_of(kind: EventKind) -> u64 {
-    match kind {
-        EventKind::AgentTimer { token, .. } => token,
-        _ => unreachable!("only timers are scheduled"),
-    }
-}
-
-/// Time distribution stressing every queue regime: dense ties, ordinary
-/// spacing, multi-second spread, and hour-scale jumps that overflow the
-/// calendar bucket year (same shaping as `scheduler_equivalence.rs`).
-fn shape_time(raw: u64) -> u64 {
-    match raw % 4 {
-        0 => raw % 16,
-        1 => raw % 1_000_000,
-        2 => raw % 10_000_000_000,
-        _ => 3_600_000_000_000 + raw % 7_200_000_000_000,
-    }
-}
+use common::{ev, shape_time, token_of, HeapModel, Queue};
 
 /// What a dispatched handler schedules in response to `token`: `None`
 /// for most tokens, or a child event at a deterministic offset — zero
@@ -57,9 +35,9 @@ fn spawn_offset(token: u64) -> Option<u64> {
 
 /// Dispatch the whole queue one event at a time (the reference path),
 /// running the spawn rule after each event exactly as a handler would.
-fn run_single(kind: SchedulerKind, times: &[u64], budget: usize) -> Vec<(u64, u64)> {
+fn run_single<Q: Queue>(times: &[u64], budget: usize) -> Vec<(u64, u64)> {
     let horizon = SimTime::from_nanos(u64::MAX);
-    let mut q = EventQueue::with_kind(kind);
+    let mut q = Q::default();
     let mut next_token = 0u64;
     for &t in times {
         q.schedule(SimTime::from_nanos(t), ev(next_token));
@@ -85,9 +63,9 @@ fn run_single(kind: SchedulerKind, times: &[u64], budget: usize) -> Vec<(u64, u6
 /// scheduled while their parent's timestamp is being dispatched — some
 /// at that very timestamp — must come out in exactly the single-pop
 /// positions.
-fn run_batched(kind: SchedulerKind, times: &[u64], budget: usize) -> Vec<(u64, u64)> {
+fn run_batched(times: &[u64], budget: usize) -> Vec<(u64, u64)> {
     let horizon = SimTime::from_nanos(u64::MAX);
-    let mut q = EventQueue::with_kind(kind);
+    let mut q = EventQueue::new();
     let mut next_token = 0u64;
     for &t in times {
         q.schedule(SimTime::from_nanos(t), ev(next_token));
@@ -124,33 +102,29 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
     /// Static schedules (no handler inserts): batch dispatch equals
-    /// single pops on both backends, and the two backends agree.
+    /// single pops, and both equal the model.
     #[test]
     fn batches_equal_single_pops(
         raw_times in prop::collection::vec(0u64..u64::MAX, 1..300),
     ) {
         let times: Vec<u64> = raw_times.iter().map(|&r| shape_time(r)).collect();
-        let reference = run_single(SchedulerKind::Heap, &times, 0);
-        for kind in KINDS {
-            prop_assert_eq!(&run_single(kind, &times, 0), &reference, "single {:?}", kind);
-            prop_assert_eq!(&run_batched(kind, &times, 0), &reference, "batched {:?}", kind);
-        }
+        let reference = run_single::<HeapModel>(&times, 0);
+        prop_assert_eq!(&run_single::<EventQueue>(&times, 0), &reference, "single");
+        prop_assert_eq!(&run_batched(&times, 0), &reference, "batched");
     }
 
     /// Handlers insert events mid-batch — including at the timestamp of
     /// the batch currently being dispatched — and the order still
-    /// matches single pops exactly on both backends.
+    /// matches the model's single pops exactly.
     #[test]
     fn mid_batch_inserts_preserve_order(
         raw_times in prop::collection::vec(0u64..u64::MAX, 1..200),
     ) {
         let times: Vec<u64> = raw_times.iter().map(|&r| shape_time(r)).collect();
         let budget = times.len() * 2;
-        let reference = run_single(SchedulerKind::Heap, &times, budget);
-        for kind in KINDS {
-            prop_assert_eq!(&run_single(kind, &times, budget), &reference, "single {:?}", kind);
-            prop_assert_eq!(&run_batched(kind, &times, budget), &reference, "batched {:?}", kind);
-        }
+        let reference = run_single::<HeapModel>(&times, budget);
+        prop_assert_eq!(&run_single::<EventQueue>(&times, budget), &reference, "single");
+        prop_assert_eq!(&run_batched(&times, budget), &reference, "batched");
     }
 
     /// Massed ties at a handful of instants: whole batches are carried
@@ -162,10 +136,8 @@ proptest! {
     ) {
         let times: Vec<u64> = slots.iter().map(|&s| base + s).collect();
         let budget = times.len();
-        let reference = run_single(SchedulerKind::Heap, &times, budget);
-        for kind in KINDS {
-            prop_assert_eq!(&run_batched(kind, &times, budget), &reference, "batched {:?}", kind);
-        }
+        let reference = run_single::<HeapModel>(&times, budget);
+        prop_assert_eq!(&run_batched(&times, budget), &reference);
     }
 
     /// `drain_batch` respects the horizon exactly like
@@ -179,36 +151,34 @@ proptest! {
         let times: Vec<u64> = raw_times.iter().map(|&r| shape_time(r)).collect();
         let mut horizons: Vec<u64> = raw_horizons.iter().map(|&r| shape_time(r)).collect();
         horizons.sort_unstable();
-        for kind in KINDS {
-            let mut single = EventQueue::with_kind(kind);
-            let mut batched = EventQueue::with_kind(kind);
-            for (tok, &t) in times.iter().enumerate() {
-                single.schedule(SimTime::from_nanos(t), ev(tok as u64));
-                batched.schedule(SimTime::from_nanos(t), ev(tok as u64));
-            }
-            let mut buf = Vec::new();
-            for &h in &horizons {
-                let horizon = SimTime::from_nanos(h);
-                loop {
-                    let mut from_single = Vec::new();
-                    let first = single.pop_if_at_or_before(horizon);
-                    let Some((t, k)) = first else {
-                        prop_assert_eq!(
-                            batched.drain_batch(horizon, &mut buf), None,
-                            "batched popped past the horizon ({:?})", kind
-                        );
-                        break;
-                    };
-                    from_single.push(k);
-                    // The reference batch: keep popping while the head
-                    // shares the drained timestamp.
-                    while single.peek_time() == Some(t) {
-                        from_single.push(single.pop_if_at_or_before(horizon).unwrap().1);
-                    }
-                    prop_assert_eq!(batched.drain_batch(horizon, &mut buf), Some(t));
-                    prop_assert_eq!(&buf, &from_single, "batch contents ({:?})", kind);
-                    prop_assert_eq!(single.len(), batched.len());
+        let mut single = EventQueue::new();
+        let mut batched = EventQueue::new();
+        for (tok, &t) in times.iter().enumerate() {
+            single.schedule(SimTime::from_nanos(t), ev(tok as u64));
+            batched.schedule(SimTime::from_nanos(t), ev(tok as u64));
+        }
+        let mut buf = Vec::new();
+        for &h in &horizons {
+            let horizon = SimTime::from_nanos(h);
+            loop {
+                let mut from_single = Vec::new();
+                let first = single.pop_if_at_or_before(horizon);
+                let Some((t, k)) = first else {
+                    prop_assert_eq!(
+                        batched.drain_batch(horizon, &mut buf), None,
+                        "batched popped past the horizon"
+                    );
+                    break;
+                };
+                from_single.push(k);
+                // The reference batch: keep popping while the head
+                // shares the drained timestamp.
+                while single.peek_time() == Some(t) {
+                    from_single.push(single.pop_if_at_or_before(horizon).unwrap().1);
                 }
+                prop_assert_eq!(batched.drain_batch(horizon, &mut buf), Some(t));
+                prop_assert_eq!(&buf, &from_single, "batch contents");
+                prop_assert_eq!(single.len(), batched.len());
             }
         }
     }

@@ -1,18 +1,15 @@
-//! Faulted runs must be byte-identical across scheduler backends AND
-//! shard counts.
+//! Faulted runs must be byte-identical across shard counts.
 //!
 //! The fault layer re-enters packets through the event queue
 //! (`FaultRelease` for holds and duplicates), so its determinism contract
-//! leans directly on the `(time, sched, seq)` tie-break both backends
-//! share — and, under conservative-parallel execution, on the cross-shard
-//! merge order (DESIGN.md §5h). This lives in its own test binary because
-//! `set_default_scheduler` and `set_default_shards` are process-global:
-//! integration tests in other binaries run concurrently and must not see
-//! the overrides flip underneath them.
+//! leans directly on the `(time, sched, seq)` tie-break — and, under
+//! conservative-parallel execution, on the cross-shard merge order
+//! (DESIGN.md §5h). This lives in its own test binary because
+//! `set_default_shards` is process-global: the override must not flip
+//! underneath other tests.
 
 use std::sync::{Arc, Mutex};
 
-use slowcc_netsim::event::{set_default_scheduler, SchedulerKind};
 use slowcc_netsim::faults::FaultPlan;
 use slowcc_netsim::ids::{AgentId, FlowId, LinkId, NodeId};
 use slowcc_netsim::link::Link;
@@ -22,15 +19,13 @@ use slowcc_netsim::sim::{set_default_shards, Agent, Ctx, Simulator};
 use slowcc_netsim::stats::Stats;
 use slowcc_netsim::time::{SimDuration, SimTime};
 use slowcc_netsim::topology::{DumbbellConfig, DumbbellOptions, ParkingLot};
-use slowcc_netsim::trace::VecTrace;
 
-/// Restore the process defaults on drop, so a failing assertion can't
-/// leak the overrides into other binaries (this binary has one test, but
-/// the discipline is cheap).
+/// Restore the process default on drop, so a failing assertion can't
+/// leak the override (this binary has one test, but the discipline is
+/// cheap).
 struct Restore;
 impl Drop for Restore {
     fn drop(&mut self) {
-        set_default_scheduler(None);
         set_default_shards(None);
     }
 }
@@ -94,10 +89,9 @@ fn stats_fingerprint(stats: &Stats, flows: &[FlowId], links: &[LinkId]) -> Strin
 }
 
 /// Run the full fault menu (reorder + duplication + jitter + flap) on the
-/// current default scheduler/shard settings and return a byte-comparable
-/// transcript. `traced` additionally captures the full packet trace
-/// (which forces serial execution, so it is only used at shards=1).
-fn run_chaotic(seed: u64, traced: bool) -> (Option<String>, Vec<u64>, String) {
+/// current default shard setting and return a byte-comparable
+/// transcript: delivery order plus the statistics fingerprint.
+fn run_chaotic(seed: u64) -> (Vec<u64>, String) {
     let plan = FaultPlan::seeded(seed ^ 0xC0FFEE)
         .with_reorder(9, SimDuration::from_millis(20), 6)
         .with_duplication(0.03)
@@ -127,9 +121,6 @@ fn run_chaotic(seed: u64, traced: bool) -> (Option<String>, Vec<u64>, String) {
     );
     sim.set_default_route(a, ab);
     sim.set_default_route(b, ba);
-    if traced {
-        sim.set_trace(Box::new(VecTrace::new(250_000)));
-    }
 
     let seqs = Arc::new(Mutex::new(Vec::new()));
     let sink = sim.add_agent(b, Box::new(AckingSink { seqs: seqs.clone() }));
@@ -146,16 +137,9 @@ fn run_chaotic(seed: u64, traced: bool) -> (Option<String>, Vec<u64>, String) {
     );
     sim.run_until(SimTime::from_secs(2));
 
-    let trace = sim.take_trace().map(|sink| {
-        let trace: &VecTrace = sink
-            .as_any()
-            .and_then(|s| s.downcast_ref())
-            .expect("VecTrace downcasts");
-        format!("{:?}", trace.events())
-    });
     let order = seqs.lock().unwrap().clone();
     let fp = stats_fingerprint(sim.stats(), &[flow], &[ab, ba]);
-    (trace, order, fp)
+    (order, fp)
 }
 
 /// A three-hop parking lot under a fault plan: packets traverse several
@@ -199,66 +183,42 @@ fn run_parking_lot(seed: u64) -> (Vec<u64>, String, usize) {
 }
 
 #[test]
-fn faulted_runs_are_identical_across_schedulers_and_shards() {
+fn faulted_runs_are_identical_across_shard_counts() {
     let _restore = Restore;
 
-    // Traced serial reference across scheduler backends (tracing needs a
-    // global event order, so this leg always runs at one shard).
+    // Delivery order and the complete statistics must be byte-identical
+    // at every shard count.
     for seed in [1u64, 17, 99] {
-        set_default_scheduler(Some(SchedulerKind::Heap));
-        let heap = run_chaotic(seed, true);
-        set_default_scheduler(Some(SchedulerKind::Calendar));
-        let calendar = run_chaotic(seed, true);
-        assert_eq!(
-            heap, calendar,
-            "seed {seed}: fault-layer transcript diverged between schedulers"
-        );
-    }
-
-    // The full scheduler x shard-count matrix: delivery order and the
-    // complete statistics must be byte-identical in every cell.
-    for seed in [1u64, 17, 99] {
-        set_default_scheduler(Some(SchedulerKind::Heap));
         set_default_shards(Some(1));
-        let reference = run_chaotic(seed, false);
-        for sched in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            for shards in [1usize, 2, 4] {
-                set_default_scheduler(Some(sched));
-                set_default_shards(Some(shards));
-                let got = run_chaotic(seed, false);
-                assert_eq!(
-                    got, reference,
-                    "seed {seed}: {sched:?} x {shards} shards diverged from serial"
-                );
-            }
+        let reference = run_chaotic(seed);
+        for shards in [2usize, 4] {
+            set_default_shards(Some(shards));
+            assert_eq!(
+                run_chaotic(seed),
+                reference,
+                "seed {seed}: {shards} shards diverged from serial"
+            );
         }
     }
 
     // Multi-shard routes: a three-hop parking lot splits into up to four
     // clusters, so packets cross several shard boundaries per trip.
     for seed in [5u64, 23] {
-        set_default_scheduler(Some(SchedulerKind::Heap));
         set_default_shards(Some(1));
         let (ref_order, ref_fp, ref_shards) = run_parking_lot(seed);
         assert_eq!(ref_shards, 1, "serial run must stay one shard");
-        for sched in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            for shards in [2usize, 4] {
-                set_default_scheduler(Some(sched));
-                set_default_shards(Some(shards));
-                let (order, fp, sealed) = run_parking_lot(seed);
-                assert_eq!(
-                    sealed, shards,
-                    "parking lot must actually seal into {shards} shards"
-                );
-                assert_eq!(
-                    (order, fp),
-                    (ref_order.clone(), ref_fp.clone()),
-                    "seed {seed}: {sched:?} x {shards} shards diverged on the parking lot"
-                );
-            }
+        for shards in [2usize, 4] {
+            set_default_shards(Some(shards));
+            let (order, fp, sealed) = run_parking_lot(seed);
+            assert_eq!(
+                sealed, shards,
+                "parking lot must actually seal into {shards} shards"
+            );
+            assert_eq!(
+                (order, fp),
+                (ref_order.clone(), ref_fp.clone()),
+                "seed {seed}: {shards} shards diverged on the parking lot"
+            );
         }
     }
-
-    set_default_scheduler(None);
-    set_default_shards(None);
 }

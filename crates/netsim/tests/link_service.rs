@@ -2,15 +2,14 @@
 //! idle wire schedules its own arrival and nothing else; a wake
 //! (`LinkTxComplete`) exists only while something waits in the buffer.
 //!
-//! The property test flips the process-global scheduler and shard knobs,
-//! so every test in this binary takes [`KNOBS`] and the binary's tests
-//! run one at a time.
+//! The property test flips the process-global shard knob, so every test
+//! in this binary takes [`KNOBS`] and the binary's tests run one at a
+//! time.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use proptest::prelude::*;
 
-use slowcc_netsim::event::{set_default_scheduler, SchedulerKind};
 use slowcc_netsim::prelude::*;
 use slowcc_netsim::sim::set_default_shards;
 use slowcc_netsim::time::transmission_time;
@@ -30,9 +29,8 @@ impl Knobs {
         }
     }
 
-    fn with(scheduler: SchedulerKind, shards: usize) -> Self {
+    fn with_shards(shards: usize) -> Self {
         let guard = Knobs::defaults();
-        set_default_scheduler(Some(scheduler));
         set_default_shards(Some(shards));
         guard
     }
@@ -40,7 +38,6 @@ impl Knobs {
 
 impl Drop for Knobs {
     fn drop(&mut self) {
-        set_default_scheduler(None);
         set_default_shards(None);
     }
 }
@@ -215,8 +212,8 @@ proptest! {
 
     /// Work-conserving FIFO in closed form: whatever the arrival pattern,
     /// packet `k` leaves the wire at `max(arrive_k, depart_{k-1}) + tx_k`
-    /// and is delivered one propagation delay later — on both scheduler
-    /// backends, serial and across a shard boundary.
+    /// and is delivered one propagation delay later — serial and across
+    /// a shard boundary.
     #[test]
     fn arrival_times_match_the_fifo_closed_form(
         raw in prop::collection::vec(0u64..52, 1..80),
@@ -238,13 +235,11 @@ proptest! {
             depart = arrive.max(depart) + transmission_time(size, RATE_BPS);
             expected.push((k as u64, depart + DELAY));
         }
-        for scheduler in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            for shards in [1, 2] {
-                let _knobs = Knobs::with(scheduler, shards);
-                let run = run_script(Simulator::new(7), &at, &sizes, 100, SimTime::from_secs(1));
-                prop_assert_eq!(run.sim.shard_count(), shards);
-                prop_assert_eq!(&run.arrivals, &expected, "{:?} x {} shards", scheduler, shards);
-            }
+        for shards in [1, 2] {
+            let _knobs = Knobs::with_shards(shards);
+            let run = run_script(Simulator::new(7), &at, &sizes, 100, SimTime::from_secs(1));
+            prop_assert_eq!(run.sim.shard_count(), shards);
+            prop_assert_eq!(&run.arrivals, &expected, "{} shards", shards);
         }
     }
 }

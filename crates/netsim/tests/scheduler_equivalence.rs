@@ -1,30 +1,27 @@
-//! Property tests pinning the calendar queue to the binary-heap
-//! reference: for *any* schedule — equal-timestamp ties, far-future
-//! times that land in overflow buckets, pops interleaved with pushes —
-//! both backends must produce the identical event sequence. This is the
-//! determinism contract `event.rs` promises; if it ever breaks, figure
-//! outputs silently diverge between scheduler settings.
+//! Property tests pinning `EventQueue` (the calendar queue) to the
+//! `BinaryHeap` reference model in `tests/common`: for *any* schedule —
+//! equal-timestamp ties, far-future times that land in overflow buckets,
+//! pops interleaved with pushes — the queue must produce the model's
+//! event sequence. This is the determinism contract `event.rs` promises;
+//! if it ever breaks, figure outputs silently change.
+
+mod common;
 
 use proptest::prelude::*;
 
-use slowcc_netsim::event::{EventKind, EventQueue, SchedulerKind};
-use slowcc_netsim::ids::AgentId;
+use slowcc_netsim::event::EventQueue;
 use slowcc_netsim::time::SimTime;
 
-/// A timer event carrying `token` so pops are distinguishable even when
-/// timestamps collide.
-fn ev(token: u64) -> EventKind {
-    EventKind::AgentTimer { agent: AgentId::from_index(0), token }
-}
+use common::{ev, shape_time, token_of, HeapModel, Queue};
 
 /// Drive one queue through the op sequence and record everything popped.
 ///
 /// `ops` encodes a schedule/pop trace: `Some(t)` schedules an event at
 /// time `t` (tokens count up in program order, so ties are detectable),
 /// `None` pops. Pops from an empty queue record a sentinel so "popped
-/// nothing" must also match across backends.
-fn run_trace(kind: SchedulerKind, ops: &[Option<u64>]) -> Vec<(u64, u64)> {
-    let mut q = EventQueue::with_kind(kind);
+/// nothing" must also match the model.
+fn run_trace<Q: Queue>(ops: &[Option<u64>]) -> Vec<(u64, u64)> {
+    let mut q = Q::default();
     let mut token = 0u64;
     let mut popped = Vec::new();
     for op in ops {
@@ -34,52 +31,65 @@ fn run_trace(kind: SchedulerKind, ops: &[Option<u64>]) -> Vec<(u64, u64)> {
                 token += 1;
             }
             None => match q.pop() {
-                Some((t, EventKind::AgentTimer { token, .. })) => {
-                    popped.push((t.as_nanos(), token));
-                }
-                Some(_) => unreachable!("only timers are scheduled"),
+                Some((t, kind)) => popped.push((t.as_nanos(), token_of(kind))),
                 None => popped.push((u64::MAX, u64::MAX)),
             },
         }
     }
     // Drain the remainder so the full order is compared, not a prefix.
-    while let Some((t, EventKind::AgentTimer { token, .. })) = q.pop() {
-        popped.push((t.as_nanos(), token));
+    while let Some((t, kind)) = q.pop() {
+        popped.push((t.as_nanos(), token_of(kind)));
     }
     popped
 }
 
-/// Map raw sampled values into a time distribution that stresses every
-/// calendar-queue regime: dense collisions (many ties per bucket),
-/// ordinary nanosecond spacing, and far-future times hours ahead that
-/// overflow the bucket year and take the global-scan fallback.
-fn shape_time(raw: u64) -> u64 {
-    match raw % 4 {
-        0 => raw % 16,                                 // heavy ties near zero
-        1 => raw % 1_000_000,                          // sub-millisecond spread
-        2 => raw % 10_000_000_000,                     // multi-second spread
-        _ => 3_600_000_000_000 + raw % 7_200_000_000_000, // 1-3 hours out
+/// One long-lived queue driven through the regimes that whole-simulation
+/// replays against the heap used to reach: 56 k events at spacings from
+/// 1 ns to 10 s. Each round grows the bucket array through eight
+/// doublings, then holds the population constant while the head condenses
+/// into a single bucket-day (pop 1000, schedule 1000 `dense` apart just
+/// past the clock) until the skew guard re-picks the width with no
+/// grow/shrink to prompt it — which strands the coarse tail more than a
+/// year out, on the global-scan fallback — then drains back down through
+/// the shrinks.
+#[test]
+fn resizes_and_skew_rebuilds_keep_the_model_order() {
+    const NS: u64 = 1;
+    const US: u64 = 1_000;
+    const MS: u64 = 1_000_000;
+    const S: u64 = 1_000_000_000;
+    let mut ops: Vec<Option<u64>> = Vec::new();
+    let mut base = 0u64;
+    for (coarse, dense) in [(10 * S, NS), (10 * MS, US), (100 * US, 10 * NS), (S, NS)] {
+        ops.extend((0..6000).map(|i| Some(base + i * coarse)));
+        let mut head = base + 999 * coarse;
+        for _ in 0..8 {
+            ops.extend([None; 1000]);
+            ops.extend((1..=1000).map(|j| Some(head + j * dense)));
+            head += 1000 * dense;
+        }
+        ops.extend([None; 5990]);
+        base += 6000 * coarse;
     }
+    assert_eq!(run_trace::<EventQueue>(&ops), run_trace::<HeapModel>(&ops));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
-    /// Pure schedules (no interleaved pops): both backends pop the
-    /// identical (time, token) sequence.
+    /// Pure schedules (no interleaved pops): the queue pops the model's
+    /// (time, token) sequence.
     #[test]
     fn identical_pop_order_for_random_schedules(
         raw_times in prop::collection::vec(0u64..u64::MAX, 1..300),
     ) {
         let ops: Vec<Option<u64>> =
             raw_times.iter().map(|&r| Some(shape_time(r))).collect();
-        let heap = run_trace(SchedulerKind::Heap, &ops);
-        let cal = run_trace(SchedulerKind::Calendar, &ops);
-        prop_assert_eq!(heap, cal);
+        prop_assert_eq!(run_trace::<EventQueue>(&ops), run_trace::<HeapModel>(&ops));
     }
 
     /// Interleaved pushes and pops — the cursor-rewind and resize paths
-    /// of the calendar queue fire mid-stream — still byte-identical.
+    /// of the calendar queue fire mid-stream — still the model's order.
     #[test]
     fn identical_order_with_interleaved_pops(
         raw_times in prop::collection::vec(0u64..u64::MAX, 1..300),
@@ -90,9 +100,7 @@ proptest! {
             .zip(pops.iter().cycle())
             .map(|(&r, &pop)| if pop { None } else { Some(shape_time(r)) })
             .collect();
-        let heap = run_trace(SchedulerKind::Heap, &ops);
-        let cal = run_trace(SchedulerKind::Calendar, &ops);
-        prop_assert_eq!(heap, cal);
+        prop_assert_eq!(run_trace::<EventQueue>(&ops), run_trace::<HeapModel>(&ops));
     }
 
     /// Massed equal-timestamp ties: every event at one of a handful of
@@ -103,12 +111,10 @@ proptest! {
         base in 0u64..1_000_000,
     ) {
         let ops: Vec<Option<u64>> = slots.iter().map(|&s| Some(base + s)).collect();
-        let heap = run_trace(SchedulerKind::Heap, &ops);
-        let cal = run_trace(SchedulerKind::Calendar, &ops);
-        prop_assert_eq!(heap, cal);
+        prop_assert_eq!(run_trace::<EventQueue>(&ops), run_trace::<HeapModel>(&ops));
     }
 
-    /// `pop_if_at_or_before` agrees between backends at every horizon,
+    /// `pop_if_at_or_before` agrees with the model at every horizon,
     /// including horizons before, between, and after all events.
     #[test]
     fn horizon_pops_agree(
@@ -116,8 +122,8 @@ proptest! {
         raw_horizons in prop::collection::vec(0u64..u64::MAX, 1..40),
     ) {
         let times: Vec<u64> = raw_times.iter().map(|&r| shape_time(r)).collect();
-        let mut heap = EventQueue::with_kind(SchedulerKind::Heap);
-        let mut cal = EventQueue::with_kind(SchedulerKind::Calendar);
+        let mut heap = HeapModel::default();
+        let mut cal = EventQueue::new();
         for (tok, &t) in times.iter().enumerate() {
             heap.schedule(SimTime::from_nanos(t), ev(tok as u64));
             cal.schedule(SimTime::from_nanos(t), ev(tok as u64));

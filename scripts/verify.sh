@@ -1,19 +1,15 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 (release build + tests) plus smoke runs of
 # the unified `repro` execution path — parallel and resumed sweeps must
-# be byte-identical, scheduler backends and shard counts
-# interchangeable, audits clean, a panicking cell isolated to itself,
-# and the dumbbell hot path no slower — and no more eventful per
-# packet — than the committed benchmark baseline (see the bench gate at
-# the bottom).
+# be byte-identical, shard counts interchangeable, audits clean, a
+# panicking cell isolated to itself, and the dumbbell hot path no
+# slower — and no more eventful per packet — than the committed
+# benchmark baseline (see the bench gate at the bottom).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier-1: release build =="
 cargo build --release
-
-echo "== tier-1: tests =="
-cargo test -q
 
 echo "== clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -57,46 +53,33 @@ for rfc in rfc1122 rfc2481 rfc3448 rfc5681 rfc6298 rfc6582; do
 done
 echo "conformance ledger clean over all six RFCs"
 
-echo "== scheduler equivalence smoke (heap vs calendar) =="
-SLOWCC_SCHEDULER=heap ./target/release/repro --quick fig45 --out "$tmp/heap" > /dev/null
-SLOWCC_SCHEDULER=calendar ./target/release/repro --quick fig45 --out "$tmp/calendar" > /dev/null
-diff -r "$tmp/heap" "$tmp/calendar"
-echo "calendar-queue output byte-identical to binary heap"
-
-echo "== shard equivalence smoke (SLOWCC_SHARDS=4, both schedulers) =="
+echo "== shard equivalence smoke (SLOWCC_SHARDS=4) =="
 # Conservative-parallel execution must reproduce the serial run
-# byte-for-byte on either scheduler backend (DESIGN.md §5h).
-SLOWCC_SHARDS=4 SLOWCC_SCHEDULER=heap \
-  ./target/release/repro --quick fig45 --out "$tmp/sharded_heap" > /dev/null
-SLOWCC_SHARDS=4 SLOWCC_SCHEDULER=calendar \
-  ./target/release/repro --quick fig45 --out "$tmp/sharded_cal" > /dev/null
-diff -r "$tmp/heap" "$tmp/sharded_heap"
-diff -r "$tmp/calendar" "$tmp/sharded_cal"
-echo "4-shard output byte-identical to serial on both schedulers"
+# byte-for-byte (DESIGN.md §5h).
+./target/release/repro --quick fig45 --out "$tmp/serial" > /dev/null
+SLOWCC_SHARDS=4 ./target/release/repro --quick fig45 --out "$tmp/sharded" > /dev/null
+diff -r "$tmp/serial" "$tmp/sharded"
+echo "4-shard output byte-identical to serial"
 
-echo "== audited smoke (SLOWCC_AUDIT=1, both schedulers) =="
+echo "== audited smoke (SLOWCC_AUDIT=1) =="
 # Strict env-var path: any invariant violation panics the run.
-SLOWCC_AUDIT=1 SLOWCC_SCHEDULER=heap ./target/release/repro --quick fig45 > /dev/null
+SLOWCC_AUDIT=1 ./target/release/repro --quick fig45 > /dev/null
 # Collect --audit path: the run reports and the exit code gates.
-SLOWCC_AUDIT=1 SLOWCC_SCHEDULER=calendar ./target/release/repro --quick --audit fig45 > "$tmp/audit_calendar.txt"
-grep "audit: " "$tmp/audit_calendar.txt"
-grep -q " 0 timer leaks, 0 violations" "$tmp/audit_calendar.txt"
-echo "audited fig45 clean under both schedulers"
+SLOWCC_AUDIT=1 ./target/release/repro --quick --audit fig45 > "$tmp/audit.txt"
+grep "audit: " "$tmp/audit.txt"
+grep -q " 0 timer leaks, 0 violations" "$tmp/audit.txt"
+echo "audited fig45 clean"
 
-echo "== chaos fault-injection smoke (SLOWCC_AUDIT=strict, both schedulers) =="
-SLOWCC_AUDIT=strict SLOWCC_SCHEDULER=heap \
-  ./target/release/repro --quick chaos --out "$tmp/chaos_heap" > "$tmp/chaos_heap.txt"
-SLOWCC_AUDIT=strict SLOWCC_SCHEDULER=calendar \
-  ./target/release/repro --quick chaos --out "$tmp/chaos_cal" > "$tmp/chaos_cal.txt"
-# Same seeds, same backend, second run: must replay byte-identically.
-SLOWCC_AUDIT=strict SLOWCC_SCHEDULER=calendar \
-  ./target/release/repro --quick chaos --out "$tmp/chaos_cal2" > "$tmp/chaos_cal2.txt"
-diff -r "$tmp/chaos_heap" "$tmp/chaos_cal"
-diff -r "$tmp/chaos_cal" "$tmp/chaos_cal2"
-diff "$tmp/chaos_heap.txt" "$tmp/chaos_cal.txt"
-diff "$tmp/chaos_cal.txt" "$tmp/chaos_cal2.txt"
-grep -q "all graceful" "$tmp/chaos_heap.txt"
-echo "chaos sweep audit-clean, bit-identical across runs and schedulers"
+echo "== chaos fault-injection smoke (SLOWCC_AUDIT=strict) =="
+SLOWCC_AUDIT=strict \
+  ./target/release/repro --quick chaos --out "$tmp/chaos" > "$tmp/chaos.txt"
+# Same seeds, second run: must replay byte-identically.
+SLOWCC_AUDIT=strict \
+  ./target/release/repro --quick chaos --out "$tmp/chaos2" > "$tmp/chaos2.txt"
+diff -r "$tmp/chaos" "$tmp/chaos2"
+diff "$tmp/chaos.txt" "$tmp/chaos2.txt"
+grep -q "all graceful" "$tmp/chaos.txt"
+echo "chaos sweep audit-clean, bit-identical across runs"
 
 echo "== resume replay smoke (fully cached rerun, byte-identical) =="
 ./target/release/repro --quick fig3 fig45 --out "$tmp/resume_base" > "$tmp/resume_stdout1.txt"
