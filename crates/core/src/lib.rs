@@ -32,6 +32,7 @@ pub mod agent;
 pub mod aimd;
 pub mod analysis;
 pub mod equation;
+mod pacer;
 pub mod rap;
 pub mod rtt;
 pub mod tcp;

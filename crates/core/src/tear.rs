@@ -21,6 +21,7 @@ use slowcc_netsim::time::{SimDuration, SimTime};
 use slowcc_netsim::topology::HostPair;
 
 use crate::agent::{install_flow, FlowHandle, SenderWiring};
+use crate::pacer::{Pacer, PacerTimer};
 use crate::tcp::ACK_SIZE;
 
 /// Configuration of a TEAR flow.
@@ -183,18 +184,11 @@ impl Agent for TearSink {
     }
 }
 
-const TIMER_SEND: u64 = 0;
-const TIMER_NOFEEDBACK: u64 = 1;
-
 /// The TEAR sender: paces at the receiver-advertised rate.
 pub struct Tear {
     cfg: TearConfig,
-    w: SenderWiring,
+    pacer: Pacer,
     rate_bps: f64,
-    srtt: Option<f64>,
-    next_seq: u64,
-    send_gen: u64,
-    nofeedback_gen: u64,
 }
 
 impl Tear {
@@ -203,12 +197,8 @@ impl Tear {
         let s = cfg.pkt_size as f64;
         Tear {
             rate_bps: s / cfg.initial_rtt.as_secs_f64(),
-            srtt: None,
-            w: wiring,
+            pacer: Pacer::new(wiring, cfg.pkt_size, cfg.initial_rtt),
             cfg,
-            next_seq: 0,
-            send_gen: 0,
-            nofeedback_gen: 0,
         }
     }
 
@@ -229,94 +219,41 @@ impl Tear {
         self.rate_bps
     }
 
-    fn srtt_secs(&self) -> f64 {
-        self.srtt
-            .unwrap_or_else(|| self.cfg.initial_rtt.as_secs_f64())
-    }
-
     fn min_rate(&self) -> f64 {
         self.cfg.pkt_size as f64 / 64.0
     }
 
-    fn schedule_send(&mut self, ctx: &mut Ctx<'_>) {
-        self.send_gen += 1;
-        let gap = self.cfg.pkt_size as f64 / self.rate_bps.max(self.min_rate());
-        ctx.set_timer(
-            SimDuration::from_secs_f64(gap),
-            (self.send_gen << 1) | TIMER_SEND,
-        );
-    }
-
-    fn arm_nofeedback(&mut self, ctx: &mut Ctx<'_>) {
-        self.nofeedback_gen += 1;
-        let t = (4.0 * self.srtt_secs()).max(2.0 * self.cfg.pkt_size as f64 / self.rate_bps);
-        ctx.set_timer(
-            SimDuration::from_secs_f64(t),
-            (self.nofeedback_gen << 1) | TIMER_NOFEEDBACK,
-        );
-    }
-
-    fn send_one(&mut self, ctx: &mut Ctx<'_>) {
-        let rtt_ns = self
-            .srtt
-            .map(|s| (s * 1e9) as u64)
-            .unwrap_or(self.cfg.initial_rtt.as_nanos());
-        ctx.send(PacketSpec::data_with_rtt(
-            self.w.flow,
-            self.next_seq,
-            self.cfg.pkt_size,
-            self.w.dst_node,
-            self.w.dst_agent,
-            rtt_ns,
-        ));
-        self.next_seq += 1;
+    fn send_and_schedule(&mut self, ctx: &mut Ctx<'_>) {
+        self.pacer
+            .send_and_schedule(self.rate_bps.max(self.min_rate()), ctx);
     }
 }
 
 impl Agent for Tear {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.send_one(ctx);
-        self.schedule_send(ctx);
-        self.arm_nofeedback(ctx);
+        self.send_and_schedule(ctx);
+        self.pacer.arm_nofeedback(self.rate_bps, ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         let Some(info) = pkt.ack().copied() else {
             return;
         };
-        let sample =
-            ctx.now().saturating_since(info.echo_ts).as_secs_f64() - info.echo_delay_ns as f64 / 1e9;
-        if sample > 0.0 {
-            self.srtt = Some(match self.srtt {
-                None => sample,
-                Some(s) => 0.9 * s + 0.1 * sample,
-            });
-        }
+        self.pacer.sample_rtt(&info, ctx.now());
         if info.advertised_rate_bps > 0.0 {
             self.rate_bps = info.advertised_rate_bps.max(self.min_rate());
         }
-        self.arm_nofeedback(ctx);
+        self.pacer.arm_nofeedback(self.rate_bps, ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        let kind = token & 1;
-        let gen = token >> 1;
-        match kind {
-            TIMER_SEND => {
-                if gen != self.send_gen {
-                    return;
-                }
-                self.send_one(ctx);
-                self.schedule_send(ctx);
-            }
-            TIMER_NOFEEDBACK => {
-                if gen != self.nofeedback_gen {
-                    return;
-                }
+        match self.pacer.live_timer(token) {
+            Some(PacerTimer::Send) => self.send_and_schedule(ctx),
+            Some(PacerTimer::NoFeedback) => {
                 self.rate_bps = (self.rate_bps / 2.0).max(self.min_rate());
-                self.arm_nofeedback(ctx);
+                self.pacer.arm_nofeedback(self.rate_bps, ctx);
             }
-            _ => unreachable!("two timer kinds"),
+            None => {}
         }
     }
 

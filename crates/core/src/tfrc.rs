@@ -29,6 +29,7 @@ use slowcc_netsim::topology::HostPair;
 
 use crate::agent::{install_flow, FlowHandle, SenderWiring};
 use crate::equation::padhye_rate_bps;
+use crate::pacer::{Pacer, PacerTimer};
 use crate::tcp::ACK_SIZE;
 
 /// Maximum backoff interval: the sender never slows below one packet per
@@ -210,7 +211,7 @@ pub struct TfrcConfig {
     /// The paper's `conservative_` self-clocking option.
     pub conservative: bool,
     /// The constant `C` of the conservative option (paper: 1.1; the ns-2
-    /// default is 1.5 — see the ablation bench).
+    /// default is 1.5 — see `examples/ablations.rs`).
     pub conservative_c: f64,
     /// Receiver-side history discounting (RFC 3448 §5.5). The paper's
     /// Figure 13 note says it was turned *off*, so off is our default.
@@ -488,10 +489,6 @@ impl Agent for TfrcSink {
     }
 }
 
-/// Sender timer kinds.
-const TIMER_SEND: u64 = 0;
-const TIMER_NOFEEDBACK: u64 = 1;
-
 /// The TFRC sender agent.
 ///
 /// ```
@@ -514,16 +511,11 @@ const TIMER_NOFEEDBACK: u64 = 1;
 /// ```
 pub struct Tfrc {
     cfg: TfrcConfig,
-    w: SenderWiring,
+    pacer: Pacer,
     /// Allowed sending rate in bytes per second.
     x_bps: f64,
-    /// Smoothed RTT in seconds (EWMA with q = 0.9), when measured.
-    srtt: Option<f64>,
     /// True until the first loss report.
     slow_start: bool,
-    next_seq: u64,
-    send_gen: u64,
-    nofeedback_gen: u64,
 }
 
 impl Tfrc {
@@ -534,13 +526,9 @@ impl Tfrc {
         let s = cfg.pkt_size as f64;
         Tfrc {
             x_bps: s / cfg.initial_rtt.as_secs_f64(),
-            srtt: None,
             slow_start: true,
-            w: wiring,
+            pacer: Pacer::new(wiring, cfg.pkt_size, cfg.initial_rtt),
             cfg,
-            next_seq: 0,
-            send_gen: 0,
-            nofeedback_gen: 0,
         }
     }
 
@@ -566,62 +554,17 @@ impl Tfrc {
         self.slow_start
     }
 
-    fn srtt_secs(&self) -> f64 {
-        self.srtt
-            .unwrap_or_else(|| self.cfg.initial_rtt.as_secs_f64())
-    }
-
     fn min_rate(&self) -> f64 {
         self.cfg.pkt_size as f64 / T_MBI_SECS
     }
 
-    fn schedule_send(&mut self, ctx: &mut Ctx<'_>) {
-        self.send_gen += 1;
-        let gap = self.cfg.pkt_size as f64 / self.x_bps.max(self.min_rate());
-        ctx.set_timer(
-            SimDuration::from_secs_f64(gap),
-            (self.send_gen << 1) | TIMER_SEND,
-        );
-    }
-
-    fn arm_nofeedback(&mut self, ctx: &mut Ctx<'_>) {
-        self.nofeedback_gen += 1;
-        let t = (4.0 * self.srtt_secs()).max(2.0 * self.cfg.pkt_size as f64 / self.x_bps);
-        ctx.set_timer(
-            SimDuration::from_secs_f64(t),
-            (self.nofeedback_gen << 1) | TIMER_NOFEEDBACK,
-        );
-    }
-
-    fn send_one(&mut self, ctx: &mut Ctx<'_>) {
-        let rtt_ns = self
-            .srtt
-            .map(|s| (s * 1e9) as u64)
-            .unwrap_or(self.cfg.initial_rtt.as_nanos());
-        ctx.send(PacketSpec::data_with_rtt(
-            self.w.flow,
-            self.next_seq,
-            self.cfg.pkt_size,
-            self.w.dst_node,
-            self.w.dst_agent,
-            rtt_ns,
-        ));
-        self.next_seq += 1;
+    fn send_and_schedule(&mut self, ctx: &mut Ctx<'_>) {
+        self.pacer
+            .send_and_schedule(self.x_bps.max(self.min_rate()), ctx);
     }
 
     fn on_feedback(&mut self, info: &AckInfo, ctx: &mut Ctx<'_>) {
-        // RTT sample corrected for the receiver's holding delay.
-        let sample = ctx
-            .now()
-            .saturating_since(info.echo_ts)
-            .as_secs_f64()
-            - info.echo_delay_ns as f64 / 1e9;
-        if sample > 0.0 {
-            self.srtt = Some(match self.srtt {
-                None => sample,
-                Some(s) => 0.9 * s + 0.1 * sample,
-            });
-        }
+        self.pacer.sample_rtt(info, ctx.now());
 
         let s = self.cfg.pkt_size as f64;
         let p = info.loss_event_rate;
@@ -629,10 +572,10 @@ impl Tfrc {
         if p <= 0.0 {
             // Slow start: double per feedback round, clocked at twice the
             // receive rate (RFC 3448 §4.3).
-            self.x_bps = (2.0 * self.x_bps).min(2.0 * x_recv).max(s / self.srtt_secs());
+            self.x_bps = (2.0 * self.x_bps).min(2.0 * x_recv).max(s / self.pacer.srtt_secs());
         } else {
             self.slow_start = false;
-            let rtt = self.srtt_secs();
+            let rtt = self.pacer.srtt_secs();
             let x_calc = padhye_rate_bps(self.cfg.pkt_size, p, rtt, 4.0 * rtt);
             let cap = if self.cfg.conservative {
                 // The paper's pseudo-code (Section 4.1.1): after a loss
@@ -656,15 +599,14 @@ impl Tfrc {
             let cap = cap.max(2.0 * s / rtt);
             self.x_bps = x_calc.min(cap).max(self.min_rate());
         }
-        self.arm_nofeedback(ctx);
+        self.pacer.arm_nofeedback(self.x_bps, ctx);
     }
 }
 
 impl Agent for Tfrc {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.send_one(ctx);
-        self.schedule_send(ctx);
-        self.arm_nofeedback(ctx);
+        self.send_and_schedule(ctx);
+        self.pacer.arm_nofeedback(self.x_bps, ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
@@ -679,26 +621,15 @@ impl Agent for Tfrc {
                 return; // flow stopped: let all timers lapse
             }
         }
-        let kind = token & 1;
-        let gen = token >> 1;
-        match kind {
-            TIMER_SEND => {
-                if gen != self.send_gen {
-                    return;
-                }
-                self.send_one(ctx);
-                self.schedule_send(ctx);
-            }
-            TIMER_NOFEEDBACK => {
-                if gen != self.nofeedback_gen {
-                    return;
-                }
+        match self.pacer.live_timer(token) {
+            Some(PacerTimer::Send) => self.send_and_schedule(ctx),
+            Some(PacerTimer::NoFeedback) => {
                 // No feedback for max(4R, 2s/X): halve the allowed rate
                 // (RFC 3448 §4.4) and keep the timer running.
                 self.x_bps = (self.x_bps / 2.0).max(self.min_rate());
-                self.arm_nofeedback(ctx);
+                self.pacer.arm_nofeedback(self.x_bps, ctx);
             }
-            _ => unreachable!("two timer kinds"),
+            None => {}
         }
     }
 

@@ -1210,86 +1210,13 @@ pub struct LinkOut {
     pub flap_drops: u64,
 }
 
-/// Serializable mirror of one [`TraceBin`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BinOut {
-    /// Bin index.
-    pub index: u64,
-    /// Source sends.
-    pub sends: u64,
-    /// Link enqueues.
-    pub enqueues: u64,
-    /// Link dequeues.
-    pub dequeues: u64,
-    /// Packets delivered to destinations.
-    pub delivered_packets: u64,
-    /// Bytes delivered to destinations.
-    pub delivered_bytes: u64,
-    /// Scripted-loss drops.
-    pub drops_loss: u64,
-    /// Queue-discipline drops.
-    pub drops_queue: u64,
-    /// Link-outage drops.
-    pub drops_link_down: u64,
-    /// ECN marks.
-    pub marks: u64,
-    /// Fault-layer duplications.
-    pub fault_dups: u64,
-    /// Fault-layer reorder holds.
-    pub fault_holds: u64,
-    /// Peak occupancy in the bin.
-    pub occupancy_max: i64,
-    /// Occupancy at the end of the bin.
-    pub occupancy_end: i64,
-}
-
-impl BinOut {
-    fn from_bin(b: &TraceBin) -> BinOut {
-        BinOut {
-            index: b.index,
-            sends: b.sends,
-            enqueues: b.enqueues,
-            dequeues: b.dequeues,
-            delivered_packets: b.delivered_packets,
-            delivered_bytes: b.delivered_bytes,
-            drops_loss: b.drops_loss,
-            drops_queue: b.drops_queue,
-            drops_link_down: b.drops_link_down,
-            marks: b.marks,
-            fault_dups: b.fault_dups,
-            fault_holds: b.fault_holds,
-            occupancy_max: b.occupancy_max,
-            occupancy_end: b.occupancy_end,
-        }
-    }
-
-    fn to_bin(&self) -> TraceBin {
-        TraceBin {
-            index: self.index,
-            sends: self.sends,
-            enqueues: self.enqueues,
-            dequeues: self.dequeues,
-            delivered_packets: self.delivered_packets,
-            delivered_bytes: self.delivered_bytes,
-            drops_loss: self.drops_loss,
-            drops_queue: self.drops_queue,
-            drops_link_down: self.drops_link_down,
-            marks: self.marks,
-            fault_dups: self.fault_dups,
-            fault_holds: self.fault_holds,
-            occupancy_max: self.occupancy_max,
-            occupancy_end: self.occupancy_end,
-        }
-    }
-}
-
 /// Windowed-trace results of one scenario cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TraceOut {
     /// Bin width, nanoseconds.
     pub bin_ns: u64,
     /// Completed bins plus the open tail bin, in time order.
-    pub bins: Vec<BinOut>,
+    pub bins: Vec<TraceBin>,
 }
 
 /// Outcome of one scenario cell (one seed).
@@ -1476,7 +1403,7 @@ fn execute(spec: &ScenarioSpec, seed: u64) -> ScenarioCellOut {
             .expect("scenario sink is WindowedStats");
         TraceOut {
             bin_ns: tr.bin.as_nanos(),
-            bins: ws.bins().iter().map(BinOut::from_bin).collect(),
+            bins: ws.bins(),
         }
     });
 
@@ -1623,7 +1550,7 @@ impl Experiment for ScenarioExperiment {
                 let _ = writeln!(buf, "{}", STREAM_COLUMNS.join(","));
             }
             for bin in &trace.bins {
-                write_bin_row(&mut buf, fmt, tr.bin, &bin.to_bin());
+                write_bin_row(&mut buf, fmt, tr.bin, bin);
             }
             let path = dir.join(format!("{}.trace.seed{}.{ext}", self.artifact, cell.seed));
             if let Err(e) = std::fs::write(&path, &buf) {

@@ -167,11 +167,6 @@ pub trait AnyExperiment: Send + Sync {
     /// Assemble the cell outputs (in cell order), render to stdout,
     /// and save artifacts when `out_dir` is set.
     fn finish(&self, scale: Scale, outs: Vec<Box<dyn Any + Send>>, out_dir: Option<&Path>);
-    /// Run the whole experiment in-process and return the assembled
-    /// output as pretty JSON — the determinism probe the registry
-    /// conformance test byte-compares across shard and job
-    /// counts.
-    fn output_json(&self, scale: Scale) -> String;
     /// Run every cell through the worker pool and return the per-cell
     /// JSON encodings in cell order — the cell-level determinism probe
     /// (compared against a serial [`AnyExperiment::run_cell_dyn`]
@@ -239,11 +234,6 @@ impl<E: Experiment> AnyExperiment for E {
         if let Some(dir) = out_dir {
             self.save(&output, dir);
         }
-    }
-
-    fn output_json(&self, scale: Scale) -> String {
-        let output = run_experiment(self, scale);
-        serde_json::to_string_pretty(&output).expect("experiment outputs serialize")
     }
 
     fn cell_jsons(&self, scale: Scale) -> Vec<String> {

@@ -98,13 +98,6 @@ fn family_flavor(family: ConvFamily, param: f64) -> Flavor {
     }
 }
 
-/// Run a convergence sweep for one family ([`ConvFamily::Tcp`] is
-/// Figure 10, [`ConvFamily::Tfrc`] Figure 12).
-pub fn run_family(family: ConvFamily, scale: Scale) -> Convergence {
-    let exp = ConvExperiment::for_family(family);
-    crate::experiment::run_experiment(&exp, scale)
-}
-
 /// Registry entry shape shared by Figures 10 and 12: one cell per
 /// `(param, seed)` — the finest independent unit — regrouped per
 /// parameter in sweep order by `assemble`.
@@ -120,7 +113,8 @@ pub struct ConvExperiment {
 }
 
 impl ConvExperiment {
-    /// The registry entry for `family` (used by [`run_family`]).
+    /// The registry entry for `family` ([`ConvFamily::Tcp`] is Figure 10,
+    /// [`ConvFamily::Tfrc`] Figure 12).
     pub fn for_family(family: ConvFamily) -> Self {
         match family {
             ConvFamily::Tcp => ConvExperiment {

@@ -102,22 +102,6 @@ pub struct Osc2 {
     pub points: Vec<Osc2Point>,
 }
 
-/// Run a utilization sweep in-process with the sizing `config` picks
-/// ([`Osc2Config::for_scale`] is Figures 14/15,
-/// [`Osc2Config::extreme_for_scale`] Figure 16).
-pub fn run_with(config: fn(Scale) -> Osc2Config, scale: Scale) -> Osc2 {
-    // The labels are only read by the registry and the renderer.
-    let exp = Osc2Experiment {
-        name: "",
-        description: "",
-        aliases: &[],
-        artifact: "",
-        title: "",
-        config,
-    };
-    crate::experiment::run_experiment(&exp, scale)
-}
-
 /// Registry entry shape shared by Figures 14/15 and Figure 16: one cell
 /// per `(flavor, ON/OFF period)`.
 pub struct Osc2Experiment {

@@ -7,7 +7,7 @@
 //!   recorded in `EXPERIMENTS.md`);
 //! * [`Scale::Quick`] — shortened runs and thinned sweeps that preserve
 //!   each experiment's qualitative shape (used by the test suite and the
-//!   `figures` bench so CI stays fast).
+//!   repo benchmark so CI stays fast).
 
 use serde::Serialize;
 
@@ -16,7 +16,7 @@ use serde::Serialize;
 pub enum Scale {
     /// Paper-scale runs.
     Full,
-    /// Shortened runs for tests and benches.
+    /// Shortened runs for tests and the repo benchmark.
     Quick,
 }
 

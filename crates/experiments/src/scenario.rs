@@ -35,14 +35,6 @@ pub struct Scenario {
     pub reverse: Vec<FlowHandle>,
 }
 
-/// Build the standard dumbbell with `n` flows of `flavor`, staggered
-/// starts, and reverse background traffic.
-pub fn standard(seed: u64, bottleneck_bps: f64, flavor: Flavor, n_flows: usize) -> Scenario {
-    standard_with(seed, bottleneck_bps, |sim, db| {
-        install_flows(sim, db, flavor, n_flows, SimTime::ZERO, None)
-    })
-}
-
 /// Build the standard dumbbell, installing the flows under test via
 /// `install` after the reverse traffic exists.
 pub fn standard_with<F>(seed: u64, bottleneck_bps: f64, install: F) -> Scenario
@@ -86,7 +78,9 @@ mod tests {
 
     #[test]
     fn standard_scenario_runs_and_shares_bandwidth() {
-        let mut sc = standard(1, 10e6, Flavor::standard_tcp(), 4);
+        let mut sc = standard_with(1, 10e6, |sim, db| {
+            install_flows(sim, db, Flavor::standard_tcp(), 4, SimTime::ZERO, None)
+        });
         sc.sim.run_until(SimTime::from_secs(30));
         let from = SimTime::from_secs(10);
         let to = SimTime::from_secs(30);

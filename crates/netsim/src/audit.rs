@@ -56,16 +56,15 @@ pub enum AuditMode {
 }
 
 /// Process-wide programmatic override:
-/// 0 = unset (fall through to the environment), 1 = strict, 2 = collect,
-/// 3 = force off.
+/// 0 = unset (fall through to the environment), 1 = strict, 2 = collect.
 static AUDIT_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// The `SLOWCC_AUDIT` environment knob, read once per process.
 static ENV_MODE: OnceLock<Option<AuditMode>> = OnceLock::new();
 
 /// Force every subsequently created [`crate::sim::Simulator`] to audit in
-/// `mode` (or not audit at all for `Some` of nothing — pass `None` to
-/// restore the default resolution: environment, then off). Mirrors
+/// `mode`; `None` restores the default resolution (the `SLOWCC_AUDIT`
+/// environment variable, then off). Mirrors
 /// [`crate::sim::set_default_shards`].
 pub fn set_default_audit(mode: Option<AuditMode>) {
     let v = match mode {

@@ -591,11 +591,6 @@ pub const DEFAULT_STATS_BIN: SimDuration = SimDuration::from_millis(10);
 impl Simulator {
     /// A fresh simulator with the given RNG seed.
     pub fn new(seed: u64) -> Self {
-        Simulator::with_stats_bin(seed, DEFAULT_STATS_BIN)
-    }
-
-    /// A fresh simulator with an explicit statistics bin width.
-    pub fn with_stats_bin(seed: u64, bin: SimDuration) -> Self {
         Simulator {
             shards: vec![Shard {
                 world: World {
@@ -604,7 +599,7 @@ impl Simulator {
                     nodes: Vec::new(),
                     links: Vec::new(),
                     pool: PacketPool::new(),
-                    stats: Stats::new(bin),
+                    stats: Stats::new(DEFAULT_STATS_BIN),
                     next_uid: 0,
                     uid_tag: 0,
                     xport: None,
@@ -1283,19 +1278,6 @@ impl Simulator {
         }
     }
 
-    /// Process a single event on the serial engine. Returns `false` when
-    /// the queue is empty. Panics on a sharded simulator (single-stepping
-    /// has no meaning across concurrent shard clocks).
-    pub fn step(&mut self) -> bool {
-        self.assert_unsharded("single-step");
-        let shard = &mut self.shards[0];
-        let Some((time, kind)) = shard.world.queue.pop() else {
-            return false;
-        };
-        shard.process(time, kind);
-        true
-    }
-
     /// Immutable access to an installed agent, for post-run inspection.
     /// Panics while that agent is being dispatched.
     pub fn agent(&self, id: AgentId) -> &dyn Agent {
@@ -1371,19 +1353,6 @@ impl Shard {
                     packet,
                 },
             );
-        }
-    }
-
-    /// Advance the clock to `time` and fire `kind`, with the audit
-    /// cross-check at per-event granularity ([`Simulator::step`]).
-    fn process(&mut self, time: SimTime, kind: EventKind) {
-        debug_assert!(time >= self.world.now, "event queue went backwards");
-        self.world.now = time;
-        self.dispatch_event(kind);
-        // O(1) per-event cross-check: pool live slots vs packet ledger.
-        let World { audit, pool, now, .. } = &mut self.world;
-        if let Some(a) = audit.as_deref_mut() {
-            a.check_pool(pool.len(), *now);
         }
     }
 
@@ -1596,11 +1565,6 @@ impl Ctx<'_> {
                 token,
             },
         );
-    }
-
-    /// Buffer occupancy of a link, for instrumentation agents.
-    pub fn link_queue_len(&self, link: LinkId) -> usize {
-        self.world.links[link.index()].queue_len()
     }
 }
 

@@ -344,12 +344,6 @@ impl Stats {
             .map_or(0, |f| self.sum_window(&f.rx_bytes, from, to))
     }
 
-    /// Bytes the source of `flow` transmitted in `[from, to)`.
-    pub fn flow_tx_bytes_in(&self, flow: FlowId, from: SimTime, to: SimTime) -> u64 {
-        self.flow(flow)
-            .map_or(0, |f| self.sum_window(&f.tx_bytes, from, to))
-    }
-
     /// Average delivered throughput of `flow` over `[from, to)` in bits/s.
     pub fn flow_throughput_bps(&self, flow: FlowId, from: SimTime, to: SimTime) -> f64 {
         let secs = to.saturating_since(from).as_secs_f64();

@@ -19,6 +19,8 @@
 
 use std::io::Write;
 
+use serde::{Deserialize, Serialize};
+
 use crate::audit::AuditMode;
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::packet::Packet;
@@ -301,7 +303,7 @@ impl<W: Write + Send> TraceSink for NsTextTrace<W> {
 /// One aggregated time window: everything the stream sinks report per
 /// bin. Bins are anchored at t = 0 and `width` wide; empty bins are
 /// emitted too, so downstream tooling sees a regular time series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TraceBin {
     /// Bin index (bin `i` covers `[i*width, (i+1)*width)`).
     pub index: u64,

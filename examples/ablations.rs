@@ -1,40 +1,42 @@
-//! Ablation harness (`harness = false`) for the design choices DESIGN.md
-//! calls out:
+//! Ablations of the design choices DESIGN.md calls out:
 //!
-//! 1. self-clocking in TFRC (the paper's own ablation),
-//! 2. RED vs DropTail at the bottleneck (the paper notes "a similar
-//!    benefit of self-clocking was seen" under DropTail),
-//! 3. TFRC history discounting on/off after a bandwidth doubling
+//! 1. self-clocking in TFRC (the paper's own ablation) and the
+//!    conservative option's constant C (paper 1.1 vs ns-2's 1.5),
+//! 2. TFRC history discounting on/off after a bandwidth doubling
 //!    (the Figure 13 footnote),
-//! 4. the conservative option's constant C (paper 1.1 vs ns-2's 1.5),
-//! 5. the binomial reference-window anchor W₀,
-//! 6. delayed ACKs at the receiver (the paper's TCP assumes none).
+//! 3. the binomial reference-window anchor W₀,
+//! 4. delayed ACKs at the receiver (the paper's TCP assumes none).
+//!
+//! RED vs DropTail at the bottleneck is the registered `queue-dynamics`
+//! target (`repro queue-dynamics`), not an ablation here.
+//!
+//! ```sh
+//! cargo run --release --example ablations
+//! ```
 
-use slowcc_core::tfrc::{Tfrc, TfrcConfig};
-use slowcc_experiments::flavor::Flavor;
-use slowcc_experiments::onset::{onset_stabilization, run_onset, OnsetConfig};
-use slowcc_experiments::scale::Scale;
-use slowcc_experiments::scenario;
-use slowcc_metrics::util::f_k;
-use slowcc_netsim::prelude::*;
+use slowcc::core::tfrc::{Tfrc, TfrcConfig};
+use slowcc::experiments::flavor::Flavor;
+use slowcc::experiments::onset::{onset_stabilization, run_onset, OnsetConfig};
+use slowcc::experiments::scale::Scale;
+use slowcc::experiments::scenario;
+use slowcc::metrics::util::f_k;
+use slowcc::netsim::prelude::*;
 
 fn main() {
     let scale = Scale::Quick;
-    println!("== Ablation 1+4: TFRC self-clocking and the constant C ==");
+    println!("== Ablation 1: TFRC self-clocking and the constant C ==");
     ablate_self_clocking(scale);
-    println!("\n== Ablation 2: RED vs DropTail under the congestion onset ==");
-    ablate_queue_discipline();
-    println!("\n== Ablation 3: history discounting after a bandwidth doubling ==");
+    println!("\n== Ablation 2: history discounting after a bandwidth doubling ==");
     ablate_history_discounting();
-    println!("\n== Ablation 5: binomial reference window W0 ==");
+    println!("\n== Ablation 3: binomial reference window W0 ==");
     ablate_reference_window();
-    println!("\n== Ablation 6: delayed ACKs (the paper's TCP assumes none) ==");
+    println!("\n== Ablation 4: delayed ACKs (the paper's TCP assumes none) ==");
     ablate_delayed_acks();
 }
 
 fn ablate_delayed_acks() {
-    use slowcc_core::agent::install_flow;
-    use slowcc_core::tcp::{Tcp, TcpConfig, TcpSink};
+    use slowcc::core::agent::install_flow;
+    use slowcc::core::tcp::{Tcp, TcpConfig, TcpSink};
     for delack in [false, true] {
         let mut sim = Simulator::new(12);
         let db = Dumbbell::build(&mut sim, DumbbellConfig::paper(10e6));
@@ -77,10 +79,10 @@ fn ablate_self_clocking(scale: Scale) {
         } else {
             let mut sc = scenario::standard_with(42, cfg.bottleneck_bps, |sim, db| {
                 let pair = db.add_host_pair(sim);
-                slowcc_traffic::cbr::install_cbr(
+                slowcc::traffic::cbr::install_cbr(
                     sim,
                     &pair,
-                    slowcc_traffic::cbr::RateSchedule::Script(vec![
+                    slowcc::traffic::cbr::RateSchedule::Script(vec![
                         (SimTime::ZERO, cfg.bottleneck_bps / 2.0),
                         (cfg.timeline.steady_end, 0.0),
                         (cfg.timeline.onset, cfg.bottleneck_bps / 2.0),
@@ -107,52 +109,6 @@ fn ablate_self_clocking(scale: Scale) {
     );
     println!("TFRC(64) self-clocked, C=1.1:  cost {:8.3}", run(true, 1.1));
     println!("TFRC(64) self-clocked, C=1.5:  cost {:8.3}", run(true, 1.5));
-}
-
-fn ablate_queue_discipline() {
-    // The onset scenario with DropTail instead of RED.
-    let scale = Scale::Quick;
-    let cfg = OnsetConfig::for_scale(scale);
-    for (name, conservative) in [("plain", false), ("self-clocked", true)] {
-        let mut sc = {
-            let mut sim = Simulator::new(42);
-            let mut dbc = DumbbellConfig::paper(cfg.bottleneck_bps);
-            dbc.queue = QueueKind::DropTail((2.5 * dbc.bdp_packets()) as usize);
-            let db = Dumbbell::build(&mut sim, dbc);
-            let reverse = slowcc_traffic::bulk::add_reverse_tcp(&mut sim, &db, 2);
-            let pair = db.add_host_pair(&mut sim);
-            slowcc_traffic::cbr::install_cbr(
-                &mut sim,
-                &pair,
-                slowcc_traffic::cbr::RateSchedule::Script(vec![
-                    (SimTime::ZERO, cfg.bottleneck_bps / 2.0),
-                    (cfg.timeline.steady_end, 0.0),
-                    (cfg.timeline.onset, cfg.bottleneck_bps / 2.0),
-                ]),
-                1000,
-                SimTime::ZERO,
-            );
-            let flavor = Flavor::Tfrc {
-                k: 64,
-                self_clocking: conservative,
-            };
-            let flows =
-                scenario::install_flows(&mut sim, &db, flavor, cfg.n_flows, SimTime::ZERO, None);
-            scenario::Scenario {
-                sim,
-                db,
-                flows,
-                reverse,
-            }
-        };
-        sc.sim.run_until(cfg.timeline.end);
-        let st = onset_stabilization(&sc, &cfg);
-        println!(
-            "DropTail, TFRC(64) {name:>13}: cost {:8.3} (time {:6.1} RTTs)",
-            st.cost, st.time_rtts
-        );
-    }
-    println!("(the self-clocking benefit must survive the queue discipline change)");
 }
 
 fn ablate_history_discounting() {
@@ -190,8 +146,8 @@ fn ablate_history_discounting() {
 }
 
 fn ablate_reference_window() {
-    use slowcc_core::aimd::BinomialParams;
-    use slowcc_core::tcp::{Tcp, TcpConfig};
+    use slowcc::core::aimd::BinomialParams;
+    use slowcc::core::tcp::{Tcp, TcpConfig};
     // SQRT(1/2) anchored at different W0, sharing a link with TCP.
     for w0 in [7.5, 15.0, 30.0] {
         let mut sim = Simulator::new(9);

@@ -40,6 +40,36 @@ fn run_mix(
     (sim, db, handles)
 }
 
+/// The lazy link service's event budget, as an exact count: four TCP
+/// flows on the paper dumbbell dispatch at most 4.5 events per injected
+/// packet (3.86 measured). A link that schedules a `LinkTxComplete` for
+/// every packet again, instead of a wake only while something is
+/// queued, reads 6.27.
+#[test]
+fn tcp_dumbbell_stays_under_4_5_events_per_packet() {
+    use slowcc::core::tcp::{Tcp, TcpConfig};
+
+    let mut sim = Simulator::new(3);
+    let db = Dumbbell::build(&mut sim, DumbbellConfig::paper(10e6));
+    for i in 0..4 {
+        let pair = db.add_host_pair(&mut sim);
+        Tcp::install(
+            &mut sim,
+            &pair,
+            TcpConfig::standard(1000),
+            SimTime::from_millis(13 * i),
+        );
+    }
+    sim.run_until(SimTime::from_secs(5));
+    let (events, packets) = (sim.events_processed(), sim.packets_injected());
+    assert!(packets > 10_000, "only {packets} packets injected");
+    assert!(
+        events as f64 <= 4.5 * packets as f64,
+        "{events} events for {packets} packets = {:.3} events/packet, limit 4.5",
+        events as f64 / packets as f64
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 12, // each case is a full simulation; keep the count sane
