@@ -85,11 +85,6 @@ impl TearSink {
         }
     }
 
-    /// The receiver's current emulated congestion window.
-    pub fn emulated_cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
     fn rtt(&self) -> SimDuration {
         if self.sender_rtt.is_zero() {
             self.cfg.initial_rtt

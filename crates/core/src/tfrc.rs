@@ -549,11 +549,6 @@ impl Tfrc {
         self.x_bps
     }
 
-    /// True until the first loss report arrives.
-    pub fn in_slow_start(&self) -> bool {
-        self.slow_start
-    }
-
     fn min_rate(&self) -> f64 {
         self.cfg.pkt_size as f64 / T_MBI_SECS
     }

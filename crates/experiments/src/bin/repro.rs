@@ -22,8 +22,8 @@
 //!
 //! Each cell runs under `catch_unwind` with a cooperative budget armed
 //! (the `--cell-timeout` wall clock, a zero-clock-advance livelock
-//! bound, and the SIGINT/SIGTERM cancel flag — all checked at the
-//! simulator's batch boundaries): a panicking, over-budget, livelocked
+//! bound, and the SIGINT/SIGTERM cancel flag — all checked between
+//! the simulator's events): a panicking, over-budget, livelocked
 //! or cancelled simulation unwinds cleanly on its own worker thread
 //! (joined, never abandoned), fails its own cell, and its siblings
 //! complete. Failed cells are retried up to `--retries` times with the

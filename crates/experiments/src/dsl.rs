@@ -221,6 +221,17 @@ fn want_f64(e: &Entry, path: &str) -> Result<f64, String> {
         .ok_or_else(|| at(path, e.line, format_args!("`{}` must be a number", e.key)))
 }
 
+/// A rate: a zero or negative bandwidth builds a link that never
+/// transmits (or panics deep inside RED's threshold set-up).
+fn want_positive(e: &Entry, path: &str) -> Result<f64, String> {
+    let f = want_f64(e, path)?;
+    if f > 0.0 {
+        Ok(f)
+    } else {
+        Err(at(path, e.line, format_args!("`{}` must be greater than zero", e.key)))
+    }
+}
+
 fn want_bool(e: &Entry, path: &str) -> Result<bool, String> {
     e.value
         .as_bool()
@@ -288,11 +299,14 @@ fn parse_topology(sec: &Section, path: &str) -> Result<TopologySpec, String> {
         match e.key.as_str() {
             "kind" => kind = Some((want_str(e, path)?, e.line)),
             "hops" => hops = Some((want_usize(e, path)?, e.line)),
-            "bottleneck_mbps" => mbps = Some(want_f64(e, path)?),
+            "bottleneck_mbps" => mbps = Some(want_positive(e, path)?),
             "bottleneck_delay_ms" => bottleneck_delay = Some(want_ms(e, path)?),
-            "access_mbps" => access_mbps = Some(want_f64(e, path)?),
+            "access_mbps" => access_mbps = Some(want_positive(e, path)?),
             "access_delay_ms" => access_delay = Some(want_ms(e, path)?),
-            "pkt_size" => pkt_size = Some(want_u64(e, path)? as u32),
+            "pkt_size" => match want_u64(e, path)? {
+                v @ 1..=65535 => pkt_size = Some(v as u32),
+                _ => return Err(at(path, e.line, "`pkt_size` must be between 1 and 65535 bytes")),
+            },
             "queue" => queue = Some((want_str(e, path)?, e.line)),
             "queue_cap" => queue_cap = Some((want_usize(e, path)?, e.line)),
             "red_capacity" => red.capacity = Some(want_usize(e, path)?),
@@ -595,7 +609,7 @@ fn parse_cbr(sec: &Section, path: &str) -> Result<CbrBlock, String> {
     let mut span: Option<(usize, usize)> = None;
     for e in &sec.table.entries {
         match e.key.as_str() {
-            "rate_mbps" => rate_mbps = Some(want_f64(e, path)?),
+            "rate_mbps" => rate_mbps = Some(want_positive(e, path)?),
             "shape" => shape = Some((want_str(e, path)?, e.line)),
             "half_period_ms" => half_period = Some(want_ms(e, path)?),
             "on_ms" => on = Some(want_ms(e, path)?),
@@ -676,7 +690,7 @@ fn parse_flash(sec: &Section, path: &str) -> Result<FlashBlock, String> {
     let mut start = SimDuration::ZERO;
     for e in &sec.table.entries {
         match e.key.as_str() {
-            "flows_per_sec" => flows_per_sec = Some(want_f64(e, path)?),
+            "flows_per_sec" => flows_per_sec = Some(want_positive(e, path)?),
             "duration_ms" => duration = Some(want_ms(e, path)?),
             "transfer_packets" => transfer_packets = Some(want_u64(e, path)?),
             "host_pairs" => {
@@ -698,9 +712,6 @@ fn parse_flash(sec: &Section, path: &str) -> Result<FlashBlock, String> {
     }
     let flows_per_sec =
         flows_per_sec.ok_or_else(|| at(path, sec.line, "[[flash]] needs `flows_per_sec`"))?;
-    if flows_per_sec <= 0.0 {
-        return Err(at(path, sec.line, "`flows_per_sec` must be positive"));
-    }
     Ok(FlashBlock {
         flows_per_sec,
         duration: duration.ok_or_else(|| at(path, sec.line, "[[flash]] needs `duration_ms`"))?,
@@ -1728,6 +1739,27 @@ mod tests {
         );
         let err = parse_scenario(&bad, "x.toml").unwrap_err();
         assert!(err.contains("ascending and non-overlapping"), "got: {err}");
+
+        // Out-of-range sizes and rates fail at their own line instead of
+        // truncating (`as u32`) or building a link that never transmits.
+        let cbr = format!("{}\n[[cbr]]\nrate_mbps = 0.0\n", demo_text());
+        let flash = format!(
+            "{}\n[[flash]]\nflows_per_sec = -1.0\nduration_ms = 5\ntransfer_packets = 1\n",
+            demo_text()
+        );
+        let topo = |line: &str| demo_text().replace("bottleneck_mbps = 10.0", line);
+        for (text, want) in [
+            (topo("bottleneck_mbps = 10.0\npkt_size = 4294968296"), "x.toml:7: `pkt_size` must be"),
+            (topo("bottleneck_mbps = 10.0\npkt_size = 0"), "x.toml:7: `pkt_size` must be"),
+            (topo("bottleneck_mbps = 0.0"), "x.toml:6: `bottleneck_mbps` must be greater"),
+            (topo("bottleneck_mbps = -5.0"), "x.toml:6: `bottleneck_mbps` must be greater"),
+            (topo("bottleneck_mbps = 10.0\naccess_mbps = 0"), "x.toml:7: `access_mbps` must be"),
+            (cbr, "x.toml:13: `rate_mbps` must be greater"),
+            (flash, "x.toml:13: `flows_per_sec` must be greater"),
+        ] {
+            let err = parse_scenario(&text, "x.toml").unwrap_err();
+            assert!(err.contains(want), "wanted {want:?}, got: {err}");
+        }
     }
 
     #[test]

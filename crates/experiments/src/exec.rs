@@ -271,7 +271,7 @@ pub fn run(targets: &[&'static dyn AnyExperiment], opts: &ExecOptions) -> ExecSu
     let cell_budget = Budget {
         wall_clock: opts.cell_timeout,
         max_events: None,
-        livelock_batches: Some(Budget::DEFAULT_LIVELOCK_BATCHES),
+        livelock_events: Some(Budget::DEFAULT_LIVELOCK_EVENTS),
         observe_cancel: true,
     };
 

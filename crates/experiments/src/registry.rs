@@ -11,6 +11,8 @@
 
 use std::sync::OnceLock;
 
+use slowcc_netsim::prelude::{Agent, Ctx, Packet, SimDuration, SimTime, Simulator};
+
 use crate::experiment::{AnyExperiment, CellSpec, Experiment};
 use crate::fig0789::{OscConfig, OscExperiment};
 use crate::fig1012::{ConvExperiment, ConvFamily};
@@ -23,27 +25,33 @@ use crate::{
     response, validate,
 };
 
-/// Hidden fixture: a single cell that panics on purpose, so the
-/// crash-isolation path — sibling survival, manifest record, nonzero
-/// exit, `--resume` re-running only the failure — can be exercised end
-/// to end by `verify.sh` without breaking a real figure.
-pub struct PanicCellExperiment;
+/// Hidden supervision fixture: one `fixture` cell whose `body`
+/// misbehaves on purpose, so `verify.sh` can exercise crash isolation,
+/// budget classification, quarantine under `--retries`, sibling
+/// survival and `--resume` end to end without breaking a real figure.
+struct FixtureExperiment {
+    name: &'static str,
+    description: &'static str,
+    artifact: &'static str,
+    /// Never returns: panics, or spins until the armed budget unwinds it.
+    body: fn(),
+}
 
-impl Experiment for PanicCellExperiment {
+impl Experiment for FixtureExperiment {
     type Cell = ();
     type CellOut = ();
     type Output = ();
 
     fn name(&self) -> &'static str {
-        "panic-cell"
+        self.name
     }
 
     fn description(&self) -> &'static str {
-        "hidden fixture - deliberately panicking cell"
+        self.description
     }
 
     fn artifact(&self) -> &'static str {
-        "panic_cell"
+        self.artifact
     }
 
     fn hidden(&self) -> bool {
@@ -55,7 +63,7 @@ impl Experiment for PanicCellExperiment {
     }
 
     fn run_cell(&self, _scale: Scale, _cell: ()) {
-        panic!("deliberate panic: repro crash-isolation fixture")
+        (self.body)()
     }
 
     fn assemble(&self, _scale: Scale, _outs: Vec<()>) {}
@@ -65,141 +73,28 @@ impl Experiment for PanicCellExperiment {
     fn save(&self, _output: &(), _dir: &std::path::Path) {}
 }
 
-/// An agent whose timer loop never advances the simulated clock — the
-/// livelock signature the supervisor's zero-advance bound detects.
-struct SpinnerAgent;
+/// An agent that does nothing but re-arm a timer `step` ahead.
+struct TickAgent {
+    step: SimDuration,
+}
 
-impl slowcc_netsim::sim::Agent for SpinnerAgent {
-    fn on_start(&mut self, ctx: &mut slowcc_netsim::sim::Ctx<'_>) {
-        ctx.set_timer(slowcc_netsim::prelude::SimDuration::ZERO, 0);
+impl Agent for TickAgent {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(self.step, 0);
     }
-    fn on_packet(
-        &mut self,
-        _pkt: slowcc_netsim::prelude::Packet,
-        _ctx: &mut slowcc_netsim::sim::Ctx<'_>,
-    ) {
-    }
-    fn on_timer(&mut self, _token: u64, ctx: &mut slowcc_netsim::sim::Ctx<'_>) {
-        ctx.set_timer(slowcc_netsim::prelude::SimDuration::ZERO, 0);
+    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+    fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(self.step, 0);
     }
 }
 
-/// Hidden fixture: a single cell that livelocks on purpose (a
-/// zero-clock-advance timer loop), so the supervisor's livelock
-/// detection — thread joined, `Livelock` classification in
-/// `failures.json`, quarantine under `--retries`, sibling survival —
-/// can be exercised end to end by `verify.sh`.
-pub struct HangCellExperiment;
-
-impl Experiment for HangCellExperiment {
-    type Cell = ();
-    type CellOut = ();
-    type Output = ();
-
-    fn name(&self) -> &'static str {
-        "hang-cell"
-    }
-
-    fn description(&self) -> &'static str {
-        "hidden fixture - deliberately livelocked cell (zero-advance timer loop)"
-    }
-
-    fn artifact(&self) -> &'static str {
-        "hang_cell"
-    }
-
-    fn hidden(&self) -> bool {
-        true
-    }
-
-    fn cells(&self, _scale: Scale) -> Vec<CellSpec<()>> {
-        vec![CellSpec::new("fixture", 0, ())]
-    }
-
-    fn run_cell(&self, _scale: Scale, _cell: ()) {
-        use slowcc_netsim::prelude::*;
-        let mut sim = Simulator::new(0);
-        let n = sim.add_node();
-        sim.add_agent(n, Box::new(SpinnerAgent));
-        // Never returns normally: the clock cannot reach the horizon.
-        // Only the armed budget's zero-advance bound unwinds this.
-        sim.run_until(SimTime::from_secs(1));
-    }
-
-    fn assemble(&self, _scale: Scale, _outs: Vec<()>) {}
-
-    fn render(&self, _output: &()) {}
-
-    fn save(&self, _output: &(), _dir: &std::path::Path) {}
-}
-
-/// An agent that advances the clock by one nanosecond per wakeup:
-/// endless honest-looking progress, so only a wall-clock deadline or
-/// the cancel flag can end it.
-struct CrawlerAgent;
-
-impl slowcc_netsim::sim::Agent for CrawlerAgent {
-    fn on_start(&mut self, ctx: &mut slowcc_netsim::sim::Ctx<'_>) {
-        ctx.set_timer(slowcc_netsim::prelude::SimDuration::from_nanos(1), 0);
-    }
-    fn on_packet(
-        &mut self,
-        _pkt: slowcc_netsim::prelude::Packet,
-        _ctx: &mut slowcc_netsim::sim::Ctx<'_>,
-    ) {
-    }
-    fn on_timer(&mut self, _token: u64, ctx: &mut slowcc_netsim::sim::Ctx<'_>) {
-        ctx.set_timer(slowcc_netsim::prelude::SimDuration::from_nanos(1), 0);
-    }
-}
-
-/// Hidden fixture: a single cell that advances simulated time so
-/// slowly it is effectively unbounded, while never tripping the
-/// livelock bound. Exercises the `Deadline` classification under
-/// `--cell-timeout` and gives the SIGINT smoke in `verify.sh` a cell
-/// that is reliably still running when the signal lands.
-pub struct SlowCellExperiment;
-
-impl Experiment for SlowCellExperiment {
-    type Cell = ();
-    type CellOut = ();
-    type Output = ();
-
-    fn name(&self) -> &'static str {
-        "slow-cell"
-    }
-
-    fn description(&self) -> &'static str {
-        "hidden fixture - unbounded clock-advancing cell (deadline/cancel fodder)"
-    }
-
-    fn artifact(&self) -> &'static str {
-        "slow_cell"
-    }
-
-    fn hidden(&self) -> bool {
-        true
-    }
-
-    fn cells(&self, _scale: Scale) -> Vec<CellSpec<()>> {
-        vec![CellSpec::new("fixture", 0, ())]
-    }
-
-    fn run_cell(&self, _scale: Scale, _cell: ()) {
-        use slowcc_netsim::prelude::*;
-        let mut sim = Simulator::new(0);
-        let n = sim.add_node();
-        sim.add_agent(n, Box::new(CrawlerAgent));
-        // One batch per simulated nanosecond: reaching this horizon
-        // would take years of wall clock. Ends only via the budget.
-        sim.run_until(SimTime::from_secs(1_000_000));
-    }
-
-    fn assemble(&self, _scale: Scale, _outs: Vec<()>) {}
-
-    fn render(&self, _output: &()) {}
-
-    fn save(&self, _output: &(), _dir: &std::path::Path) {}
+/// Run a lone [`TickAgent`] towards a horizon it cannot reach in any
+/// useful wall time; ends only via the armed budget.
+fn tick_until(step: SimDuration, horizon: SimTime) {
+    let mut sim = Simulator::new(0);
+    let n = sim.add_node();
+    sim.add_agent(n, Box::new(TickAgent { step }));
+    sim.run_until(horizon);
 }
 
 /// All registered experiments, in `all`/report order, hidden fixtures
@@ -311,9 +206,29 @@ fn build() -> Vec<Box<dyn AnyExperiment>> {
         // hand-coded experiments they mirror.
         Box::new(dsl::ScenarioExperiment::new(dsl::builtin::chaos_twin_spec()).into_hidden()),
         Box::new(dsl::ScenarioExperiment::new(dsl::builtin::multihop_twin_spec()).into_hidden()),
-        Box::new(PanicCellExperiment),
-        Box::new(HangCellExperiment),
-        Box::new(SlowCellExperiment),
+        Box::new(FixtureExperiment {
+            name: "panic-cell",
+            description: "hidden fixture - deliberately panicking cell",
+            artifact: "panic_cell",
+            body: || panic!("deliberate panic: repro crash-isolation fixture"),
+        }),
+        // The clock never advances: the livelock signature the
+        // supervisor's zero-advance bound detects.
+        Box::new(FixtureExperiment {
+            name: "hang-cell",
+            description: "hidden fixture - deliberately livelocked cell (zero-advance timer loop)",
+            artifact: "hang_cell",
+            body: || tick_until(SimDuration::ZERO, SimTime::from_secs(1)),
+        }),
+        // One event per simulated nanosecond never trips the livelock
+        // bound: only `--cell-timeout` (`Deadline`) or the cancel flag ends
+        // it, so the SIGINT smoke reliably finds it still running.
+        Box::new(FixtureExperiment {
+            name: "slow-cell",
+            description: "hidden fixture - unbounded clock-advancing cell (deadline/cancel fodder)",
+            artifact: "slow_cell",
+            body: || tick_until(SimDuration::from_nanos(1), SimTime::from_secs(1_000_000)),
+        }),
     ]
 }
 

@@ -323,8 +323,8 @@ pub fn run_one_isolated<O>(budget: Budget, f: impl FnOnce() -> O) -> Result<O, C
 /// panicking, over-budget, livelocked, or cancelled simulation yields
 /// an `Err` in its own slot instead of tearing down the sweep.
 ///
-/// Cancellation is **cooperative**: the budget is checked at the
-/// simulator's batch boundaries, so a cell that blocks outside the
+/// Cancellation is **cooperative**: the budget is checked between the
+/// simulator's events, so a cell that blocks outside the
 /// simulator (e.g. on I/O) is beyond its reach — but every simulation,
 /// including a zero-clock-advance livelock, unwinds within one check
 /// interval. Cells claimed after the cancel flag rises fail fast as
@@ -415,7 +415,7 @@ mod tests {
     fn budget_fails_runaway_cells_and_passes_fast_ones() {
         // The livelocked cell unwinds on this worker's own thread (it is
         // joined by construction), and its siblings still complete.
-        let budget = Budget::none().with_livelock_batches(10_000);
+        let budget = Budget::none().with_livelock_events(10_000);
         let out = run_cells_isolated(vec![0u64, 1, 2], budget, |i| {
             if i == 1 {
                 spin_forever(i);
@@ -446,7 +446,7 @@ mod tests {
     fn cancel_flag_interrupts_running_and_pending_cells() {
         budget::request_cancel();
         let budget = Budget::none()
-            .with_livelock_batches(u64::MAX)
+            .with_livelock_events(u64::MAX)
             .with_cancel();
         let out = run_cells_isolated(vec![0u64, 1], budget, spin_forever);
         budget::reset_cancel();

@@ -8,9 +8,9 @@
 //!
 //! * **Packet ledger.** Every packet injected via [`crate::sim::Ctx::send`]
 //!   is tracked from injection to exactly one terminal state (delivered,
-//!   dropped, or still in flight at end of run). After every timestamp
-//!   batch the ledger's live count is compared against the slab pool's
-//!   live-slot count, and at teardown the exact uid sets are compared,
+//!   dropped, or still in flight at end of run). After every event the
+//!   ledger's live count is compared against the slab pool's live-slot
+//!   count, and at teardown the exact uid sets are compared,
 //!   so the pool can never silently leak or double-free.
 //! * **Link ledger.** Arrivals, departures, drops and transmitted bytes
 //!   are counted per link independently of [`crate::stats::Stats`]; at
@@ -529,11 +529,9 @@ impl Auditor {
     }
 
     /// O(1) cross-check: the pool's live-slot count must equal the
-    /// ledger's live count. Under batched dispatch (DESIGN.md §5g) the
-    /// simulator calls this once per timestamp batch rather than once
-    /// per event — lossless, because every handler returns with pool
-    /// and ledger reconciled, so a divergence visible after one event
-    /// is still visible at the batch boundary.
+    /// ledger's live count. The simulator calls this after every
+    /// dispatched event: each handler must return with pool and ledger
+    /// reconciled.
     pub(crate) fn check_pool(&mut self, pool_len: usize, now: SimTime) {
         let live = self.live;
         if pool_len as u64 != live {

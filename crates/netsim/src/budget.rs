@@ -1,14 +1,14 @@
 //! Cooperative execution budgets and cancellation.
 //!
 //! A [`Budget`] bounds how much work one simulation may do — wall
-//! clock, dispatched events, and consecutive zero-clock-advance batches
+//! clock, dispatched events, and consecutive zero-clock-advance events
 //! (the livelock signature of a timer loop that never advances time) —
 //! plus an opt-in to the process-global cancel flag raised by signal
-//! handlers. The running [`crate::sim::Simulator`] checks its budget at
-//! **batch boundaries** (see `Shard::run_window`): integer counters
-//! every batch, the `Instant::now()` syscall and the cancel-flag load
-//! only every [`WALL_CHECK_MASK`]+1 batches, so an armed-but-untripped
-//! budget costs a few ALU ops per batch and nothing per event.
+//! handlers. The running [`crate::sim::Simulator`] checks its budget
+//! **between events** (see `Shard::run_window`): integer counters
+//! every event, the `Instant::now()` syscall and the cancel-flag load
+//! only every [`WALL_CHECK_MASK`]+1 events, so an armed-but-untripped
+//! budget costs a few ALU ops per event.
 //!
 //! A tripped budget **unwinds** with [`SimAbort`] as the panic payload
 //! (`std::panic::panic_any`). Unwinding — rather than a `Result` from
@@ -36,40 +36,41 @@ use std::time::{Duration, Instant};
 
 use crate::time::SimTime;
 
-/// Check the wall clock and cancel flag when `batches & WALL_CHECK_MASK
-/// == 0`: every 4096 batches, amortizing `Instant::now()` to noise.
+/// Check the wall clock and cancel flag when `events & WALL_CHECK_MASK
+/// == 0`: every 4096 events, amortizing `Instant::now()` to noise.
 const WALL_CHECK_MASK: u64 = 0xFFF;
 
 /// Cooperative execution bounds for one simulation. `Default` is fully
-/// unlimited (nothing armed, zero per-batch cost).
+/// unlimited (nothing armed, one branch per event).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Wall-clock limit, measured from the `Simulator`'s construction.
     pub wall_clock: Option<Duration>,
     /// Maximum dispatched events (per shard on a sharded simulator).
     pub max_events: Option<u64>,
-    /// Maximum *consecutive* event batches at the same simulated time.
-    /// A zero-advance timer loop produces one batch per wakeup forever;
-    /// real workloads advance the clock constantly, so even deep
-    /// same-timestamp dispatch chains stay orders of magnitude below
-    /// [`Budget::DEFAULT_LIVELOCK_BATCHES`].
-    pub livelock_batches: Option<u64>,
+    /// Maximum *consecutive* events dispatched at the same simulated
+    /// time. A zero-advance timer loop produces one event per wakeup
+    /// forever; real workloads advance the clock constantly, so even the
+    /// largest same-instant burst (1024 events on a 1024-flow topology)
+    /// stays orders of magnitude below
+    /// [`Budget::DEFAULT_LIVELOCK_EVENTS`].
+    pub livelock_events: Option<u64>,
     /// Observe the process-global cancel flag ([`request_cancel`]).
     pub observe_cancel: bool,
 }
 
 impl Budget {
     /// Default zero-advance bound used by supervisors: ~10^6 consecutive
-    /// batches at one timestamp is far beyond any legitimate dispatch
-    /// chain but trips a tight timer loop in well under a second.
-    pub const DEFAULT_LIVELOCK_BATCHES: u64 = 1_000_000;
+    /// events at one timestamp is far beyond any legitimate same-instant
+    /// burst but trips a tight timer loop in well under a second.
+    pub const DEFAULT_LIVELOCK_EVENTS: u64 = 1_000_000;
 
     /// An unlimited budget (the `Default`).
     pub fn none() -> Self {
         Budget::default()
     }
 
-    /// True when nothing is armed: the per-batch check short-circuits.
+    /// True when nothing is armed: the per-event check short-circuits.
     pub fn is_unlimited(&self) -> bool {
         *self == Budget::default()
     }
@@ -87,8 +88,8 @@ impl Budget {
     }
 
     /// Builder: arm the zero-clock-advance (livelock) bound.
-    pub fn with_livelock_batches(mut self, limit: u64) -> Self {
-        self.livelock_batches = Some(limit);
+    pub fn with_livelock_events(mut self, limit: u64) -> Self {
+        self.livelock_events = Some(limit);
         self
     }
 
@@ -116,13 +117,13 @@ pub enum SimAbort {
         /// The armed limit.
         limit: u64,
     },
-    /// The simulated clock stopped advancing: `batches` consecutive
-    /// batches dispatched at time `at`.
+    /// The simulated clock stopped advancing: `events` consecutive
+    /// events dispatched at time `at`.
     Livelock {
         /// The timestamp the simulation is stuck at.
         at: SimTime,
-        /// The armed consecutive-batch bound.
-        batches: u64,
+        /// The armed consecutive-event bound.
+        events: u64,
     },
     /// The process-global cancel flag was raised ([`request_cancel`]).
     Cancelled,
@@ -137,9 +138,9 @@ impl fmt::Display for SimAbort {
             SimAbort::MaxEvents { limit } => {
                 write!(f, "sim abort: event budget exhausted ({limit} events)")
             }
-            SimAbort::Livelock { at, batches } => write!(
+            SimAbort::Livelock { at, events } => write!(
                 f,
-                "sim abort: livelock suspected ({batches} zero-advance batches at t={:.6}s)",
+                "sim abort: livelock suspected ({events} zero-advance events at t={:.6}s)",
                 at.as_secs_f64()
             ),
             SimAbort::Cancelled => write!(f, "sim abort: cancelled"),
@@ -151,7 +152,7 @@ thread_local! {
     static THREAD_BUDGET: Cell<Budget> = const { Cell::new(Budget {
         wall_clock: None,
         max_events: None,
-        livelock_batches: None,
+        livelock_events: None,
         observe_cancel: false,
     }) };
 }
@@ -194,7 +195,7 @@ pub fn reset_cancel() {
 }
 
 /// Per-world budget-checking state: the armed [`Budget`] plus the
-/// counters the batch-boundary check advances. Replicated per shard by
+/// counters the per-event check advances. Replicated per shard by
 /// `Simulator::seal` (counters reset, deadline instant preserved), so
 /// every shard polices its own dispatch loop.
 #[derive(Debug, Clone)]
@@ -203,18 +204,17 @@ pub struct BudgetState {
     /// Absolute deadline, computed once at arming so sharding never
     /// extends the wall-clock allowance.
     deadline: Option<Instant>,
-    /// Fast-path skip: false means `on_batch` is a single branch.
+    /// Fast-path skip: false means `on_event` is a single branch.
     armed: bool,
     /// `budget.max_events` with `None` flattened to `u64::MAX`, so the
     /// hot path compares against a plain integer instead of unpacking
-    /// an `Option` every batch.
+    /// an `Option` every event.
     events_limit: u64,
-    /// `budget.livelock_batches`, likewise flattened to `u64::MAX`.
+    /// `budget.livelock_events`, likewise flattened to `u64::MAX`.
     livelock_limit: u64,
     events: u64,
-    batches: u64,
     last_time: SimTime,
-    same_time_batches: u64,
+    same_time_events: u64,
 }
 
 impl BudgetState {
@@ -224,12 +224,11 @@ impl BudgetState {
             deadline: budget.wall_clock.map(|limit| Instant::now() + limit),
             armed: !budget.is_unlimited(),
             events_limit: budget.max_events.unwrap_or(u64::MAX),
-            livelock_limit: budget.livelock_batches.unwrap_or(u64::MAX),
+            livelock_limit: budget.livelock_events.unwrap_or(u64::MAX),
             budget,
             events: 0,
-            batches: 0,
             last_time: SimTime::ZERO,
-            same_time_batches: 0,
+            same_time_events: 0,
         }
     }
 
@@ -248,36 +247,34 @@ impl BudgetState {
             events_limit: self.events_limit,
             livelock_limit: self.livelock_limit,
             events: 0,
-            batches: 0,
             last_time: SimTime::ZERO,
-            same_time_batches: 0,
+            same_time_events: 0,
         }
     }
 
-    /// Batch-boundary check: account one batch of `batch_len` events at
-    /// `time` and unwind with [`SimAbort`] if any armed bound tripped.
-    /// No-op (one branch) when nothing is armed; no side effects beyond
-    /// this state while untripped.
+    /// Per-event check: account one event about to dispatch at `time`
+    /// and unwind with [`SimAbort`] if any armed bound tripped. No-op
+    /// (one branch) when nothing is armed; no side effects beyond this
+    /// state while untripped.
     #[inline]
-    pub fn on_batch(&mut self, time: SimTime, batch_len: usize) {
+    pub fn on_event(&mut self, time: SimTime) {
         if !self.armed {
             return;
         }
-        self.batches = self.batches.wrapping_add(1);
-        self.events += batch_len as u64;
+        self.events += 1;
         if time == self.last_time {
-            self.same_time_batches += 1;
+            self.same_time_events += 1;
         } else {
             self.last_time = time;
-            self.same_time_batches = 1;
+            self.same_time_events = 1;
         }
         // One predictable branch guards all the tripping paths: the
-        // limits are `u64::MAX` when unarmed, so untripped hot batches
+        // limits are `u64::MAX` when unarmed, so untripped hot events
         // fall through on two integer compares.
-        if self.events > self.events_limit || self.same_time_batches >= self.livelock_limit {
+        if self.events > self.events_limit || self.same_time_events >= self.livelock_limit {
             self.trip(time);
         }
-        if self.batches & WALL_CHECK_MASK == 0 {
+        if self.events & WALL_CHECK_MASK == 0 {
             self.check_wall();
         }
     }
@@ -292,7 +289,7 @@ impl BudgetState {
         }
         std::panic::panic_any(SimAbort::Livelock {
             at: time,
-            batches: self.livelock_limit,
+            events: self.livelock_limit,
         });
     }
 
@@ -328,39 +325,39 @@ mod tests {
     fn unlimited_budget_never_trips() {
         let mut state = BudgetState::new(Budget::none());
         for i in 0..100_000u64 {
-            state.on_batch(SimTime::from_nanos(0), 10);
-            state.on_batch(SimTime::from_nanos(i), 10);
+            state.on_event(SimTime::from_nanos(0));
+            state.on_event(SimTime::from_nanos(i));
         }
     }
 
     #[test]
     fn max_events_trips_at_the_limit() {
         let mut state = BudgetState::new(Budget::none().with_max_events(100));
-        for i in 0..10 {
-            state.on_batch(SimTime::from_nanos(i), 10);
+        for i in 0..100 {
+            state.on_event(SimTime::from_nanos(i));
         }
-        let abort = catch_abort(move || state.on_batch(SimTime::from_nanos(11), 1));
+        let abort = catch_abort(move || state.on_event(SimTime::from_nanos(100)));
         assert_eq!(abort, SimAbort::MaxEvents { limit: 100 });
     }
 
     #[test]
-    fn livelock_counts_consecutive_same_time_batches_only() {
-        let mut state = BudgetState::new(Budget::none().with_livelock_batches(1000));
+    fn livelock_counts_consecutive_same_time_events_only() {
+        let mut state = BudgetState::new(Budget::none().with_livelock_events(1000));
         // Advancing time resets the streak: never trips.
         for i in 0..5_000u64 {
-            state.on_batch(SimTime::from_nanos(i / 2), 1);
+            state.on_event(SimTime::from_nanos(i / 2));
         }
         let abort = catch_abort(move || {
             let t = SimTime::from_nanos(7777);
             loop {
-                state.on_batch(t, 1);
+                state.on_event(t);
             }
         });
         assert_eq!(
             abort,
             SimAbort::Livelock {
                 at: SimTime::from_nanos(7777),
-                batches: 1000
+                events: 1000
             }
         );
     }
@@ -370,7 +367,7 @@ mod tests {
         let mut state = BudgetState::new(Budget::none().with_wall_clock(Duration::ZERO));
         let abort = catch_abort(move || {
             for i in 0..10_000u64 {
-                state.on_batch(SimTime::from_nanos(i), 1);
+                state.on_event(SimTime::from_nanos(i));
             }
         });
         assert_eq!(
@@ -386,12 +383,12 @@ mod tests {
         request_cancel();
         let mut deaf = BudgetState::new(Budget::none().with_max_events(u64::MAX));
         for i in 0..10_000u64 {
-            deaf.on_batch(SimTime::from_nanos(i), 1);
+            deaf.on_event(SimTime::from_nanos(i));
         }
         let mut state = BudgetState::new(Budget::none().with_cancel());
         let abort = catch_abort(move || {
             for i in 0..10_000u64 {
-                state.on_batch(SimTime::from_nanos(i), 1);
+                state.on_event(SimTime::from_nanos(i));
             }
         });
         reset_cancel();
@@ -407,11 +404,15 @@ mod tests {
         assert_eq!(thread_budget(), b);
         set_thread_budget(Budget::none());
 
-        let mut state = BudgetState::new(Budget::none().with_max_events(1000));
-        state.on_batch(SimTime::from_nanos(1), 999);
+        let mut state = BudgetState::new(Budget::none().with_max_events(3));
+        for i in 0..3 {
+            state.on_event(SimTime::from_nanos(i));
+        }
         let mut replica = state.replicate();
-        // A replica starts from zero events: another 999 fit.
-        replica.on_batch(SimTime::from_nanos(2), 999);
+        // A replica starts from zero events: another 3 fit.
+        for i in 0..3 {
+            replica.on_event(SimTime::from_nanos(i));
+        }
         assert_eq!(replica.budget(), state.budget());
     }
 
@@ -431,10 +432,10 @@ mod tests {
         assert_eq!(
             SimAbort::Livelock {
                 at: SimTime::from_millis(1500),
-                batches: 9
+                events: 9
             }
             .to_string(),
-            "sim abort: livelock suspected (9 zero-advance batches at t=1.500000s)"
+            "sim abort: livelock suspected (9 zero-advance events at t=1.500000s)"
         );
         assert_eq!(SimAbort::Cancelled.to_string(), "sim abort: cancelled");
     }

@@ -20,13 +20,13 @@
 //! reproduces the order the serial run would have used.
 //!
 //! Two checks pin the order down. The property tests in
-//! `tests/scheduler_equivalence.rs` and `tests/batch_equivalence.rs`
-//! compare pop order against a binary-heap model (`tests/common`) on
-//! arbitrary schedules; and in builds with debug assertions — the whole
-//! test suite — every queue asserts that each pop's key is strictly
-//! greater than the previous pop's, which for a simulation (nothing is
-//! ever scheduled into the past) holds exactly when every pop was the
-//! pending minimum.
+//! `tests/scheduler_equivalence.rs` compare pop order against a
+//! binary-heap model (`tests/common`) on arbitrary schedules, handlers
+//! that insert while dispatching included; and in builds with debug
+//! assertions — the whole test suite — every queue asserts that each
+//! pop's key is strictly greater than the previous pop's, which for a
+//! simulation (nothing is ever scheduled into the past) holds exactly
+//! when every pop was the pending minimum.
 
 use crate::ids::{AgentId, LinkId, NodeId};
 use crate::pool::PacketId;
@@ -129,11 +129,6 @@ pub struct EventQueue {
     /// in [`Self::locate_min`] so it costs O(1) per pop even when a
     /// rebuild cannot help (all events at one instant).
     pops_since_resize: usize,
-    /// Reusable scratch for [`Self::drain_batch`]: `(sched, seq, kind)`
-    /// triples of the batch being extracted, sorted before they are
-    /// handed out. Kept on the queue so steady-state batch drains never
-    /// allocate.
-    scratch: Vec<(SimTime, u64, EventKind)>,
     next_seq: u64,
     /// Time of the most recently popped event — the instant handlers run
     /// at, recorded as the `sched` component of anything they schedule.
@@ -252,128 +247,6 @@ impl EventQueue {
         }
     }
 
-    /// Remove every event sharing the earliest pending timestamp, if that
-    /// timestamp is at or before `horizon`, appending their kinds to `out`
-    /// in exactly the order repeated [`Self::pop`] calls would have
-    /// produced (ascending `(sched, seq)`). Returns the batch timestamp,
-    /// or `None` when the queue is empty or the head is past the horizon
-    /// (a located-but-rejected head still advances the cursor, as
-    /// `locate_min` would).
-    ///
-    /// Events scheduled *while a batch is being dispatched* — even at the
-    /// batch's own timestamp — get strictly larger sequence numbers than
-    /// everything already extracted, so picking them up in the *next*
-    /// `drain_batch` call reproduces the single-pop order exactly. This is
-    /// the ordering contract `Simulator::run_until` batching relies on;
-    /// see DESIGN.md §5g and `tests/batch_equivalence.rs`.
-    ///
-    /// `out` is a caller-owned arena buffer (cleared here) so steady-state
-    /// batch dispatch performs no allocation.
-    ///
-    /// Minimum search and drain are fused: one walk from the cursor both
-    /// locates the `(time, sched, seq)` minimum *and* counts how many
-    /// entries tie its timestamp (ties always share a day, hence a
-    /// bucket), so the untied common case drains with a single O(1)
-    /// `swap_remove` and no second bucket pass.
-    pub fn drain_batch(&mut self, horizon: SimTime, out: &mut Vec<EventKind>) -> Option<SimTime> {
-        out.clear();
-        if self.len == 0 {
-            return None;
-        }
-        self.pops_since_resize += 1;
-        loop {
-            let (b, i, ties) = self.scan_min_with_ties();
-            // Same skew guard as `locate_min`.
-            if self.buckets[b].len() > 16
-                && self.pops_since_resize > self.len
-                && self.buckets[b].len() > 8 * self.len / self.buckets.len()
-            {
-                self.resize(self.buckets.len());
-                continue;
-            }
-            let t = self.buckets[b][i].time;
-            if t > horizon {
-                return None;
-            }
-            let bucket = &mut self.buckets[b];
-            if ties == 1 {
-                let e = bucket.swap_remove(i);
-                out.push(e.kind);
-                self.len -= 1;
-                self.note_pop(e.key());
-            } else {
-                let mut scratch = std::mem::take(&mut self.scratch);
-                scratch.clear();
-                bucket.retain(|e| {
-                    if e.time == t {
-                        scratch.push((e.sched, e.seq, e.kind));
-                        false
-                    } else {
-                        true
-                    }
-                });
-                self.len -= scratch.len();
-                scratch.sort_unstable_by_key(|&(sched, seq, _)| (sched, seq));
-                for &(sched, seq, kind) in &scratch {
-                    out.push(kind);
-                    self.note_pop((t, sched, seq));
-                }
-                self.scratch = scratch;
-            }
-            self.clock = t;
-            // Same shrink trigger as `remove`, applied once per batch.
-            if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-                self.resize((self.buckets.len() / 2).max(MIN_BUCKETS));
-            }
-            return Some(t);
-        }
-    }
-
-    /// [`Self::scan_min`] variant that additionally counts the entries
-    /// tying the minimum's timestamp. Caller guarantees `len > 0`.
-    fn scan_min_with_ties(&mut self) -> (usize, usize, usize) {
-        let nb = self.buckets.len();
-        let mut day = self.cursor_day;
-        for _ in 0..nb {
-            let b = (day & self.mask) as usize;
-            let mut best: Option<(usize, Key)> = None;
-            let mut ties = 0usize;
-            for (i, e) in self.buckets[b].iter().enumerate() {
-                if self.day_of(e.time) != day {
-                    continue;
-                }
-                match best {
-                    None => {
-                        best = Some((i, e.key()));
-                        ties = 1;
-                    }
-                    Some((_, k)) => {
-                        if e.time < k.0 {
-                            best = Some((i, e.key()));
-                            ties = 1;
-                        } else if e.time == k.0 {
-                            ties += 1;
-                            if e.key() < k {
-                                best = Some((i, e.key()));
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some((i, _)) = best {
-                self.cursor_day = day;
-                return (b, i, ties);
-            }
-            day += 1;
-        }
-        // Far-future fallback, as in `scan_min`; the tie recount of the
-        // found bucket is one extra scan on a path pops almost never take.
-        let (b, i) = self.scan_min();
-        let t = self.buckets[b][i].time;
-        let ties = self.buckets[b].iter().filter(|e| e.time == t).count();
-        (b, i, ties)
-    }
-
     /// Rebuild with `new_nb` buckets, re-picking the bucket width from
     /// the spacing of the events at the *head* of the queue (Brown's
     /// rule). The head gap is what pops will actually see; a global
@@ -432,7 +305,6 @@ impl EventQueue {
             len: 0,
             cursor_day: 0,
             pops_since_resize: 0,
-            scratch: Vec::new(),
             next_seq: 0,
             clock: SimTime::ZERO,
             last_popped: None,
@@ -492,7 +364,8 @@ impl EventQueue {
     }
 
     /// Remove and return the earliest event if it fires at or before
-    /// `horizon` — the single-event form of [`Self::drain_batch`].
+    /// `horizon`. This is the simulator's dispatch loop: one call per
+    /// event (a head past the horizon still advances the cursor to it).
     #[inline]
     pub fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
         let pos = self.locate_min()?;
@@ -626,15 +499,6 @@ mod tests {
         q.schedule_from(SimTime::from_millis(5), fire, timer(0, 2));
         let tokens = drain_tokens(&mut q);
         assert_eq!(tokens, vec![1, 2, 0]);
-
-        let mut q = EventQueue::new();
-        q.schedule_from(SimTime::from_millis(10), fire, timer(0, 0));
-        q.schedule_from(SimTime::from_millis(5), fire, timer(0, 1));
-        q.schedule_from(SimTime::from_millis(5), fire, timer(0, 2));
-        let mut out = Vec::new();
-        assert_eq!(q.drain_batch(fire, &mut out), Some(fire));
-        let tokens: Vec<u64> = out.iter().map(|&k| token_of(k)).collect();
-        assert_eq!(tokens, vec![1, 2, 0], "drain_batch");
     }
 
     #[test]

@@ -80,5 +80,5 @@ pub mod prelude {
     pub use crate::stats::Stats;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{Dumbbell, DumbbellConfig, DumbbellOptions, HostPair, ParkingLot, QueueKind};
-    pub use crate::trace::{NsTextTrace, TraceEvent, TraceKind, TraceSink, VecTrace};
+    pub use crate::trace::{TraceEvent, TraceKind, TraceSink, VecTrace};
 }

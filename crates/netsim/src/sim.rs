@@ -161,8 +161,8 @@ struct World {
     /// Invariant auditor, when enabled (see [`crate::audit`]). Boxed so
     /// the disabled case costs one null check per hook.
     audit: Option<Box<Auditor>>,
-    /// Cooperative execution budget, checked at batch boundaries (see
-    /// [`crate::budget`]). Unarmed by default: one branch per batch.
+    /// Cooperative execution budget, checked between events (see
+    /// [`crate::budget`]). Unarmed by default: one branch per event.
     budget: BudgetState,
 }
 
@@ -533,9 +533,6 @@ const UID_TAG_SHIFT: u32 = 48;
 struct Shard {
     world: World,
     agents: Vec<AgentSlot>,
-    /// Reusable arena the event queue drains each timestamp batch into;
-    /// owned here so steady-state batch dispatch never allocates.
-    batch_buf: Vec<EventKind>,
 }
 
 /// The discrete-event network simulator.
@@ -608,7 +605,6 @@ impl Simulator {
                     budget: BudgetState::new(budget::thread_budget()),
                 },
                 agents: Vec::new(),
-                batch_buf: Vec::new(),
             }],
             node_shard: Vec::new(),
             link_shard: Vec::new(),
@@ -914,16 +910,7 @@ impl Simulator {
 
     /// Run until the event queue drains or `until` is reached, whichever
     /// comes first. The clock is left at `until` when the horizon is hit.
-    ///
-    /// The inner loop is *timestamp-batched*: one
-    /// [`EventQueue::drain_batch`] extracts every event sharing the head
-    /// timestamp into a reusable arena, the clock advances once, and the
-    /// events dispatch back-to-back in `(time, sched, seq)` order — the
-    /// exact order repeated single pops produce, so batching is a pure
-    /// optimization (pinned by `tests/batch_equivalence.rs` at the queue
-    /// level). The audit pool cross-check runs once per batch instead of
-    /// once per event; with auditing off the hook is a single null check
-    /// per batch.
+    /// Events dispatch one at a time in `(time, sched, seq)` order.
     pub fn run_until(&mut self, until: SimTime) {
         self.seal();
         self.merged_stats = OnceCell::new();
@@ -1061,7 +1048,6 @@ impl Simulator {
         let Shard {
             world: mut build_world,
             agents: build_agents,
-            batch_buf,
         } = build;
         let mut link_slots: Vec<Option<Link>> = std::mem::take(&mut build_world.links)
             .into_iter()
@@ -1132,11 +1118,9 @@ impl Simulator {
                         budget: build_world.budget.replicate(),
                     },
                     agents,
-                    batch_buf: Vec::new(),
                 }
             })
             .collect();
-        shards[0].batch_buf = batch_buf;
 
         // Re-route the events scheduled during construction (agent
         // starts, typically) to their owning shards, in global queue
@@ -1296,42 +1280,26 @@ impl Simulator {
 }
 
 impl Shard {
-    /// Drain every event with `time <= until` in `(time, sched, seq)`
-    /// order, leaving the clock at the last dispatched event. The inner
-    /// loop is *timestamp-batched*: one [`EventQueue::drain_batch`]
-    /// extracts every event sharing the head timestamp into a reusable
-    /// arena, the clock advances once, and the events dispatch
-    /// back-to-back — the exact order repeated single pops produce, so
-    /// batching is a pure optimization (pinned by
-    /// `tests/batch_equivalence.rs` at the queue level). The audit pool
-    /// cross-check runs once per batch instead of once per event; with
-    /// auditing off the hook is a single null check per batch.
+    /// Dispatch every event with `time <= until` in `(time, sched, seq)`
+    /// order, one pop per event, leaving the clock at the last one
+    /// dispatched. Events a handler schedules — even at the instant
+    /// being dispatched — carry larger sequence numbers, so the next pop
+    /// finds them in order (DESIGN.md §5g).
     fn run_window(&mut self, until: SimTime) {
-        // The arena lives on `self` but is taken out for the loop so
-        // `drain_batch` (which borrows the queue mutably) can fill it.
-        // Handlers dispatched from the batch never see it: events they
-        // schedule — even at the batch's own timestamp — carry larger
-        // sequence numbers and are picked up by a later `drain_batch`.
-        let mut buf = std::mem::take(&mut self.batch_buf);
-        while let Some(time) = self.world.queue.drain_batch(until, &mut buf) {
+        while let Some((time, kind)) = self.world.queue.pop_if_at_or_before(until) {
             debug_assert!(time >= self.world.now, "event queue went backwards");
             self.world.now = time;
-            // Cooperative budget check: integer counters per batch, the
+            // Cooperative budget check: integer counters per event, the
             // wall clock and cancel flag at amortized cadence. A trip
             // unwinds with a `SimAbort` payload (see `crate::budget`).
-            self.world.budget.on_batch(time, buf.len());
-            for &kind in &buf {
-                self.dispatch_event(kind);
-            }
-            // O(1) per-batch cross-check: pool live slots vs ledger.
-            // Every handler leaves the two reconciled, so checking at
-            // batch granularity loses no violations (see audit docs).
-            let World { audit, pool, now, .. } = &mut self.world;
-            if let Some(a) = audit.as_deref_mut() {
-                a.check_pool(pool.len(), *now);
+            self.world.budget.on_event(time);
+            self.dispatch_event(kind);
+            // O(1) cross-check: pool live slots vs ledger. With auditing
+            // off this is a single null check.
+            if let Some(a) = self.world.audit.as_deref_mut() {
+                a.check_pool(self.world.pool.len(), time);
             }
         }
-        self.batch_buf = buf;
     }
 
     /// Receive one source shard's cross-shard packets: re-pool each and
@@ -1941,15 +1909,38 @@ mod tests {
         let mut sim = Simulator::new(0);
         let n = sim.add_node();
         sim.add_agent(n, Box::new(ZeroAdvanceSpinner));
-        sim.set_budget(crate::budget::Budget::none().with_livelock_batches(10_000));
+        sim.set_budget(crate::budget::Budget::none().with_livelock_events(10_000));
         let abort = catch_sim_abort(move || sim.run_until(SimTime::from_secs(1)));
-        match abort {
-            crate::budget::SimAbort::Livelock { at, batches } => {
-                assert_eq!(at, SimTime::ZERO, "spinner never advanced the clock");
-                assert_eq!(batches, 10_000);
+        assert_eq!(
+            abort,
+            crate::budget::SimAbort::Livelock {
+                at: SimTime::ZERO,
+                events: 10_000
+            },
+            "spinner never advanced the clock"
+        );
+    }
+
+    #[test]
+    fn a_same_instant_burst_is_not_a_livelock() {
+        // 2 000 agents all starting at t = 0 are 2 000 consecutive
+        // zero-advance events, and the clock then moves on.
+        struct StartOnce(Arc<AtomicU64>);
+        impl Agent for StartOnce {
+            fn on_start(&mut self, _ctx: &mut Ctx<'_>) {
+                self.0.fetch_add(1, Ordering::Relaxed);
             }
-            other => panic!("expected a livelock abort, got {other:?}"),
+            fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
         }
+        let started = Arc::new(AtomicU64::new(0));
+        let mut sim = Simulator::new(0);
+        let n = sim.add_node();
+        for _ in 0..2_000 {
+            sim.add_agent(n, Box::new(StartOnce(started.clone())));
+        }
+        sim.set_budget(crate::budget::Budget::none().with_livelock_events(10_000));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(started.load(Ordering::Relaxed), 2_000);
     }
 
     #[test]
@@ -2001,7 +1992,7 @@ mod tests {
                     crate::budget::Budget::none()
                         .with_wall_clock(std::time::Duration::from_secs(3600))
                         .with_max_events(u64::MAX)
-                        .with_livelock_batches(crate::budget::Budget::DEFAULT_LIVELOCK_BATCHES)
+                        .with_livelock_events(crate::budget::Budget::DEFAULT_LIVELOCK_EVENTS)
                         .with_cancel(),
                 );
             }

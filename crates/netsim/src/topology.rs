@@ -687,16 +687,6 @@ impl BuiltTopology {
         }
     }
 
-    /// The first congested link in the forward direction — the
-    /// dumbbell bottleneck, or a parking lot's hop 0 (where
-    /// [`DumbbellOptions`] attachments land).
-    pub fn forward_bottleneck(&self) -> LinkId {
-        match self {
-            BuiltTopology::Dumbbell(db) => db.forward,
-            BuiltTopology::ParkingLot(lot) => lot.forward[0],
-        }
-    }
-
     /// The congested forward links, hop by hop.
     pub fn forward_links(&self) -> Vec<LinkId> {
         match self {
@@ -787,7 +777,7 @@ mod spec_tests {
         let pb = built.add_host_pair(&mut b);
         assert_eq!(pa.left, pb.left);
         assert_eq!(pa.right, pb.right);
-        assert_eq!(built.forward_bottleneck(), db.forward);
+        assert_eq!(built.forward_links(), [db.forward]);
         assert_eq!(built.hops(), 1);
 
         let mut c = Simulator::new(9);

@@ -1,14 +1,11 @@
 //! Packet-level event tracing — the ns-2 trace-file equivalent.
 //!
 //! Tracing is opt-in ([`crate::sim::Simulator::set_trace`]) because a
-//! full-scale run generates millions of events. Four sinks are provided:
+//! full-scale run generates millions of events. Three sinks are provided:
 //!
 //! * [`VecTrace`] — collects events in memory (with an optional flow
 //!   filter and a hard cap), for programmatic inspection in tests and
 //!   tools;
-//! * [`NsTextTrace`] — renders the classic ns-2 text format
-//!   (`+`/`-`/`d`/`r` lines) into any `io::Write`, so existing trace
-//!   tooling and eyeballs work unchanged;
 //! * [`StreamTrace`] — streams *windowed aggregates* (throughput,
 //!   drops, queue occupancy per time bin) as JSONL or CSV rows into any
 //!   `io::Write`, holding O(1) memory in packet count — the sink for
@@ -173,11 +170,6 @@ impl VecTrace {
     pub fn truncated(&self) -> u64 {
         self.total_seen.saturating_sub(self.events.len() as u64)
     }
-
-    /// True if any matching event was dropped.
-    pub fn is_truncated(&self) -> bool {
-        self.truncated() > 0
-    }
 }
 
 impl TraceSink for VecTrace {
@@ -203,96 +195,6 @@ impl TraceSink for VecTrace {
                 self.cap, self.total_seen
             );
         }
-    }
-}
-
-/// Renders ns-2-style text trace lines:
-///
-/// ```text
-/// + 0.052314 link2 flow0 tcp 1000 seq 41 uid 97
-/// d 0.052314 link2 flow0 tcp 1000 seq 41 uid 97 (queue)
-/// r 0.077314 node5 flow0 tcp 1000 seq 41 uid 97
-/// ```
-pub struct NsTextTrace<W: Write + Send> {
-    out: W,
-}
-
-impl<W: Write + Send> NsTextTrace<W> {
-    /// Write trace lines into `out`.
-    pub fn new(out: W) -> Self {
-        NsTextTrace { out }
-    }
-
-    /// Finish and return the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write + Send> TraceSink for NsTextTrace<W> {
-    fn record(&mut self, e: &TraceEvent) {
-        let proto = if e.is_data { "tcp" } else { "ack" };
-        let tail = format!(
-            "flow{} {} {} seq {} uid {}",
-            e.flow.index(),
-            proto,
-            e.size,
-            e.seq,
-            e.uid
-        );
-        let res = match e.kind {
-            TraceKind::Send => writeln!(self.out, "s {} src {tail}", e.time.as_secs_f64()),
-            TraceKind::Enqueue { link } => writeln!(
-                self.out,
-                "+ {} link{} {tail}",
-                e.time.as_secs_f64(),
-                link.index()
-            ),
-            TraceKind::Dequeue { link } => writeln!(
-                self.out,
-                "- {} link{} {tail}",
-                e.time.as_secs_f64(),
-                link.index()
-            ),
-            TraceKind::Drop { link, reason } => writeln!(
-                self.out,
-                "d {} link{} {tail} ({})",
-                e.time.as_secs_f64(),
-                link.index(),
-                match reason {
-                    DropReason::LossPattern => "loss-pattern",
-                    DropReason::Queue => "queue",
-                    DropReason::LinkDown => "link-down",
-                }
-            ),
-            TraceKind::Mark { link } => writeln!(
-                self.out,
-                "m {} link{} {tail}",
-                e.time.as_secs_f64(),
-                link.index()
-            ),
-            TraceKind::Deliver { node } => writeln!(
-                self.out,
-                "r {} node{} {tail}",
-                e.time.as_secs_f64(),
-                node.index()
-            ),
-            TraceKind::FaultDup { link } => writeln!(
-                self.out,
-                "D {} link{} {tail}",
-                e.time.as_secs_f64(),
-                link.index()
-            ),
-            TraceKind::FaultHold { link } => writeln!(
-                self.out,
-                "h {} link{} {tail}",
-                e.time.as_secs_f64(),
-                link.index()
-            ),
-        };
-        // A failed trace write must not bring the simulation down; the
-        // trace is observability, not state.
-        let _ = res;
     }
 }
 
@@ -586,8 +488,8 @@ pub fn write_bin_row<W: Write>(
             bin.occupancy_end,
         ),
     };
-    // Same policy as NsTextTrace: a failed trace write must not bring
-    // the simulation down.
+    // A failed trace write must not bring the simulation down; the
+    // trace is observability, not state.
     let _ = res;
 }
 
@@ -645,33 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn ns_text_format_lines() {
-        let mut t = NsTextTrace::new(Vec::new());
-        let p = pkt(7, 0);
-        t.record(&TraceEvent::new(
-            SimTime::from_millis(52),
-            TraceKind::Enqueue {
-                link: LinkId::from_index(2),
-            },
-            &p,
-        ));
-        t.record(&TraceEvent::new(
-            SimTime::from_millis(53),
-            TraceKind::Drop {
-                link: LinkId::from_index(2),
-                reason: DropReason::Queue,
-            },
-            &p,
-        ));
-        let text = String::from_utf8(t.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("+ 0.052 link2"), "{}", lines[0]);
-        assert!(lines[1].starts_with("d 0.053 link2"), "{}", lines[1]);
-        assert!(lines[1].ends_with("(queue)"));
-    }
-
-    #[test]
     fn vec_trace_counts_truncation() {
         let mut t = VecTrace::new(2);
         for i in 0..5 {
@@ -681,7 +556,6 @@ mod tests {
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.total_seen(), 5);
         assert_eq!(t.truncated(), 3);
-        assert!(t.is_truncated());
     }
 
     fn ev(ms: u64, kind: TraceKind) -> TraceEvent {

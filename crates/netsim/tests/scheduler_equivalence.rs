@@ -1,9 +1,10 @@
 //! Property tests pinning `EventQueue` (the calendar queue) to the
 //! `BinaryHeap` reference model in `tests/common`: for *any* schedule —
 //! equal-timestamp ties, far-future times that land in overflow buckets,
-//! pops interleaved with pushes — the queue must produce the model's
-//! event sequence. This is the determinism contract `event.rs` promises;
-//! if it ever breaks, figure outputs silently change.
+//! pops interleaved with pushes, handlers that schedule mid-dispatch —
+//! the queue must produce the model's event sequence. This is the
+//! determinism contract `event.rs` promises; if it ever breaks, figure
+//! outputs silently change.
 
 mod common;
 
@@ -41,6 +42,47 @@ fn run_trace<Q: Queue>(ops: &[Option<u64>]) -> Vec<(u64, u64)> {
         popped.push((t.as_nanos(), token_of(kind)));
     }
     popped
+}
+
+/// What a handler schedules on dispatching `token`: usually nothing, else
+/// a child at offset zero (the very timestamp being dispatched), small,
+/// or hours out. Children spawn children; `budget` bounds the cascade.
+fn spawn_offset(token: u64) -> Option<u64> {
+    let mut h = token.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^= h >> 33;
+    match h % 8 {
+        0 => Some(0),
+        1 => Some(1 + h % 1_000),
+        2 => Some(h % 50_000_000),
+        3 => Some(3_600_000_000_000 + h % 1_000_000_000),
+        _ => None,
+    }
+}
+
+/// Dispatch the whole queue as `Shard::run_window` does, one
+/// `pop_if_at_or_before` per event, applying the spawn rule after each.
+fn run_dispatch<Q: Queue>(times: &[u64], budget: usize) -> Vec<(u64, u64)> {
+    let horizon = SimTime::from_nanos(u64::MAX);
+    let mut q = Q::default();
+    let mut next_token = 0u64;
+    for &t in times {
+        q.schedule(SimTime::from_nanos(t), ev(next_token));
+        next_token += 1;
+    }
+    let mut spawned = 0usize;
+    let mut out = Vec::new();
+    while let Some((t, k)) = q.pop_if_at_or_before(horizon) {
+        let token = token_of(k);
+        out.push((t.as_nanos(), token));
+        if spawned < budget {
+            if let Some(dt) = spawn_offset(token) {
+                q.schedule(SimTime::from_nanos(t.as_nanos() + dt), ev(next_token));
+                next_token += 1;
+                spawned += 1;
+            }
+        }
+    }
+    out
 }
 
 /// One long-lived queue driven through the regimes that whole-simulation
@@ -112,6 +154,34 @@ proptest! {
     ) {
         let ops: Vec<Option<u64>> = slots.iter().map(|&s| Some(base + s)).collect();
         prop_assert_eq!(run_trace::<EventQueue>(&ops), run_trace::<HeapModel>(&ops));
+    }
+
+    /// Handlers insert events during dispatch — including at the
+    /// timestamp being dispatched — and the order is still the model's.
+    #[test]
+    fn mid_dispatch_inserts_preserve_order(
+        raw_times in prop::collection::vec(0u64..u64::MAX, 1..200),
+    ) {
+        let times: Vec<u64> = raw_times.iter().map(|&r| shape_time(r)).collect();
+        let budget = times.len() * 2;
+        prop_assert_eq!(
+            run_dispatch::<EventQueue>(&times, budget),
+            run_dispatch::<HeapModel>(&times, budget)
+        );
+    }
+
+    /// Massed ties at a handful of instants, with handlers adding more
+    /// at those same instants: order is carried by `(sched, seq)` alone.
+    #[test]
+    fn tied_dispatch_resolves_identically(
+        slots in prop::collection::vec(0u64..4, 2..200),
+        base in 0u64..1_000_000,
+    ) {
+        let times: Vec<u64> = slots.iter().map(|&s| base + s).collect();
+        prop_assert_eq!(
+            run_dispatch::<EventQueue>(&times, times.len()),
+            run_dispatch::<HeapModel>(&times, times.len())
+        );
     }
 
     /// `pop_if_at_or_before` agrees with the model at every horizon,

@@ -10,20 +10,35 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier-1: release build =="
+# `section TITLE` opens a step and books the previous one's elapsed
+# seconds; the summary at the end shows where the time went. Reported
+# only: no step judges time.
+timings=""
+section_name=""
+section() {
+  if [ -n "$section_name" ]; then
+    echo "-- ${section_name}: ${SECONDS}s"
+    timings+="$(printf '%5ss  %s' "$SECONDS" "$section_name")"$'\n'
+  fi
+  section_name="$1"
+  SECONDS=0
+  [ -z "$1" ] || echo "== $1 =="
+}
+
+section "tier-1: release build"
 cargo build --release
 
-echo "== clippy (workspace, warnings are errors) =="
+section "clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== workspace tests =="
+section "workspace tests"
 cargo test -q --workspace
 
 cargo build --release -p slowcc-experiments --bin repro
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== target list from the registry (repro list) =="
+section "target list from the registry (repro list)"
 # Every target below comes from `repro list` itself, so a newly
 # registered experiment is covered here without editing this script.
 targets="$(./target/release/repro list \
@@ -33,7 +48,7 @@ if [ -z "$targets" ]; then
 fi
 echo "targets: $(echo "$targets" | tr '\n' ' ')"
 
-echo "== repro --quick smoke over all listed targets (--jobs 1 vs --jobs 8) =="
+section "repro --quick smoke over all listed targets (--jobs 1 vs --jobs 8)"
 # shellcheck disable=SC2086
 ./target/release/repro --quick $targets --jobs 1 --out "$tmp/j1" > "$tmp/stdout_j1.txt"
 # shellcheck disable=SC2086
@@ -42,7 +57,7 @@ diff -r "$tmp/j1" "$tmp/j8"
 diff "$tmp/stdout_j1.txt" "$tmp/stdout_j8.txt"
 echo "parallel output byte-identical to serial"
 
-echo "== RFC conformance gate (repro conformance) =="
+section "RFC conformance gate (repro conformance)"
 # The specs/ tree must parse with unique requirement ids, zero
 # dangling test links, and no MUST-level requirement left `untested`
 # without a recorded `deviates` rationale. Any violation panics its
@@ -55,7 +70,7 @@ for rfc in rfc1122 rfc2481 rfc3448 rfc5681 rfc6298 rfc6582; do
 done
 echo "conformance ledger clean over all six RFCs"
 
-echo "== shard equivalence smoke (SLOWCC_SHARDS=4) =="
+section "shard equivalence smoke (SLOWCC_SHARDS=4)"
 # Conservative-parallel execution must reproduce the serial run
 # byte-for-byte (DESIGN.md §5h).
 ./target/release/repro --quick fig45 --out "$tmp/serial" > /dev/null
@@ -63,7 +78,7 @@ SLOWCC_SHARDS=4 ./target/release/repro --quick fig45 --out "$tmp/sharded" > /dev
 diff -r "$tmp/serial" "$tmp/sharded"
 echo "4-shard output byte-identical to serial"
 
-echo "== audited smoke (SLOWCC_AUDIT=1) =="
+section "audited smoke (SLOWCC_AUDIT=1)"
 # Strict env-var path: any invariant violation panics the run.
 SLOWCC_AUDIT=1 ./target/release/repro --quick fig45 > /dev/null
 # Collect --audit path: the run reports and the exit code gates.
@@ -72,7 +87,7 @@ grep "audit: " "$tmp/audit.txt"
 grep -q " 0 timer leaks, 0 violations" "$tmp/audit.txt"
 echo "audited fig45 clean"
 
-echo "== chaos fault-injection smoke (SLOWCC_AUDIT=strict) =="
+section "chaos fault-injection smoke (SLOWCC_AUDIT=strict)"
 SLOWCC_AUDIT=strict \
   ./target/release/repro --quick chaos --out "$tmp/chaos" > "$tmp/chaos.txt"
 # Same seeds, second run: must replay byte-identically.
@@ -83,7 +98,7 @@ diff "$tmp/chaos.txt" "$tmp/chaos2.txt"
 grep -q "all graceful" "$tmp/chaos.txt"
 echo "chaos sweep audit-clean, bit-identical across runs"
 
-echo "== resume replay smoke (fully cached rerun, byte-identical) =="
+section "resume replay smoke (fully cached rerun, byte-identical)"
 ./target/release/repro --quick fig3 fig45 --out "$tmp/resume_base" > "$tmp/resume_stdout1.txt"
 cp -r "$tmp/resume_base" "$tmp/resume_before"
 ./target/release/repro --quick fig3 fig45 --out "$tmp/resume_base" --resume \
@@ -93,7 +108,7 @@ diff -r "$tmp/resume_before" "$tmp/resume_base"
 grep -q "cells already ok" "$tmp/resume_stderr2.txt"
 echo "resumed run replayed every cell from cache, output byte-identical"
 
-echo "== crash isolation: deliberate panic-cell fixture =="
+section "crash isolation: deliberate panic-cell fixture"
 # A multi-cell figure rides along so the resume below demonstrably
 # skips completed cells one by one rather than per target.
 if ./target/release/repro --quick --out "$tmp/crash" fig45 panic-cell \
@@ -120,7 +135,7 @@ fi
 grep -q "FAILED cell panic-cell/fixture" "$tmp/resume.txt"
 echo "panic isolated per cell, manifest recorded, resume re-ran only the failure"
 
-echo "== supervisor: hung and slow cells classified, quarantined, siblings survive =="
+section "supervisor: hung and slow cells classified, quarantined, siblings survive"
 # hang-cell livelocks (zero-clock-advance loop) and slow-cell runs
 # effectively forever; the budget unwinds both — threads joined, not
 # abandoned — classifies them (livelock / deadline), the --retries
@@ -143,7 +158,7 @@ if [ "$sup_cells" -lt 2 ] || [ "$sup_cells" -ne "$sup_ok" ]; then
 fi
 echo "livelock and deadline classified, quarantined after identical retries, siblings ok"
 
-echo "== supervisor: SIGINT preemption is resumable byte-identically =="
+section "supervisor: SIGINT preemption is resumable byte-identically"
 # Baseline fig3 sweep, then the same sweep plus a never-finishing cell:
 # once every fig3 cell has landed in the manifest, SIGINT the process.
 # It must exit 130 (interrupted, resumable), record the in-flight cell
@@ -176,7 +191,7 @@ for f in "$tmp/sig_base"/fig3*; do
 done
 echo "SIGINT exited 130, in-flight cell recorded interrupted, resume byte-identical"
 
-echo "== scenario DSL smoke (repro run vs registry twin vs committed fixture) =="
+section "scenario DSL smoke (repro run vs registry twin vs committed fixture)"
 # The declarative layer is a compilation target, not a second
 # implementation: running the shipped chaos-twin TOML through
 # `repro run` must produce bytes identical to the hidden registry twin
@@ -199,12 +214,22 @@ if ./target/release/repro run examples/scenarios/malformed-queue.toml \
   echo "ERROR: malformed scenario should have produced a nonzero exit"; exit 1
 fi
 grep -q 'malformed-queue.toml:12: `red_\*` keys are only valid' "$tmp/malformed.txt"
+# So must an out-of-range value that an unchecked cast would have
+# truncated into a plausible run.
+if ./target/release/repro run examples/scenarios/malformed-pkt-size.toml \
+    > "$tmp/malformed2.txt" 2>&1; then
+  echo "ERROR: out-of-range pkt_size should have produced a nonzero exit"; exit 1
+fi
+grep -q 'malformed-pkt-size.toml:12: `pkt_size`' "$tmp/malformed2.txt"
 echo "scenario run byte-identical to registry twin and committed fixture; malformed rejected"
 
-echo "== repo benchmark smoke (benchmark/run.sh --smoke) =="
+section "repo benchmark smoke (benchmark/run.sh --smoke)"
 # Builds the benchmark package against this tree and runs every
 # workload briefly with its own checks: per-seed digest identity,
 # link conservation, a clean audit, sweep and replay byte-identity.
 benchmark/run.sh --smoke
 
+section ""
+echo "== elapsed per section =="
+printf '%s' "$timings"
 echo "== verify OK =="
