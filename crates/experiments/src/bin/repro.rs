@@ -16,7 +16,7 @@
 //!
 //! Cells are seeded independently and collected in declaration order,
 //! so tables, JSON and CSV are byte-identical across `--jobs`
-//! settings, shard counts, and resumed runs.
+//! settings and resumed runs.
 //!
 //! # Supervision, crash isolation, and resumption
 //!
@@ -40,7 +40,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use slowcc_experiments::scale::Scale;
 use slowcc_experiments::{dsl, exec, registry, runner};
@@ -117,9 +117,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--cell-timeout" => match args.next().and_then(|n| n.parse::<f64>().ok()) {
-                Some(secs) if secs > 0.0 => cell_timeout = Some(Duration::from_secs_f64(secs)),
-                _ => {
+            "--cell-timeout" => match args.next().as_deref().and_then(parse_cell_timeout) {
+                Some(limit) => cell_timeout = Some(limit),
+                None => {
                     eprintln!("--cell-timeout requires a positive number of seconds");
                     return ExitCode::FAILURE;
                 }
@@ -241,6 +241,13 @@ fn main() -> ExitCode {
     code
 }
 
+/// A `--cell-timeout` value: a positive number of seconds that both a
+/// `Duration` and a deadline `Instant` can represent.
+fn parse_cell_timeout(arg: &str) -> Option<Duration> {
+    let limit = Duration::try_from_secs_f64(arg.parse().ok()?).ok()?;
+    (!limit.is_zero() && Instant::now().checked_add(limit).is_some()).then_some(limit)
+}
+
 fn usage() {
     eprintln!(
         "usage: repro [--quick] [--audit] [--jobs N] [--out DIR] [--resume] \
@@ -261,4 +268,20 @@ fn usage() {
     eprintln!("         backoff); two identical outcomes quarantine the cell as deterministic");
     eprintln!("exit codes: 0 ok; 1 cells failed or audit violations; 130 interrupted");
     eprintln!("         (SIGINT/SIGTERM: manifest flushed, rerun with --resume to continue)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cell_timeout_rejects_what_a_deadline_cannot_hold() {
+        assert_eq!(parse_cell_timeout("30"), Some(Duration::from_secs(30)));
+        assert_eq!(parse_cell_timeout("0.5"), Some(Duration::from_millis(500)));
+        // `Duration` overflow (1e30, inf, 1e400 parses to inf), `Instant`
+        // overflow (1e19 s fits a `Duration`), and the non-positive.
+        for bad in ["1e30", "inf", "1e400", "1e19", "0", "-1", "nan", "soon"] {
+            assert_eq!(parse_cell_timeout(bad), None, "{bad}");
+        }
+    }
 }

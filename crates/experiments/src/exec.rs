@@ -26,9 +26,8 @@
 //!    `failures.json` (an empty, byte-stable file on a clean sweep);
 //! 6. assembles, renders and saves each fully-ok target serially in
 //!    command-line order — cells print nothing, so stdout is
-//!    byte-identical across `--jobs`, shard counts, and resumed
-//!    runs — and reports failed cells on stderr with a classification
-//!    summary table.
+//!    byte-identical across `--jobs` and resumed runs — and reports
+//!    failed cells on stderr with a classification summary table.
 //!
 //! On SIGINT/SIGTERM the cancel flag rises, in-flight cells unwind at
 //! their next budget check as `interrupted`, pending cells fail fast

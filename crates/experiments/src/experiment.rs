@@ -170,7 +170,7 @@ pub trait AnyExperiment: Send + Sync {
     /// Run every cell through the worker pool and return the per-cell
     /// JSON encodings in cell order — the cell-level determinism probe
     /// (compared against a serial [`AnyExperiment::run_cell_dyn`]
-    /// loop and across shard counts).
+    /// loop).
     fn cell_jsons(&self, scale: Scale) -> Vec<String>;
 }
 

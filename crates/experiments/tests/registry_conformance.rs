@@ -2,21 +2,19 @@
 //! fixtures excluded) must complete its Quick sweep cleanly under the
 //! audit, and infrastructure must be invisible in the results — the
 //! per-cell outputs of a multi-threaded pool run must be byte-identical
-//! to a plain serial loop over the same cells, and the shard count
-//! (serial vs conservative-parallel) may not change a single byte
-//! either. This replaces the old per-target copies of these checks,
+//! to a plain serial loop over the same cells. This replaces the old
+//! per-target copies of these checks,
 //! which covered Figure 4/5 only; a new experiment gets the same
 //! coverage just by being registered.
 //!
 //! Everything lives in one `#[test]` in its own integration-test
-//! binary: it pins the process-global worker-pool width, shard
-//! default, and audit default, and splitting it into parallel tests
+//! binary: it pins the process-global worker-pool width and audit
+//! default, and splitting it into parallel tests
 //! (or sharing a binary with others) would race on those globals.
 
 use slowcc_experiments::scale::Scale;
 use slowcc_experiments::{registry, runner};
 use slowcc_netsim::audit::{set_default_audit, take_global_report, AuditMode};
-use slowcc_netsim::sim::set_default_shards;
 
 #[test]
 fn every_experiment_is_schedule_invariant_and_audit_clean_at_quick() {
@@ -26,7 +24,6 @@ fn every_experiment_is_schedule_invariant_and_audit_clean_at_quick() {
     impl Drop for Restore {
         fn drop(&mut self) {
             set_default_audit(None);
-            set_default_shards(None);
         }
     }
     let _restore = Restore;
@@ -57,20 +54,6 @@ fn every_experiment_is_schedule_invariant_and_audit_clean_at_quick() {
             pooled,
             serial,
             "{}: pooled sweep must be byte-identical to the serial loop",
-            exp.name()
-        );
-
-        // The same cells on two conservative-parallel shards: the shard
-        // sync contract (DESIGN.md §5h) promises any shard count
-        // reproduces the serial engine bit-exactly, so the figures
-        // cannot move a single byte.
-        set_default_shards(Some(2));
-        let sharded = exp.cell_jsons(Scale::Quick);
-        set_default_shards(None);
-        assert_eq!(
-            sharded,
-            serial,
-            "{}: two-shard run must reproduce the serial output byte-for-byte",
             exp.name()
         );
     }

@@ -14,32 +14,18 @@
 //!    TCP(1/2)/3-hop Quick cell: the long flow's throughput and the
 //!    cross-flow mean (re-summed in installation order) are
 //!    bit-identical.
-//! 3. Every shipped scenario file replays byte-identically under two
-//!    conservative-parallel shards, exactly like the registry-wide
-//!    conformance sweep.
-//!
-//! Lives in its own integration binary because it pins the
-//! process-global shard default (same reasoning as registry_conformance).
+//! 3. Every shipped scenario file fanned out over the worker pool is
+//!    byte-identical to a serial loop over its cells, exactly like the
+//!    registry-wide conformance sweep.
 
 use slowcc_experiments::dsl::{self, builtin};
 use slowcc_experiments::experiment::Experiment;
 use slowcc_experiments::flavor::Flavor;
 use slowcc_experiments::scale::Scale;
 use slowcc_experiments::{chaos, hetero};
-use slowcc_netsim::sim::set_default_shards;
-
-/// Restore the process-global shard default on every exit path.
-struct Restore;
-impl Drop for Restore {
-    fn drop(&mut self) {
-        set_default_shards(None);
-    }
-}
 
 #[test]
 fn scenario_twins_are_bit_identical_and_schedule_invariant() {
-    let _restore = Restore;
-
     // --- Contract 1: chaos twin vs the hand-coded chaos cell. ---
     let hand = chaos::ChaosExperiment.run_cell(Scale::Quick, (Flavor::standard_tcp(), 1000));
     let twin_exp = dsl::ScenarioExperiment::new(builtin::chaos_twin_spec());
@@ -94,7 +80,7 @@ fn scenario_twins_are_bit_identical_and_schedule_invariant() {
         hand.cross_mean_bps
     );
 
-    // --- Contract 3: every shipped scenario is shard-invariant. ---
+    // --- Contract 3: every shipped scenario is schedule-invariant. ---
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
     let mut checked = 0;
     for entry in std::fs::read_dir(&dir).expect("examples/scenarios exists") {
@@ -106,15 +92,15 @@ fn scenario_twins_are_bit_identical_and_schedule_invariant() {
         let exp = dsl::load_experiment(&path).unwrap_or_else(|e| panic!("{e}"));
         checked += 1;
 
-        let serial = exp.cell_jsons(Scale::Quick);
-        assert!(!serial.is_empty(), "{name}: no cells at Quick");
-
-        set_default_shards(Some(2));
-        let sharded = exp.cell_jsons(Scale::Quick);
-        set_default_shards(None);
+        let n = exp.cell_meta(Scale::Quick).len();
+        assert!(n > 0, "{name}: no cells at Quick");
+        let serial: Vec<String> = (0..n)
+            .map(|i| exp.run_cell_dyn(Scale::Quick, i).1)
+            .collect();
         assert_eq!(
-            sharded, serial,
-            "{name}: two-shard run must reproduce the serial output byte-for-byte"
+            exp.cell_jsons(Scale::Quick),
+            serial,
+            "{name}: pooled sweep must be byte-identical to the serial loop"
         );
     }
     assert!(checked >= 3, "expected >= 3 shipped scenarios, replayed {checked}");

@@ -33,7 +33,6 @@
 //! [`take_global_report`] drains — the mode the experiments runner's
 //! `--audit` flag uses to audit a whole figure sweep.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 use std::sync::{Mutex, OnceLock};
 
@@ -64,8 +63,7 @@ static ENV_MODE: OnceLock<Option<AuditMode>> = OnceLock::new();
 
 /// Force every subsequently created [`crate::sim::Simulator`] to audit in
 /// `mode`; `None` restores the default resolution (the `SLOWCC_AUDIT`
-/// environment variable, then off). Mirrors
-/// [`crate::sim::set_default_shards`].
+/// environment variable, then off).
 pub fn set_default_audit(mode: Option<AuditMode>) {
     let v = match mode {
         None => 0,
@@ -98,16 +96,7 @@ enum PacketState {
     InFlight,
     Delivered,
     Dropped,
-    /// Handed off to another shard's pool (conservative-parallel
-    /// execution). Terminal *for this shard's books*; the cross-shard
-    /// reconciliation in [`merge_shard_reports`] proves every exported
-    /// packet was imported exactly once somewhere else.
-    Exported,
 }
-
-/// Low 48 bits of a packet uid are the per-shard counter; the high bits
-/// are the minting shard's tag (see `UID_TAG_SHIFT` in `sim.rs`).
-const UID_INDEX_MASK: u64 = (1u64 << 48) - 1;
 
 /// Independent per-link books: what the auditor itself saw happen at the
 /// link, to be reconciled against [`Stats`] and the buffer occupancy.
@@ -234,69 +223,15 @@ pub fn take_global_report() -> Option<AuditReport> {
         .take()
 }
 
-/// Fold the per-shard teardown reports of ONE sharded simulation into a
-/// single report (`sims == 1`, exactly what the serial run would have
-/// produced), reconciling the cross-shard handoff ledgers: the multiset
-/// of uids every shard exported must equal the multiset every shard
-/// imported — a lost or duplicated handoff is an invariant violation
-/// (and a panic when any shard audited strictly).
-pub(crate) fn merge_shard_reports(
-    parts: Vec<AuditReport>,
-    mut exported: Vec<u64>,
-    mut imported: Vec<u64>,
-    strict: bool,
-) -> AuditReport {
-    let mut merged = AuditReport::default();
-    for part in &parts {
-        merged.merge(part);
-    }
-    merged.sims = 1;
-    exported.sort_unstable();
-    imported.sort_unstable();
-    if exported != imported {
-        let msg = format!(
-            "cross-shard handoff mismatch: {} exports vs {} imports \
-             (first divergence at {:?})",
-            exported.len(),
-            imported.len(),
-            exported
-                .iter()
-                .zip(&imported)
-                .find(|(e, i)| e != i)
-                .map(|(e, i)| (*e, *i))
-        );
-        if strict {
-            panic!("audit violation: {msg}");
-        }
-        merged.violations += 1;
-        if merged.violation_messages.len() < MAX_VIOLATION_MESSAGES {
-            merged.violation_messages.push(msg);
-        }
-    }
-    merged
-}
-
 /// The auditor itself: one per audited simulator, owned by the world and
 /// fed by hooks on the simulator's hot paths.
 #[derive(Debug)]
 pub(crate) struct Auditor {
     mode: AuditMode,
-    /// This shard's uid tag: the high bits every natively minted uid
-    /// carries. Zero on a serial simulator, where every uid is native.
-    uid_tag: u64,
-    /// Terminal-state ledger for natively minted packets, indexed by the
-    /// low (counter) bits of the uid (assigned densely from zero by
-    /// `Ctx::send`).
+    /// Terminal-state ledger, indexed by uid (assigned densely from zero
+    /// by `Ctx::send`).
     ledger: Vec<PacketState>,
-    /// Terminal-state ledger for packets imported from other shards,
-    /// keyed by full (foreign-tagged) uid. Empty on a serial simulator.
-    imported: BTreeMap<u64, PacketState>,
-    /// Every cross-shard handoff, as seen from each side (multisets, so
-    /// a packet bouncing A→B→A is two entries). Reconciled globally at
-    /// teardown by [`merge_shard_reports`].
-    exported_log: Vec<u64>,
-    imported_log: Vec<u64>,
-    /// Maintained live-packet count: `+1` inject/import, `-1` on any
+    /// Maintained live-packet count: `+1` on inject, `-1` on any
     /// terminal state. Equals the pool's live-slot count at all times.
     live: u64,
     delivered: u64,
@@ -310,20 +245,9 @@ pub(crate) struct Auditor {
 
 impl Auditor {
     pub(crate) fn new(mode: AuditMode) -> Self {
-        Auditor::sharded(mode, 0)
-    }
-
-    /// An auditor for one shard of a sharded simulator: native uids carry
-    /// `uid_tag` in their high bits, anything else must arrive via
-    /// [`Self::on_import`].
-    pub(crate) fn sharded(mode: AuditMode, uid_tag: u64) -> Self {
         Auditor {
             mode,
-            uid_tag,
             ledger: Vec::new(),
-            imported: BTreeMap::new(),
-            exported_log: Vec::new(),
-            imported_log: Vec::new(),
             live: 0,
             delivered: 0,
             dropped: 0,
@@ -335,30 +259,10 @@ impl Auditor {
         }
     }
 
-    /// The mode this auditor runs in (to replicate onto shard auditors).
-    pub(crate) fn mode(&self) -> AuditMode {
-        self.mode
-    }
-
-    /// Whether a violation panics on the spot.
-    pub(crate) fn is_strict(&self) -> bool {
-        self.mode == AuditMode::Strict
-    }
-
     /// Downgrade to Collect, used when teardown runs during an unrelated
     /// panic and must not double-panic.
     pub(crate) fn set_collect(&mut self) {
         self.mode = AuditMode::Collect;
-    }
-
-    /// Drain the export-side handoff log for cross-shard reconciliation.
-    pub(crate) fn take_exported_log(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.exported_log)
-    }
-
-    /// Drain the import-side handoff log for cross-shard reconciliation.
-    pub(crate) fn take_imported_log(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.imported_log)
     }
 
     fn violation(&mut self, msg: String) {
@@ -368,31 +272,6 @@ impl Auditor {
         self.violations += 1;
         if self.messages.len() < MAX_VIOLATION_MESSAGES {
             self.messages.push(msg);
-        }
-    }
-
-    /// Whether `uid` was minted by this shard (always true serially).
-    fn is_native(&self, uid: u64) -> bool {
-        uid & !UID_INDEX_MASK == self.uid_tag
-    }
-
-    /// Current state of `uid`, wherever its books live.
-    fn state_of(&self, uid: u64) -> Option<PacketState> {
-        if self.is_native(uid) {
-            self.ledger.get((uid & UID_INDEX_MASK) as usize).copied()
-        } else {
-            self.imported.get(&uid).copied()
-        }
-    }
-
-    fn set_state(&mut self, uid: u64, state: PacketState) {
-        if self.is_native(uid) {
-            self.ledger[(uid & UID_INDEX_MASK) as usize] = state;
-        } else {
-            *self
-                .imported
-                .get_mut(&uid)
-                .expect("set_state only after state_of succeeded") = state;
         }
     }
 
@@ -416,10 +295,10 @@ impl Auditor {
 
     /// A packet entered the pool via `Ctx::send`.
     pub(crate) fn on_inject(&mut self, uid: u64) {
-        if uid != self.uid_tag | self.ledger.len() as u64 {
+        if uid != self.ledger.len() as u64 {
             self.violation(format!(
                 "packet uid {uid} injected out of order (expected {})",
-                self.uid_tag | self.ledger.len() as u64
+                self.ledger.len()
             ));
             return;
         }
@@ -427,50 +306,14 @@ impl Auditor {
         self.live += 1;
     }
 
-    /// A packet left this shard's pool for another shard's.
-    pub(crate) fn on_export(&mut self, uid: u64) {
-        self.terminate(uid, PacketState::Exported, "exported");
-        self.exported_log.push(uid);
-    }
-
-    /// A packet arrived from another shard's pool. Legitimately
-    /// re-enlivens a uid this shard already exported (a packet whose
-    /// route revisits the shard); anything else live is a double import.
-    pub(crate) fn on_import(&mut self, uid: u64) {
-        self.imported_log.push(uid);
-        let prior = if self.is_native(uid) {
-            self.state_of(uid)
-        } else {
-            Some(
-                *self
-                    .imported
-                    .entry(uid)
-                    .or_insert(PacketState::Exported),
-            )
-        };
-        match prior {
-            Some(PacketState::Exported) => {
-                self.set_state(uid, PacketState::InFlight);
-                self.live += 1;
-            }
-            Some(prior) => self.violation(format!(
-                "packet uid {uid} imported while already {prior:?} in this shard"
-            )),
-            None => self.violation(format!(
-                "packet uid {uid} imported but claims to be native here and was never injected"
-            )),
-        }
-    }
-
     fn terminate(&mut self, uid: u64, state: PacketState, what: &str) {
-        match self.state_of(uid) {
+        match self.ledger.get(uid as usize).copied() {
             Some(PacketState::InFlight) => {
-                self.set_state(uid, state);
+                self.ledger[uid as usize] = state;
                 self.live -= 1;
                 match state {
                     PacketState::Delivered => self.delivered += 1,
                     PacketState::Dropped => self.dropped += 1,
-                    PacketState::Exported => {}
                     PacketState::InFlight => unreachable!(),
                 }
             }
@@ -553,23 +396,15 @@ impl Auditor {
         queued: &[usize],
         stats: &Stats,
     ) -> AuditReport {
-        // Exact uid-set equality between the pool and the ledger (native
-        // live uids re-tagged, plus imported live uids).
+        // Exact uid-set equality between the pool and the ledger.
         pool_live_uids.sort_unstable();
-        let mut ledger_live_uids: Vec<u64> = self
+        let ledger_live_uids: Vec<u64> = self
             .ledger
             .iter()
             .enumerate()
             .filter(|(_, s)| **s == PacketState::InFlight)
-            .map(|(ix, _)| self.uid_tag | ix as u64)
+            .map(|(ix, _)| ix as u64)
             .collect();
-        ledger_live_uids.extend(
-            self.imported
-                .iter()
-                .filter(|(_, s)| **s == PacketState::InFlight)
-                .map(|(uid, _)| *uid),
-        );
-        ledger_live_uids.sort_unstable();
         if pool_live_uids != ledger_live_uids {
             let pool_only: Vec<u64> = pool_live_uids
                 .iter()
@@ -626,19 +461,13 @@ impl Auditor {
             }
         }
 
-        // Per-shard packet conservation: everything that entered this
-        // shard's books (native injections plus imports) left through a
-        // terminal state or is still live. Serially the export/import
-        // terms are zero and this is the classic conservation law.
+        // Packet conservation: everything injected left through a
+        // terminal state or is still live.
         let in_flight = self.live;
-        let imported_n = self.imported_log.len() as u64;
-        let exported_n = self.exported_log.len() as u64;
-        if self.ledger.len() as u64 + imported_n
-            != self.delivered + self.dropped + exported_n + in_flight
-        {
+        if self.ledger.len() as u64 != self.delivered + self.dropped + in_flight {
             self.violation(format!(
-                "packet conservation broken: {} injected + {imported_n} imported != \
-                 {} delivered + {} dropped + {exported_n} exported + {in_flight} in flight",
+                "packet conservation broken: {} injected != \
+                 {} delivered + {} dropped + {in_flight} in flight",
                 self.ledger.len(),
                 self.delivered,
                 self.dropped

@@ -5,29 +5,25 @@
 //! (the livelock signature of a timer loop that never advances time) —
 //! plus an opt-in to the process-global cancel flag raised by signal
 //! handlers. The running [`crate::sim::Simulator`] checks its budget
-//! **between events** (see `Shard::run_window`): integer counters
+//! **between events** (see `Simulator::run_window`): integer counters
 //! every event, the `Instant::now()` syscall and the cancel-flag load
 //! only every [`WALL_CHECK_MASK`]+1 events, so an armed-but-untripped
 //! budget costs a few ALU ops per event.
 //!
 //! A tripped budget **unwinds** with [`SimAbort`] as the panic payload
 //! (`std::panic::panic_any`). Unwinding — rather than a `Result` from
-//! `run_until` — keeps the dozens of existing call sites unchanged and
-//! reuses the sharded engine's poison machinery: a shard that trips
-//! poisons the round, every sibling joins at the next barrier, and the
-//! payload is re-thrown on the caller's thread. Supervisors catch the
-//! unwind with `catch_unwind` and downcast the payload to classify the
-//! failure; the thread is joined and all simulator state is dropped, so
-//! nothing is ever abandoned.
+//! `run_until` — keeps the dozens of existing call sites unchanged.
+//! Supervisors catch the unwind with `catch_unwind` and downcast the
+//! payload to classify the failure; the thread is joined and all
+//! simulator state is dropped, so nothing is ever abandoned.
 //!
 //! Checks have **no side effects** while untripped: arming a budget
 //! that never trips leaves every simulation byte-identical.
 //!
-//! Budgets reach deeply-constructed simulators the same way the
-//! shard-count and audit knobs do: a worker thread calls
-//! [`set_thread_budget`] and every `Simulator::new` on that thread
-//! captures it. [`crate::sim::Simulator::set_budget`] overrides it
-//! per-instance (before the first `run_until`).
+//! Budgets reach deeply-constructed simulators the same way the audit
+//! knob does: a worker thread calls [`set_thread_budget`] and every
+//! `Simulator::new` on that thread captures it.
+//! [`crate::sim::Simulator::set_budget`] overrides it per-instance.
 
 use std::cell::Cell;
 use std::fmt;
@@ -46,7 +42,7 @@ const WALL_CHECK_MASK: u64 = 0xFFF;
 pub struct Budget {
     /// Wall-clock limit, measured from the `Simulator`'s construction.
     pub wall_clock: Option<Duration>,
-    /// Maximum dispatched events (per shard on a sharded simulator).
+    /// Maximum dispatched events.
     pub max_events: Option<u64>,
     /// Maximum *consecutive* events dispatched at the same simulated
     /// time. A zero-advance timer loop produces one event per wakeup
@@ -162,7 +158,7 @@ thread_local! {
 /// set it on worker threads before running a cell (and reset it after),
 /// so budgets reach simulators built deep inside experiment code
 /// without threading a parameter through every layer — the same
-/// pattern as the shard-count and audit knobs.
+/// pattern as the audit knob.
 pub fn set_thread_budget(budget: Budget) {
     THREAD_BUDGET.with(|b| b.set(budget));
 }
@@ -194,15 +190,13 @@ pub fn reset_cancel() {
     CANCEL.store(false, Ordering::Relaxed);
 }
 
-/// Per-world budget-checking state: the armed [`Budget`] plus the
-/// counters the per-event check advances. Replicated per shard by
-/// `Simulator::seal` (counters reset, deadline instant preserved), so
-/// every shard polices its own dispatch loop.
+/// Budget-checking state: the armed [`Budget`] plus the counters the
+/// per-event check advances.
 #[derive(Debug, Clone)]
 pub struct BudgetState {
     budget: Budget,
-    /// Absolute deadline, computed once at arming so sharding never
-    /// extends the wall-clock allowance.
+    /// Absolute deadline, computed once at arming. `None` also when the
+    /// limit is too far out for an `Instant` to represent.
     deadline: Option<Instant>,
     /// Fast-path skip: false means `on_event` is a single branch.
     armed: bool,
@@ -221,7 +215,9 @@ impl BudgetState {
     /// Arm `budget` now (the wall clock starts here).
     pub fn new(budget: Budget) -> Self {
         BudgetState {
-            deadline: budget.wall_clock.map(|limit| Instant::now() + limit),
+            deadline: budget
+                .wall_clock
+                .and_then(|limit| Instant::now().checked_add(limit)),
             armed: !budget.is_unlimited(),
             events_limit: budget.max_events.unwrap_or(u64::MAX),
             livelock_limit: budget.livelock_events.unwrap_or(u64::MAX),
@@ -235,21 +231,6 @@ impl BudgetState {
     /// The armed budget.
     pub fn budget(&self) -> Budget {
         self.budget
-    }
-
-    /// A fresh copy for a new shard: same budget and same absolute
-    /// deadline, counters back to zero.
-    pub fn replicate(&self) -> Self {
-        BudgetState {
-            budget: self.budget,
-            deadline: self.deadline,
-            armed: self.armed,
-            events_limit: self.events_limit,
-            livelock_limit: self.livelock_limit,
-            events: 0,
-            last_time: SimTime::ZERO,
-            same_time_events: 0,
-        }
     }
 
     /// Per-event check: account one event about to dispatch at `time`
@@ -397,23 +378,12 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_round_trips_and_replication_resets_counters() {
+    fn thread_budget_round_trips() {
         assert!(thread_budget().is_unlimited());
         let b = Budget::none().with_max_events(7).with_cancel();
         set_thread_budget(b);
         assert_eq!(thread_budget(), b);
         set_thread_budget(Budget::none());
-
-        let mut state = BudgetState::new(Budget::none().with_max_events(3));
-        for i in 0..3 {
-            state.on_event(SimTime::from_nanos(i));
-        }
-        let mut replica = state.replicate();
-        // A replica starts from zero events: another 3 fit.
-        for i in 0..3 {
-            replica.on_event(SimTime::from_nanos(i));
-        }
-        assert_eq!(replica.budget(), state.budget());
     }
 
     #[test]

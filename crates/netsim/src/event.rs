@@ -6,18 +6,10 @@
 //! resizes (and re-picks its width from the observed event spacing) as
 //! the pending-event population drifts.
 //!
-//! Ordering is by `(time, sched, sequence)`: the instant the event fires,
-//! the instant it was *scheduled at* (the queue's clock when `schedule`
-//! was called), and a monotone token assigned at scheduling time. Ties in
-//! simulated time are therefore broken by scheduling time, then by
-//! scheduling order — explicitly, not by bucket layout — which is what
-//! makes runs bit-for-bit reproducible. In a single-queue run the
-//! scheduling time is non-decreasing in the sequence number, so the
-//! triple orders exactly like the historical `(time, seq)` pair; the
-//! `sched` component only starts discriminating when events from
-//! *different* shards of a sharded run (see `sim::Simulator`) are merged
-//! into one queue via [`EventQueue::schedule_from`] — there it
-//! reproduces the order the serial run would have used.
+//! Ordering is by `(time, sequence)`: the instant the event fires, then
+//! a monotone token assigned at scheduling time. Ties in simulated time
+//! are therefore broken by scheduling order — explicitly, not by bucket
+//! layout — which is what makes runs bit-for-bit reproducible.
 //!
 //! Two checks pin the order down. The property tests in
 //! `tests/scheduler_equivalence.rs` compare pop order against a
@@ -78,17 +70,13 @@ pub enum EventKind {
     },
 }
 
-/// The ordering key: fire time, then scheduling time, then scheduling
-/// order.
-type Key = (SimTime, SimTime, u64);
+/// The ordering key: fire time, then scheduling order.
+type Key = (SimTime, u64);
 
 /// One scheduled event.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     time: SimTime,
-    /// Queue clock at the moment this entry was scheduled (or the
-    /// source-shard clock, for entries imported across shards).
-    sched: SimTime,
     seq: u64,
     kind: EventKind,
 }
@@ -96,7 +84,7 @@ struct Entry {
 impl Entry {
     #[inline]
     fn key(&self) -> Key {
-        (self.time, self.sched, self.seq)
+        (self.time, self.seq)
     }
 }
 
@@ -113,7 +101,7 @@ const INITIAL_SHIFT: u32 = 16;
 /// queue: `buckets[(time >> shift) & mask]` holds the events of every
 /// "day" (bucket-width slice of time) congruent to that index. A cursor
 /// walks days in order; each pop scans the current day's bucket for the
-/// `(time, sched, seq)` minimum.
+/// `(time, seq)` minimum.
 #[derive(Debug)]
 pub struct EventQueue {
     buckets: Vec<Vec<Entry>>,
@@ -130,9 +118,6 @@ pub struct EventQueue {
     /// rebuild cannot help (all events at one instant).
     pops_since_resize: usize,
     next_seq: u64,
-    /// Time of the most recently popped event — the instant handlers run
-    /// at, recorded as the `sched` component of anything they schedule.
-    clock: SimTime,
     /// Key of the most recent pop, for the pop-order assertion in
     /// [`Self::note_pop`]; only maintained when debug assertions are on.
     last_popped: Option<Key>,
@@ -150,7 +135,7 @@ impl EventQueue {
         time.as_nanos() >> self.shift
     }
 
-    /// Locate the `(time, sched, seq)` minimum: advance the cursor to its
+    /// Locate the `(time, seq)` minimum: advance the cursor to its
     /// day and return `(bucket, index_in_bucket)`. `None` when empty.
     ///
     /// Includes the *skew guard*: if the minimum's day bucket holds far
@@ -211,18 +196,17 @@ impl EventQueue {
                 }
             }
         }
-        let (b, i, (t, _, _)) = best.expect("len > 0 but no entry found");
+        let (b, i, (t, _)) = best.expect("len > 0 but no entry found");
         self.cursor_day = self.day_of(t);
         (b, i)
     }
 
-    /// Pop the entry [`Self::locate_min`] found, advancing the clock to it.
+    /// Pop the entry [`Self::locate_min`] found.
     #[inline]
     fn remove(&mut self, pos: (usize, usize)) -> (SimTime, EventKind) {
         let entry = self.buckets[pos.0].swap_remove(pos.1);
         self.len -= 1;
         self.note_pop(entry.key());
-        self.clock = entry.time;
         if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
             self.resize(self.buckets.len() / 2);
         }
@@ -233,7 +217,7 @@ impl EventQueue {
     /// strictly greater than the previous pop's. Nothing in a simulation
     /// schedules below a key already popped, and then strictly increasing
     /// pops are equivalent to every pop having been the pending minimum.
-    /// (Queue-level tests do schedule into the past; [`Self::schedule_from`]
+    /// (Queue-level tests do schedule into the past; [`Self::schedule`]
     /// forgets the previous pop when that happens.)
     #[inline]
     fn note_pop(&mut self, key: Key) {
@@ -296,7 +280,7 @@ impl EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue with its clock at time zero.
+    /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::with_capacity(8)).collect(),
@@ -306,37 +290,19 @@ impl EventQueue {
             cursor_day: 0,
             pops_since_resize: 0,
             next_seq: 0,
-            clock: SimTime::ZERO,
             last_popped: None,
         }
     }
 
-    /// Schedule `kind` to fire at `time`, stamped with the queue's
-    /// current clock as its scheduling time.
+    /// Schedule `kind` to fire at `time`.
     ///
     /// Inlined along with `pop`: every packet hop and timer goes through
     /// these, so they should collapse into their callers.
     #[inline]
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        self.schedule_from(self.clock, time, kind);
-    }
-
-    /// Schedule `kind` to fire at `time` with an explicit scheduling
-    /// time. This is the cross-shard import path: an arrival that was
-    /// scheduled on another shard at source-clock `sched` keeps that
-    /// stamp, so events fired at the same instant from different shards
-    /// sort the way the serial run would have sorted them (by scheduling
-    /// time, then sequence).
-    #[inline]
-    pub fn schedule_from(&mut self, sched: SimTime, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry {
-            time,
-            sched,
-            seq,
-            kind,
-        };
+        let entry = Entry { time, seq, kind };
         // Scheduled below the last pop (queue-level tests only): the next
         // pop may legitimately be smaller, so `note_pop` starts over.
         if cfg!(debug_assertions) && self.last_popped.is_some_and(|last| entry.key() < last) {
@@ -384,15 +350,6 @@ impl EventQueue {
         self.next_seq
     }
 
-    /// Advance the scheduling clock to `t` (never backwards). The
-    /// simulator calls this when a run reaches its horizon with events
-    /// still pending, so anything scheduled *between* runs is stamped
-    /// with the horizon — the same scheduling time on every shard —
-    /// rather than with whichever event each queue happened to pop last.
-    pub(crate) fn set_clock(&mut self, t: SimTime) {
-        self.clock = self.clock.max(t);
-    }
-
     /// Time of the earliest scheduled event. `&mut` because the search
     /// advances the day cursor.
     pub fn peek_time(&mut self) -> Option<SimTime> {
@@ -434,6 +391,12 @@ mod tests {
         std::iter::from_fn(|| q.pop())
             .map(|(_, k)| token_of(k))
             .collect()
+    }
+
+    #[test]
+    fn entry_is_four_words() {
+        // Every scheduled event is one of these in a bucket `Vec`.
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
     }
 
     #[test]
@@ -485,35 +448,6 @@ mod tests {
         let (t, _) = q.pop_if_at_or_before(SimTime::from_secs(1)).unwrap();
         assert_eq!(t, SimTime::from_millis(20));
         assert!(q.pop_if_at_or_before(SimTime::from_secs(9)).is_none());
-    }
-
-    #[test]
-    fn same_instant_ties_break_by_scheduling_time_then_order() {
-        // Cross-shard imports carry a foreign scheduling time; at an
-        // equal fire time the earlier-scheduled event must pop first even
-        // when it was inserted later (higher seq).
-        let mut q = EventQueue::new();
-        let fire = SimTime::from_millis(20);
-        q.schedule_from(SimTime::from_millis(10), fire, timer(0, 0));
-        q.schedule_from(SimTime::from_millis(5), fire, timer(0, 1));
-        q.schedule_from(SimTime::from_millis(5), fire, timer(0, 2));
-        let tokens = drain_tokens(&mut q);
-        assert_eq!(tokens, vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn popping_advances_the_scheduling_clock() {
-        // An event scheduled from a handler (i.e. after a pop at time T)
-        // is stamped sched=T and therefore beats a same-fire-time entry
-        // imported with a later sched stamp.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), timer(0, 9));
-        q.pop();
-        let fire = SimTime::from_millis(7);
-        q.schedule_from(SimTime::from_millis(2), fire, timer(0, 0));
-        q.schedule(fire, timer(0, 1)); // sched = 1 ms (the pop time)
-        let tokens = drain_tokens(&mut q);
-        assert_eq!(tokens, vec![1, 0]);
     }
 
     #[test]

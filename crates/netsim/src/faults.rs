@@ -24,9 +24,9 @@
 //!
 //! Every random decision draws from the plan's own RNG, seeded from
 //! [`FaultPlan::seed`] and independent of the simulation RNG. Event
-//! processing order is fixed by the `(time, sched, seq)` key at every
-//! shard count, so the draw sequence — and therefore the entire faulted
-//! run — replays bit-identically from `(plan, seed)`.
+//! processing order is fixed by the `(time, seq)` key, so the draw
+//! sequence — and therefore the entire faulted run — replays
+//! bit-identically from `(plan, seed)`.
 //!
 //! # Audit interplay
 //!

@@ -125,9 +125,8 @@ pub struct Link {
     pub(crate) faults: Option<FaultState>,
     /// Private RNG stream consumed by the queue discipline (RED's drop
     /// draws). Seeded by the simulator from `(sim seed, link index)`, so
-    /// each link's draw sequence depends only on the packets *it* sees —
-    /// not on interleaving with other links — which is what makes sharded
-    /// execution bit-identical to serial. Placeholder-seeded here;
+    /// each link's draw sequence depends only on the packets *it* sees,
+    /// not on interleaving with other links. Placeholder-seeded here;
     /// [`crate::sim::Simulator::add_link`] installs the real stream.
     pub(crate) rng: SmallRng,
     /// When the transmitter finishes the packet it last committed to the
@@ -225,19 +224,9 @@ impl Link {
         self.faults.as_ref().map(|f| f.plan())
     }
 
-    /// Destination node of this link.
-    pub fn dst(&self) -> NodeId {
-        self.dst
-    }
-
     /// Serialization rate in bits per second.
     pub fn rate_bps(&self) -> f64 {
         self.rate_bps
-    }
-
-    /// One-way propagation delay.
-    pub fn delay(&self) -> SimDuration {
-        self.delay
     }
 
     /// Current buffer occupancy in packets (excluding the packet being

@@ -24,13 +24,8 @@
 //! and all randomness comes from *per-entity* RNG streams — one per link
 //! (consumed by its queue discipline) and one per agent (exposed via
 //! [`Ctx::rng`]) — each derived from `(simulation seed, entity index)`
-//! with a splitmix64 finalizer. Because an entity's draw sequence depends
-//! only on the events *it* observes, the same seed reproduces the same
-//! run regardless of how the simulation is partitioned into shards.
-
-use std::cell::OnceCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Barrier, Mutex, OnceLock};
+//! with a splitmix64 finalizer, so an entity's draw sequence depends
+//! only on the events *it* observes.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -108,37 +103,6 @@ fn mix_seed(seed: u64, tag: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A packet crossing a shard boundary: everything the destination shard
-/// needs to schedule the arrival exactly as the serial engine would have.
-struct Transit {
-    /// Arrival time at the destination node (serialization end + link
-    /// propagation delay + fault jitter).
-    time: SimTime,
-    /// Source-shard clock when serialization started — the timestamp
-    /// the arrival would have carried as its scheduling time in a serial
-    /// run, preserved so same-instant events sort identically.
-    sched: SimTime,
-    /// Destination node (the link's `dst`).
-    node: NodeId,
-    /// The packet itself, removed from the source shard's pool.
-    pkt: Packet,
-}
-
-/// Cross-shard routing table and outboxes, present only on sharded
-/// worlds (`None` costs the serial hot path one null check).
-struct Xport {
-    /// This world's shard index.
-    my_shard: u32,
-    /// Shard owning each link's *destination* node, index-aligned with
-    /// the link arena. A serialization completing on a link whose
-    /// destination lives elsewhere exports the packet instead of
-    /// scheduling a local arrival.
-    link_dst_shard: Vec<u32>,
-    /// Per-destination-shard outboxes, drained into the global mailbox
-    /// matrix at the end of each conservative window.
-    outboxes: Vec<Vec<Transit>>,
-}
-
 /// Everything except the agents; borrowed mutably by [`Ctx`] while an
 /// agent runs.
 struct World {
@@ -151,12 +115,6 @@ struct World {
     pool: PacketPool,
     stats: Stats,
     next_uid: u64,
-    /// High bits OR-ed into every uid this world mints (`shard << 48`),
-    /// so uids stay globally unique across shards without coordination.
-    /// Zero in serial mode, so single-shard uids are unchanged.
-    uid_tag: u64,
-    /// Cross-shard export state; `None` in serial mode.
-    xport: Option<Box<Xport>>,
     trace: Option<Box<dyn TraceSink>>,
     /// Invariant auditor, when enabled (see [`crate::audit`]). Boxed so
     /// the disabled case costs one null check per hook.
@@ -208,7 +166,6 @@ impl World {
                 trace,
                 audit,
                 next_uid,
-                uid_tag,
                 ..
             } = self;
             let link = &mut links[link_id.index()];
@@ -219,7 +176,7 @@ impl World {
                 // pool slot. It joins the link behind the original via
                 // the event queue's tie-break.
                 let mut dup = *pool.get(pkt);
-                dup.uid = *uid_tag | *next_uid;
+                dup.uid = *next_uid;
                 *next_uid += 1;
                 stats.record_link_duplicate(link_id);
                 if let Some(a) = audit.as_deref_mut() {
@@ -389,7 +346,6 @@ impl World {
             stats,
             trace,
             audit,
-            xport,
             ..
         } = self;
         let link = &mut links[link_id.index()];
@@ -411,28 +367,6 @@ impl World {
             .map_or(SimDuration::ZERO, |f| f.jitter());
         let arrive_at = tx_end + link.delay + jitter;
         let dst = link.dst;
-        // Cross-shard hop: the packet leaves this shard's pool and rides
-        // a transit record to the destination shard, which schedules the
-        // arrival with the same (time, sched) stamp a serial run would
-        // have used. The conservative window bound guarantees `arrive_at`
-        // is beyond every shard's current window, so the import can never
-        // violate causality.
-        if let Some(x) = xport.as_deref_mut() {
-            let to = x.link_dst_shard[link_id.index()];
-            if to != x.my_shard {
-                let p = pool.remove(pkt);
-                if let Some(a) = audit.as_deref_mut() {
-                    a.on_export(p.uid);
-                }
-                x.outboxes[to as usize].push(Transit {
-                    time: arrive_at,
-                    sched: now,
-                    node: dst,
-                    pkt: p,
-                });
-                return;
-            }
-        }
         queue.schedule(
             arrive_at,
             EventKind::Arrive {
@@ -482,103 +416,13 @@ impl World {
     }
 }
 
-/// Process-wide programmatic shard-count override (0 = unset).
-static SHARDS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// The `SLOWCC_SHARDS` environment knob, read once per process.
-static ENV_SHARDS: OnceLock<Option<usize>> = OnceLock::new();
-
-/// Largest accepted shard count. Far above any sane host; the clamp just
-/// bounds thread spawn on a typo'd `SLOWCC_SHARDS`.
-const MAX_SHARDS: usize = 64;
-
-/// Force every subsequently created [`Simulator`] to target `n` shards
-/// (`None` restores the default resolution: environment, then 1).
-/// Sharding is conservative-parallel and byte-deterministic: any shard
-/// count reproduces the single-shard run bit-exactly, so this knob is a
-/// pure performance lever. The *effective* shard count may be lower than
-/// requested when the topology has fewer independent node clusters.
-pub fn set_default_shards(n: Option<usize>) {
-    let v = n.map_or(0, |n| n.clamp(1, MAX_SHARDS));
-    SHARDS_OVERRIDE.store(v, AtomicOrdering::Relaxed);
-}
-
-/// The shard count new simulators target: the [`set_default_shards`]
-/// override if set, else the `SLOWCC_SHARDS` environment variable, else 1
-/// (serial).
-pub fn default_shards() -> usize {
-    match SHARDS_OVERRIDE.load(AtomicOrdering::Relaxed) {
-        0 => ENV_SHARDS
-            .get_or_init(|| match std::env::var("SLOWCC_SHARDS") {
-                Ok(v) => match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => Some(n.min(MAX_SHARDS)),
-                    _ => panic!("SLOWCC_SHARDS must be a positive integer, got `{v}`"),
-                },
-                Err(_) => None,
-            })
-            .unwrap_or(1),
-        n => n,
-    }
-}
-
-/// Bit position of the shard tag inside packet uids. The low 48 bits
-/// are a per-shard counter (2^48 packets per shard per run is far beyond
-/// any workload here); the high bits carry the minting shard.
-const UID_TAG_SHIFT: u32 = 48;
-
-/// One conservative-parallel shard: a full [`World`] (its own event
-/// queue, packet pool, clock, statistics and auditor) plus the agents
-/// whose nodes it owns. In serial mode the simulator is exactly one
-/// shard and none of the cross-shard machinery engages.
-struct Shard {
+/// The discrete-event network simulator.
+pub struct Simulator {
     world: World,
     agents: Vec<AgentSlot>,
-}
-
-/// The discrete-event network simulator.
-///
-/// # Sharded execution
-///
-/// When [`default_shards`] resolves above 1 (the `SLOWCC_SHARDS`
-/// environment variable or [`set_default_shards`]), the first
-/// [`Self::run_until`] *seals* the topology and partitions the nodes
-/// into shard clusters: links with the maximum propagation delay are cut
-/// edges, connected components become clusters, and clusters are packed
-/// into at most the requested number of shards. Each shard then runs its
-/// own event loop on its own thread, synchronized conservatively with
-/// lookahead equal to the minimum cross-shard link delay. The partition,
-/// the per-entity RNG streams and the `(time, sched, seq)` event order
-/// make the sharded run byte-identical to the serial one — see DESIGN.md
-/// §5h for the full contract.
-pub struct Simulator {
-    /// The shard arenas. Exactly one before sealing and in serial mode.
-    shards: Vec<Shard>,
-    /// Node index → owning shard; empty until sealed with >1 shard.
-    node_shard: Vec<u32>,
-    /// Link index → owning shard (the shard of the link's source node,
-    /// which runs its queue and transmitter); empty until sealed with
-    /// >1 shard.
-    link_shard: Vec<u32>,
-    /// Conservative lookahead: minimum propagation delay over cross-shard
-    /// links. `None` until sealed with >1 shard (or when the partition
-    /// has no cross-shard links at all, in which case windows run
-    /// straight to the horizon).
-    lookahead: Option<SimDuration>,
-    /// Whether the topology has been sealed (first `run_until`).
-    sealed: bool,
-    /// Shard count requested at construction (resolved once, so a run is
-    /// not affected by later knob changes).
-    requested_shards: usize,
     /// The simulation seed: root of every per-entity RNG stream.
     seed: u64,
     next_flow: u32,
-    /// Source node of each link, index-aligned with the link arena. The
-    /// links themselves only store their destination; the sharding layer
-    /// needs both endpoints to derive the topology partition.
-    link_src: Vec<NodeId>,
-    /// Lazily merged per-shard statistics (see [`Self::stats`]);
-    /// invalidated by every `run_until`. Unused in serial mode.
-    merged_stats: OnceCell<Stats>,
 }
 
 /// Default width of the statistics bins (10 ms: fine enough for the
@@ -589,32 +433,21 @@ impl Simulator {
     /// A fresh simulator with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         Simulator {
-            shards: vec![Shard {
-                world: World {
-                    now: SimTime::ZERO,
-                    queue: EventQueue::new(),
-                    nodes: Vec::new(),
-                    links: Vec::new(),
-                    pool: PacketPool::new(),
-                    stats: Stats::new(DEFAULT_STATS_BIN),
-                    next_uid: 0,
-                    uid_tag: 0,
-                    xport: None,
-                    trace: None,
-                    audit: audit::default_mode().map(|mode| Box::new(Auditor::new(mode))),
-                    budget: BudgetState::new(budget::thread_budget()),
-                },
-                agents: Vec::new(),
-            }],
-            node_shard: Vec::new(),
-            link_shard: Vec::new(),
-            lookahead: None,
-            sealed: false,
-            requested_shards: default_shards(),
+            world: World {
+                now: SimTime::ZERO,
+                queue: EventQueue::new(),
+                nodes: Vec::new(),
+                links: Vec::new(),
+                pool: PacketPool::new(),
+                stats: Stats::new(DEFAULT_STATS_BIN),
+                next_uid: 0,
+                trace: None,
+                audit: audit::default_mode().map(|mode| Box::new(Auditor::new(mode))),
+                budget: BudgetState::new(budget::thread_budget()),
+            },
+            agents: Vec::new(),
             seed,
             next_flow: 0,
-            link_src: Vec::new(),
-            merged_stats: OnceCell::new(),
         }
     }
 
@@ -629,29 +462,26 @@ impl Simulator {
     /// A fresh simulator with the invariant auditor enabled in `mode`.
     pub fn with_audit_mode(seed: u64, mode: AuditMode) -> Self {
         let mut sim = Simulator::new(seed);
-        sim.shards[0].world.audit = Some(Box::new(Auditor::new(mode)));
+        sim.world.audit = Some(Box::new(Auditor::new(mode)));
         sim
     }
 
     /// Whether this simulator is running under the invariant auditor.
     pub fn audit_enabled(&self) -> bool {
-        self.shards[0].world.audit.is_some()
+        self.world.audit.is_some()
     }
 
     /// Arm (or replace) this simulator's cooperative execution budget.
-    /// The wall clock starts now. Call before the first `run_until`:
-    /// a sealed (sharded) simulator keeps each shard's existing state.
-    /// Overrides the thread default captured at construction
-    /// ([`budget::set_thread_budget`]).
+    /// The wall clock starts now. Overrides the thread default captured
+    /// at construction ([`budget::set_thread_budget`]).
     pub fn set_budget(&mut self, budget: Budget) {
-        self.assert_unsharded("set_budget");
-        self.shards[0].world.budget = BudgetState::new(budget);
+        self.world.budget = BudgetState::new(budget);
     }
 
     /// The armed budget (the thread default at construction unless
     /// [`Self::set_budget`] replaced it).
     pub fn budget(&self) -> Budget {
-        self.shards[0].world.budget.budget()
+        self.world.budget.budget()
     }
 
     /// Run the teardown audit (pool/ledger uid-set reconciliation, link
@@ -659,48 +489,15 @@ impl Simulator {
     /// report is also merged into the process-global accumulator read by
     /// [`audit::take_global_report`].
     ///
-    /// On a sharded simulator every shard runs its own teardown and the
-    /// per-shard reports fold into one (`sims == 1`, exactly like the
-    /// serial report), with a final cross-shard reconciliation of the
-    /// export/import ledgers — every packet handed off between shards
-    /// must have been received exactly once.
-    ///
     /// Returns `None` when auditing is off, and on the second call (the
     /// auditor is consumed). In [`AuditMode::Strict`] the teardown checks
     /// panic on the first violation. If never called, [`Drop`] runs the
     /// same teardown.
     pub fn finish_audit(&mut self) -> Option<AuditReport> {
-        let mut auditors: Vec<Box<Auditor>> = self
-            .shards
-            .iter_mut()
-            .filter_map(|s| s.world.audit.take())
-            .collect();
-        if auditors.is_empty() {
-            return None;
-        }
-        let report = Self::audit_teardown_all(&mut auditors, &self.shards);
+        let mut auditor = self.world.audit.take()?;
+        let report = Self::audit_teardown(&mut auditor, &self.world);
         audit::merge_global(&report);
         Some(report)
-    }
-
-    /// Tear down every shard's auditor and fold the reports: the single
-    /// report of a serial run, or [`audit::merge_shard_reports`] (with
-    /// the cross-shard handoff reconciliation) of a sharded one.
-    fn audit_teardown_all(auditors: &mut [Box<Auditor>], shards: &[Shard]) -> AuditReport {
-        let strict = auditors.iter().any(|a| a.is_strict());
-        let mut parts = Vec::with_capacity(auditors.len());
-        let mut exported = Vec::new();
-        let mut imported = Vec::new();
-        for (auditor, shard) in auditors.iter_mut().zip(shards) {
-            parts.push(Self::audit_teardown(auditor, &shard.world));
-            exported.extend(auditor.take_exported_log());
-            imported.extend(auditor.take_imported_log());
-        }
-        if parts.len() == 1 {
-            parts.pop().expect("one report")
-        } else {
-            audit::merge_shard_reports(parts, exported, imported, strict)
-        }
     }
 
     fn audit_teardown(auditor: &mut Auditor, world: &World) -> AuditReport {
@@ -711,99 +508,61 @@ impl Simulator {
 
     /// Number of events dispatched so far: everything ever scheduled
     /// minus what is still pending. Derived from the queue's sequence
-    /// counter, so it costs nothing on the hot path. Summed over shards.
+    /// counter, so it costs nothing on the hot path.
     pub fn events_processed(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.world.queue.scheduled() - s.world.queue.len() as u64)
-            .sum()
+        self.world.queue.scheduled() - self.world.queue.len() as u64
     }
 
-    /// Number of packets injected so far (the uid counters summed over
-    /// shards): every [`Ctx::send`] plus every fault-layer duplicate.
+    /// Number of packets injected so far (the uid counter): every
+    /// [`Ctx::send`] plus every fault-layer duplicate.
     pub fn packets_injected(&self) -> u64 {
-        self.shards.iter().map(|s| s.world.next_uid).sum()
+        self.world.next_uid
     }
 
     /// High-water mark of simultaneously in-flight packets — the packet
-    /// pool slab sizes summed over shards. Exposed so tests can assert
-    /// the pool recycles instead of growing per packet.
+    /// pool's slab size. Exposed so tests can assert the pool recycles
+    /// instead of growing per packet.
     pub fn packet_pool_capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.world.pool.capacity()).sum()
-    }
-
-    /// How many shards the topology sealed into: 1 before the first
-    /// `run_until` and whenever sharding degraded to serial execution
-    /// (single cluster, tracing enabled, …); otherwise the resolved
-    /// partition size, at most [`set_default_shards`]' request.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Owning shard of `node`: 0 until sealed with more than one shard.
-    fn shard_of_node(&self, node: NodeId) -> usize {
-        if self.node_shard.is_empty() {
-            0
-        } else {
-            self.node_shard[node.index()] as usize
-        }
-    }
-
-    /// Panic guard for topology mutators: the node/link arenas are
-    /// replicated per shard at seal time, so they cannot change after a
-    /// sharded run has started. (Serial simulators stay mutable forever,
-    /// exactly as before.)
-    fn assert_unsharded(&self, what: &str) {
-        assert!(
-            self.shards.len() == 1,
-            "cannot {what}: topology was sealed into {} shards by the first run_until",
-            self.shards.len()
-        );
+        self.world.pool.capacity()
     }
 
     /// Add a node (host or router).
     pub fn add_node(&mut self) -> NodeId {
-        self.assert_unsharded("add a node");
-        let world = &mut self.shards[0].world;
-        world.nodes.push(Node::new());
-        NodeId::from_index(world.nodes.len() - 1)
+        self.world.nodes.push(Node::new());
+        NodeId::from_index(self.world.nodes.len() - 1)
     }
 
     /// Add a unidirectional link from `src` and return its handle.
     /// Routing entries are installed separately via [`Self::add_route`]
-    /// or [`Self::set_default_route`]. `src` also determines which shard
-    /// owns the link (its queue and transmitter) under sharded execution.
+    /// or [`Self::set_default_route`].
     pub fn add_link(&mut self, src: NodeId, link: Link) -> LinkId {
-        self.assert_unsharded("add a link");
+        assert!(
+            src.index() < self.world.nodes.len(),
+            "link source {src} is not a node of this simulator"
+        );
         let mut link = link;
-        let world = &mut self.shards[0].world;
-        let id = LinkId::from_index(world.links.len());
+        let id = LinkId::from_index(self.world.links.len());
         link.rng = SmallRng::seed_from_u64(mix_seed(self.seed, LINK_RNG_TAG, id.index()));
-        world.links.push(link);
-        self.link_src.push(src);
-        world.stats.ensure_link(id);
+        self.world.links.push(link);
+        self.world.stats.ensure_link(id);
         id
     }
 
     /// Install a per-destination route at `node`.
     pub fn add_route(&mut self, node: NodeId, dst: NodeId, link: LinkId) {
-        self.assert_unsharded("add a route");
-        self.shards[0].world.nodes[node.index()].add_route(dst, link);
+        self.world.nodes[node.index()].add_route(dst, link);
     }
 
     /// Install the default route at `node`.
     pub fn set_default_route(&mut self, node: NodeId, link: LinkId) {
-        self.assert_unsharded("set a default route");
-        self.shards[0].world.nodes[node.index()].set_default_route(link);
+        self.world.nodes[node.index()].set_default_route(link);
     }
 
     /// Allocate a flow identifier for statistics accounting.
     pub fn new_flow(&mut self) -> FlowId {
         let id = FlowId::from_index(self.next_flow as usize);
         self.next_flow += 1;
-        for shard in &mut self.shards {
-            shard.world.stats.ensure_flow(id);
-        }
+        self.world.stats.ensure_flow(id);
         id
     }
 
@@ -812,30 +571,21 @@ impl Simulator {
     /// each agent with its peer's id and install with
     /// [`Self::install_agent`].
     pub fn reserve_agent(&mut self, node: NodeId) -> AgentId {
-        let index = self.shards[0].agents.len();
-        // Every shard records the slot (so node lookups work anywhere);
-        // only the owning shard will ever hold the agent itself. The rng
-        // is seeded identically everywhere — it is part of the slot, and
-        // only the owner's copy is ever advanced.
-        for shard in &mut self.shards {
-            shard.agents.push(AgentSlot {
-                node,
-                agent: None,
-                rng: SmallRng::seed_from_u64(mix_seed(self.seed, AGENT_RNG_TAG, index)),
-            });
-        }
+        let index = self.agents.len();
+        self.agents.push(AgentSlot {
+            node,
+            agent: None,
+            rng: SmallRng::seed_from_u64(mix_seed(self.seed, AGENT_RNG_TAG, index)),
+        });
         AgentId::from_index(index)
     }
 
     /// Install a previously reserved agent, to be started at `start`.
     pub fn install_agent(&mut self, id: AgentId, agent: Box<dyn Agent>, start: SimTime) {
-        let owner = self.shard_of_node(self.shards[0].agents[id.index()].node);
-        let shard = &mut self.shards[owner];
-        let slot = &mut shard.agents[id.index()];
+        let slot = &mut self.agents[id.index()];
         assert!(slot.agent.is_none(), "agent {id} installed twice");
         slot.agent = Some(agent);
-        shard
-            .world
+        self.world
             .queue
             .schedule(start, EventKind::AgentStart { agent: id });
     }
@@ -855,418 +605,46 @@ impl Simulator {
     /// Install a trace sink receiving every packet event from now on.
     /// Tracing is off by default (full runs generate millions of
     /// events); install a filtered/capped sink for targeted debugging.
-    ///
-    /// A sink installed *before* the first run forces serial execution
-    /// (traces are inherently a global event order); installing one
-    /// after the topology already sealed into multiple shards panics.
     pub fn set_trace(&mut self, sink: Box<dyn TraceSink>) {
-        self.assert_unsharded("install a trace sink");
-        self.shards[0].world.trace = Some(sink);
+        self.world.trace = Some(sink);
     }
 
     /// Remove and return the current trace sink (e.g. to read a
-    /// [`crate::trace::VecTrace`] back after a run). Always `None` on a
-    /// sharded simulator, which never traces.
+    /// [`crate::trace::VecTrace`] back after a run).
     pub fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.shards[0].world.trace.take()
+        self.world.trace.take()
     }
 
-    /// Current simulated time: the furthest shard clock (all equal at
-    /// every `run_until` horizon).
+    /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.shards
-            .iter()
-            .map(|s| s.world.now)
-            .max()
-            .expect("at least one shard")
+        self.world.now
     }
 
-    /// Collected statistics. On a sharded simulator the per-shard
-    /// statistics merge lazily (every counter is an exact `u64` sum, so
-    /// the merge reproduces the serial run bit-for-bit); the merge is
-    /// cached until the next `run_until`.
+    /// Collected statistics.
     pub fn stats(&self) -> &Stats {
-        if self.shards.len() == 1 {
-            return &self.shards[0].world.stats;
-        }
-        self.merged_stats.get_or_init(|| {
-            let mut merged = Stats::new(self.shards[0].world.stats.bin_width());
-            for shard in &self.shards {
-                merged.absorb(&shard.world.stats);
-            }
-            merged
-        })
+        &self.world.stats
     }
 
     /// Current buffer occupancy of `link` in packets.
     pub fn link_queue_len(&self, link: LinkId) -> usize {
-        let shard = if self.link_shard.is_empty() {
-            0
-        } else {
-            self.link_shard[link.index()] as usize
-        };
-        self.shards[shard].world.links[link.index()].queue_len()
+        self.world.links[link.index()].queue_len()
     }
 
     /// Run until the event queue drains or `until` is reached, whichever
     /// comes first. The clock is left at `until` when the horizon is hit.
-    /// Events dispatch one at a time in `(time, sched, seq)` order.
+    /// Events dispatch one at a time in `(time, seq)` order.
     pub fn run_until(&mut self, until: SimTime) {
-        self.seal();
-        self.merged_stats = OnceCell::new();
-        for shard in &mut self.shards {
-            shard.world.stats.set_reserve_hint(until);
-        }
-        if self.shards.len() == 1 {
-            self.shards[0].run_window(until);
-        } else {
-            self.run_windows_threaded(until);
-        }
-        for shard in &mut self.shards {
-            if shard.world.now < until {
-                shard.world.now = until;
-            }
-            // Pin the scheduling clock to the horizon so events scheduled
-            // *between* runs carry the same `sched` stamp at every shard
-            // count (each shard's clock otherwise stops at its own last
-            // dispatched event).
-            shard.world.queue.set_clock(until);
-        }
-    }
-
-    /// First-`run_until` hook: resolve the shard partition. Every guard
-    /// below degrades silently to serial execution — sharding is a pure
-    /// optimization, never a behavior change, so a topology it cannot
-    /// handle simply runs on the proven serial engine.
-    fn seal(&mut self) {
-        if self.sealed {
-            return;
-        }
-        self.sealed = true;
-        if self.requested_shards <= 1 {
-            return;
-        }
-        {
-            let world = &self.shards[0].world;
-            if world.trace.is_some()           // traces need a global event order
-                || world.links.is_empty()      // degenerate topology
-                || world.now != SimTime::ZERO  // already stepped manually
-                || !world.pool.is_empty()      // packets already in flight
-                || world.next_uid != 0
-            {
-                return;
-            }
-        }
-
-        // Partition: links carrying the maximum propagation delay are the
-        // cut edges; union-find over all faster links yields clusters
-        // that only communicate across max-delay links, so the
-        // conservative lookahead equals that delay.
-        let (nodes_len, links_len, dmax) = {
-            let world = &self.shards[0].world;
-            let dmax = world
-                .links
-                .iter()
-                .map(Link::delay)
-                .max()
-                .expect("links checked non-empty");
-            (world.nodes.len(), world.links.len(), dmax)
-        };
-        if dmax.is_zero() {
-            return;
-        }
-        fn find(parent: &mut [u32], mut i: u32) -> u32 {
-            while parent[i as usize] != i {
-                parent[i as usize] = parent[parent[i as usize] as usize];
-                i = parent[i as usize];
-            }
-            i
-        }
-        let mut parent: Vec<u32> = (0..nodes_len as u32).collect();
-        let link_dst: Vec<NodeId> = self.shards[0].world.links.iter().map(Link::dst).collect();
-        for (i, dst) in link_dst.iter().enumerate().take(links_len) {
-            if self.shards[0].world.links[i].delay() < dmax {
-                let a = find(&mut parent, self.link_src[i].index() as u32);
-                let b = find(&mut parent, dst.index() as u32);
-                if a != b {
-                    parent[a as usize] = b;
-                }
-            }
-        }
-        // Dense cluster ids in first-seen (= min-node-id ascending) order.
-        let mut cluster_id: Vec<u32> = vec![u32::MAX; nodes_len];
-        let mut clusters: Vec<Vec<u32>> = Vec::new();
-        let mut cluster_of_node: Vec<u32> = vec![0; nodes_len];
-        for (node, slot) in cluster_of_node.iter_mut().enumerate() {
-            let root = find(&mut parent, node as u32) as usize;
-            let c = if cluster_id[root] == u32::MAX {
-                cluster_id[root] = clusters.len() as u32;
-                clusters.push(Vec::new());
-                cluster_id[root]
-            } else {
-                cluster_id[root]
-            };
-            clusters[c as usize].push(node as u32);
-            *slot = c;
-        }
-        if clusters.len() < 2 {
-            return;
-        }
-
-        // Pack clusters into at most the requested number of shards:
-        // biggest first (ties by min node id, i.e. cluster id) onto the
-        // least-loaded bin (ties to the lowest bin) — fully determined by
-        // the topology, never by the host.
-        let nbins = self.requested_shards.min(clusters.len());
-        let mut order: Vec<usize> = (0..clusters.len()).collect();
-        order.sort_by_key(|&c| (std::cmp::Reverse(clusters[c].len()), c));
-        let mut bin_load = vec![0usize; nbins];
-        let mut bin_of_cluster = vec![0u32; clusters.len()];
-        for c in order {
-            let bin = (0..nbins).min_by_key(|&b| (bin_load[b], b)).expect("nbins > 0");
-            bin_of_cluster[c] = bin as u32;
-            bin_load[bin] += clusters[c].len();
-        }
-        self.node_shard = cluster_of_node
-            .iter()
-            .map(|&c| bin_of_cluster[c as usize])
-            .collect();
-        self.link_shard = self
-            .link_src
-            .iter()
-            .map(|src| self.node_shard[src.index()])
-            .collect();
-        self.lookahead = (0..links_len)
-            .filter(|&i| self.link_shard[i] != self.node_shard[link_dst[i].index()])
-            .map(|i| self.shards[0].world.links[i].delay())
-            .min();
-
-        // Split the build world into per-shard worlds. Real links and
-        // agents move to their owner; other shards get inert
-        // placeholders so every arena keeps global indexing.
-        let build = self.shards.pop().expect("exactly one shard before seal");
-        let Shard {
-            world: mut build_world,
-            agents: build_agents,
-        } = build;
-        let mut link_slots: Vec<Option<Link>> = std::mem::take(&mut build_world.links)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut agent_slots = build_agents;
-        let audit_mode = build_world.audit.as_deref().map(Auditor::mode);
-        let bin_width = build_world.stats.bin_width();
-        let link_dst_shard: Vec<u32> = link_dst
-            .iter()
-            .map(|dst| self.node_shard[dst.index()])
-            .collect();
-        let mut shards: Vec<Shard> = (0..nbins as u32)
-            .map(|bin| {
-                let links: Vec<Link> = (0..links_len)
-                    .map(|i| {
-                        if self.link_shard[i] == bin {
-                            link_slots[i].take().expect("each link has one owner")
-                        } else {
-                            // Never transmits: nothing routes to a link the
-                            // shard does not own.
-                            Link::new(
-                                NodeId::from_index(0),
-                                f64::INFINITY,
-                                SimDuration::ZERO,
-                                Box::new(crate::queue::DropTail::new(0)),
-                            )
-                        }
-                    })
-                    .collect();
-                let mut stats = Stats::new(bin_width);
-                for i in 0..links_len {
-                    stats.ensure_link(LinkId::from_index(i));
-                }
-                for f in 0..self.next_flow {
-                    stats.ensure_flow(FlowId::from_index(f as usize));
-                }
-                let uid_tag = u64::from(bin) << UID_TAG_SHIFT;
-                let agents: Vec<AgentSlot> = agent_slots
-                    .iter_mut()
-                    .map(|slot| AgentSlot {
-                        node: slot.node,
-                        rng: slot.rng.clone(),
-                        agent: if self.node_shard[slot.node.index()] == bin {
-                            slot.agent.take()
-                        } else {
-                            None
-                        },
-                    })
-                    .collect();
-                Shard {
-                    world: World {
-                        now: SimTime::ZERO,
-                        queue: EventQueue::new(),
-                        nodes: build_world.nodes.clone(),
-                        links,
-                        pool: PacketPool::new(),
-                        stats,
-                        next_uid: 0,
-                        uid_tag,
-                        xport: Some(Box::new(Xport {
-                            my_shard: bin,
-                            link_dst_shard: link_dst_shard.clone(),
-                            outboxes: (0..nbins).map(|_| Vec::new()).collect(),
-                        })),
-                        trace: None,
-                        audit: audit_mode.map(|mode| Box::new(Auditor::sharded(mode, uid_tag))),
-                        budget: build_world.budget.replicate(),
-                    },
-                    agents,
-                }
-            })
-            .collect();
-
-        // Re-route the events scheduled during construction (agent
-        // starts, typically) to their owning shards, in global queue
-        // order so per-shard relative order matches the serial queue.
-        // All were scheduled at clock zero, so `schedule_from` zero
-        // reproduces their `sched` stamps exactly.
-        while let Some((time, kind)) = build_world.queue.pop() {
-            let bin = match kind {
-                EventKind::AgentStart { agent } | EventKind::AgentTimer { agent, .. } => {
-                    self.node_shard[agent_slots[agent.index()].node.index()]
-                }
-                EventKind::LinkTxComplete { link } | EventKind::FaultRelease { link, .. } => {
-                    self.link_shard[link.index()]
-                }
-                EventKind::Arrive { .. } => {
-                    unreachable!("no packets exist before the first run_until")
-                }
-            };
-            shards[bin as usize]
-                .world
-                .queue
-                .schedule_from(SimTime::ZERO, time, kind);
-        }
-        self.shards = shards;
-    }
-
-    /// The conservative-parallel engine: one thread per shard, running
-    /// barrier-synchronized windows until every queue drains or the
-    /// horizon is reached.
-    ///
-    /// Each round: every shard publishes its next event time; the global
-    /// minimum `t0` plus the lookahead bounds the window (exclusive — an
-    /// import can land exactly at `t0 + lookahead`, so shards may only
-    /// dispatch strictly earlier events); shards drain their windows and
-    /// deposit cross-shard packets into per-(src, dst) mailboxes; after
-    /// the barrier each shard folds its inbound mailboxes in ascending
-    /// source-shard order, which fixes the merge order deterministically.
-    ///
-    /// A panicking shard (e.g. a strict-audit violation) poisons the
-    /// round instead of deadlocking its siblings at the barrier: every
-    /// thread re-checks the poison flag after every barrier crossing and
-    /// unwinds, and the first panic payload is re-thrown on the caller's
-    /// thread.
-    fn run_windows_threaded(&mut self, until: SimTime) {
-        let nshards = self.shards.len();
-        let lookahead = self.lookahead;
-        let barrier = Barrier::new(nshards);
-        let next_times: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(u64::MAX)).collect();
-        // mailboxes[dst][src]: deposited under lock before the barrier,
-        // drained by `dst` after it.
-        let mailboxes: Vec<Vec<Mutex<Vec<Transit>>>> = (0..nshards)
-            .map(|_| (0..nshards).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
-        let poisoned = AtomicBool::new(false);
-        let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-        std::thread::scope(|scope| {
-            for (idx, shard) in self.shards.iter_mut().enumerate() {
-                let (barrier, next_times, mailboxes, poisoned, panic_payload) =
-                    (&barrier, &next_times, &mailboxes, &poisoned, &panic_payload);
-                scope.spawn(move || loop {
-                    let next = shard
-                        .world
-                        .queue
-                        .peek_time()
-                        .map_or(u64::MAX, SimTime::as_nanos);
-                    next_times[idx].store(next, AtomicOrdering::Relaxed);
-                    barrier.wait();
-                    if poisoned.load(AtomicOrdering::Relaxed) {
-                        break;
-                    }
-                    // Every thread computes the same t0 from the same
-                    // published slots, so they agree on termination.
-                    let t0 = next_times
-                        .iter()
-                        .map(|t| t.load(AtomicOrdering::Relaxed))
-                        .min()
-                        .expect("at least one shard");
-                    if t0 == u64::MAX || t0 > until.as_nanos() {
-                        break;
-                    }
-                    let bound = match lookahead {
-                        Some(l) => {
-                            SimTime::from_nanos(until.as_nanos().min(t0 + l.as_nanos() - 1))
-                        }
-                        None => until,
-                    };
-                    // Mailbox locks tolerate std poisoning (a sibling
-                    // panicked mid-append): the round is already marked
-                    // poisoned and about to unwind everywhere, so the
-                    // contents are never read.
-                    fn lock<'m>(
-                        m: &'m Mutex<Vec<Transit>>,
-                    ) -> std::sync::MutexGuard<'m, Vec<Transit>> {
-                        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-                    }
-                    let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        shard.run_window(bound);
-                        let xport = shard
-                            .world
-                            .xport
-                            .as_deref_mut()
-                            .expect("sharded worlds always have an export table");
-                        for (dst, outbox) in xport.outboxes.iter_mut().enumerate() {
-                            if !outbox.is_empty() {
-                                lock(&mailboxes[dst][idx]).append(outbox);
-                            }
-                        }
-                    }));
-                    if let Err(payload) = round {
-                        poisoned.store(true, AtomicOrdering::Relaxed);
-                        let mut slot = panic_payload.lock().expect("panic payload lock");
-                        slot.get_or_insert(payload);
-                    }
-                    barrier.wait();
-                    if poisoned.load(AtomicOrdering::Relaxed) {
-                        break;
-                    }
-                    // Deterministic merge: ascending source shard, each
-                    // mailbox already in that source's send order. Also
-                    // wrapped so a strict-audit panic here unwinds every
-                    // shard at the next barrier instead of deadlocking.
-                    let merged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        for mailbox in &mailboxes[idx] {
-                            let mut inbox = lock(mailbox);
-                            shard.import(&mut inbox);
-                        }
-                    }));
-                    if let Err(payload) = merged {
-                        poisoned.store(true, AtomicOrdering::Relaxed);
-                        let mut slot = panic_payload.lock().expect("panic payload lock");
-                        slot.get_or_insert(payload);
-                    }
-                });
-            }
-        });
-        if let Some(payload) = panic_payload.into_inner().expect("panic payload lock") {
-            std::panic::resume_unwind(payload);
+        self.world.stats.set_reserve_hint(until);
+        self.run_window(until);
+        if self.world.now < until {
+            self.world.now = until;
         }
     }
 
     /// Immutable access to an installed agent, for post-run inspection.
     /// Panics while that agent is being dispatched.
     pub fn agent(&self, id: AgentId) -> &dyn Agent {
-        let owner = self.shard_of_node(self.shards[0].agents[id.index()].node);
-        self.shards[owner].agents[id.index()]
+        self.agents[id.index()]
             .agent
             .as_deref()
             .expect("agent not installed or currently running")
@@ -1277,10 +655,8 @@ impl Simulator {
     pub fn agent_downcast<T: 'static>(&self, id: AgentId) -> Option<&T> {
         self.agent(id).as_any().and_then(|a| a.downcast_ref::<T>())
     }
-}
 
-impl Shard {
-    /// Dispatch every event with `time <= until` in `(time, sched, seq)`
+    /// Dispatch every event with `time <= until` in `(time, seq)`
     /// order, one pop per event, leaving the clock at the last one
     /// dispatched. Events a handler schedules — even at the instant
     /// being dispatched — carry larger sequence numbers, so the next pop
@@ -1299,28 +675,6 @@ impl Shard {
             if let Some(a) = self.world.audit.as_deref_mut() {
                 a.check_pool(self.world.pool.len(), time);
             }
-        }
-    }
-
-    /// Receive one source shard's cross-shard packets: re-pool each and
-    /// schedule its arrival with the sender's original `sched` stamp, so
-    /// the `(time, sched, seq)` order is exactly what the serial engine
-    /// would have produced scheduling the same arrival locally.
-    fn import(&mut self, inbound: &mut Vec<Transit>) {
-        for transit in inbound.drain(..) {
-            let uid = transit.pkt.uid;
-            let packet = self.world.pool.insert(transit.pkt);
-            if let Some(a) = self.world.audit.as_deref_mut() {
-                a.on_import(uid);
-            }
-            self.world.queue.schedule_from(
-                transit.sched,
-                transit.time,
-                EventKind::Arrive {
-                    node: transit.node,
-                    packet,
-                },
-            );
         }
     }
 
@@ -1424,24 +778,17 @@ impl Shard {
 impl Drop for Simulator {
     /// Audited simulators that were never [`Self::finish_audit`]ed still
     /// run the teardown checks and contribute to the global report. When
-    /// the thread is already panicking the auditors are downgraded to
+    /// the thread is already panicking the auditor is downgraded to
     /// [`AuditMode::Collect`] so a strict-mode teardown never
     /// double-panics.
     fn drop(&mut self) {
-        let mut auditors: Vec<Box<Auditor>> = self
-            .shards
-            .iter_mut()
-            .filter_map(|s| s.world.audit.take())
-            .collect();
-        if auditors.is_empty() {
+        let Some(mut auditor) = self.world.audit.take() else {
             return;
-        }
+        };
         if std::thread::panicking() {
-            for auditor in &mut auditors {
-                auditor.set_collect();
-            }
+            auditor.set_collect();
         }
-        let report = Self::audit_teardown_all(&mut auditors, &self.shards);
+        let report = Self::audit_teardown(&mut auditor, &self.world);
         audit::merge_global(&report);
     }
 }
@@ -1480,7 +827,7 @@ impl Ctx<'_> {
     /// Transmit a packet from this agent's node. Data payloads are
     /// accounted to the flow's sending-rate statistics; ACKs are not.
     pub fn send(&mut self, spec: PacketSpec) {
-        let uid = self.world.uid_tag | self.world.next_uid;
+        let uid = self.world.next_uid;
         self.world.next_uid += 1;
         let pkt = Packet {
             uid,

@@ -117,11 +117,6 @@ impl Stats {
         }
     }
 
-    /// Width of the native bins.
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin
-    }
-
     fn bin_index(&self, t: SimTime) -> usize {
         (t.as_nanos() / self.bin.as_nanos()) as usize
     }
@@ -270,51 +265,6 @@ impl Stats {
         bump(&mut l.tx_bytes, ix, bytes as u64);
         l.total_tx_bytes += bytes as u64;
         l.total_tx_packets += 1;
-    }
-
-    /// Fold another store's counters into this one, element-wise. All
-    /// counters are exact `u64`s, so merging the per-shard stores of a
-    /// sharded run (each flow/link is recorded by exactly one shard)
-    /// reproduces the serial store bit-for-bit. Series are extended to
-    /// the longer of the two lengths, matching serial behavior where a
-    /// series ends at its last recorded bin.
-    pub(crate) fn absorb(&mut self, other: &Stats) {
-        assert_eq!(self.bin, other.bin, "cannot merge stats with different bins");
-        fn add_series(dst: &mut Vec<u64>, src: &[u64]) {
-            if dst.len() < src.len() {
-                dst.resize(src.len(), 0);
-            }
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
-        for (ix, f) in other.flows.iter().enumerate() {
-            self.ensure_flow(FlowId::from_index(ix));
-            let d = &mut self.flows[ix];
-            add_series(&mut d.tx_bytes, &f.tx_bytes);
-            add_series(&mut d.rx_bytes, &f.rx_bytes);
-            add_series(&mut d.rx_packets, &f.rx_packets);
-            d.total_tx_bytes += f.total_tx_bytes;
-            d.total_rx_bytes += f.total_rx_bytes;
-            d.total_rx_packets += f.total_rx_packets;
-        }
-        for (ix, l) in other.links.iter().enumerate() {
-            self.ensure_link(LinkId::from_index(ix));
-            let d = &mut self.links[ix];
-            add_series(&mut d.arrivals, &l.arrivals);
-            add_series(&mut d.drops, &l.drops);
-            add_series(&mut d.marks, &l.marks);
-            add_series(&mut d.queue_sum, &l.queue_sum);
-            add_series(&mut d.tx_bytes, &l.tx_bytes);
-            d.total_arrivals += l.total_arrivals;
-            d.total_drops += l.total_drops;
-            d.total_marks += l.total_marks;
-            d.total_tx_bytes += l.total_tx_bytes;
-            d.total_tx_packets += l.total_tx_packets;
-            d.total_duplicates += l.total_duplicates;
-            d.total_fault_held += l.total_fault_held;
-            d.total_flap_drops += l.total_flap_drops;
-        }
     }
 
     /// Raw per-flow counters, if the flow ever carried traffic.

@@ -1,8 +1,6 @@
 //! The reference model the `EventQueue` property tests compare against:
-//! a `BinaryHeap` over the `(time, sched, seq)` key, with the same clock
-//! rule (a pop advances it; `schedule` stamps it as `sched`). It is the
-//! definition of the pop order, written so it is obviously right rather
-//! than fast.
+//! a `BinaryHeap` over the `(time, seq)` key. It is the definition of
+//! the pop order, written so it is obviously right rather than fast.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -15,10 +13,9 @@ use slowcc_netsim::time::SimTime;
 
 #[derive(Default)]
 pub struct HeapModel {
-    heap: BinaryHeap<Reverse<(SimTime, SimTime, u64)>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
     /// Indexed by `seq`; `EventKind` is not `Ord`, so it stays out of the heap.
     kinds: Vec<EventKind>,
-    clock: SimTime,
 }
 
 /// The operations the tests drive on both the model and the real queue.
@@ -39,18 +36,17 @@ pub trait Queue: Default {
 impl Queue for HeapModel {
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.kinds.len() as u64;
-        self.heap.push(Reverse((time, self.clock, seq)));
+        self.heap.push(Reverse((time, seq)));
         self.kinds.push(kind);
     }
 
     fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        let Reverse((time, _, seq)) = self.heap.pop()?;
-        self.clock = time;
+        let Reverse((time, seq)) = self.heap.pop()?;
         Some((time, self.kinds[seq as usize]))
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((time, _, _))| *time)
+        self.heap.peek().map(|Reverse((time, _))| *time)
     }
 }
 

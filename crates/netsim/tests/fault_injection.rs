@@ -15,6 +15,7 @@ use slowcc_netsim::packet::{AckInfo, Packet, PacketSpec};
 use slowcc_netsim::queue::DropTail;
 use slowcc_netsim::sim::{Agent, Ctx, Simulator};
 use slowcc_netsim::time::{SimDuration, SimTime};
+use slowcc_netsim::topology::{DumbbellConfig, DumbbellOptions, ParkingLot, QueueKind};
 use slowcc_netsim::trace::VecTrace;
 
 /// Sends `count` data packets, one every `gap`, then goes quiet.
@@ -281,6 +282,62 @@ fn distinct_fault_seeds_diverge() {
         a.trace, b.trace,
         "different fault seeds should draw different duplication patterns"
     );
+}
+
+/// A three-hop parking lot with fault plans on the first hop in both
+/// directions: reordered, duplicated and jittered packets cross several
+/// routers, and the run still replays identically from its seed with the
+/// strict auditor silent. Returns the delivery order and every flow and
+/// link counter.
+fn run_faulted_parking_lot(seed: u64) -> (Vec<u64>, String) {
+    let mut cfg = DumbbellConfig::paper(8e6);
+    cfg.queue = QueueKind::DropTail(64);
+    let mut sim = Simulator::with_audit_mode(seed, AuditMode::Strict);
+    let opts = DumbbellOptions::new()
+        .forward_faults(
+            FaultPlan::seeded(seed ^ 0xBEEF)
+                .with_reorder(11, SimDuration::from_millis(15), 4)
+                .with_duplication(0.02)
+                .with_jitter(SimDuration::from_millis(3)),
+        )
+        .reverse_faults(FaultPlan::seeded(seed ^ 0xFACE).with_jitter(SimDuration::from_millis(2)));
+    let lot = ParkingLot::build_with(&mut sim, cfg, 3, opts);
+    let pair = lot.add_host_pair(&mut sim, 0, 3);
+    let seqs = Arc::new(Mutex::new(Vec::new()));
+    let sink = sim.add_agent(pair.right, Box::new(RecordingSink { seqs: seqs.clone() }));
+    let flow = sim.new_flow();
+    sim.add_agent(
+        pair.left,
+        Box::new(Paced {
+            flow,
+            dst_node: pair.right,
+            dst_agent: sink,
+            count: 300,
+            sent: 0,
+            gap: SimDuration::from_millis(2),
+        }),
+    );
+    sim.run_until(SimTime::from_secs(2));
+    sim.finish_audit().expect("audit enabled").assert_clean();
+
+    let mut counters = format!("{:?}\n", sim.stats().flow(flow));
+    for &link in lot.forward.iter().chain(&lot.reverse) {
+        counters.push_str(&format!("{link}: {:?}\n", sim.stats().link(link)));
+    }
+    let order = seqs.lock().unwrap().clone();
+    (order, counters)
+}
+
+#[test]
+fn faulted_parking_lot_replays_bit_identically() {
+    for seed in [5u64, 23] {
+        let first = run_faulted_parking_lot(seed);
+        assert_eq!(first, run_faulted_parking_lot(seed), "seed {seed}");
+        assert!(
+            first.0.windows(2).any(|w| w[0] > w[1]),
+            "seed {seed}: the first-hop reorder fault never engaged"
+        );
+    }
 }
 
 /// An unfaulted link behaves exactly as before the fault layer existed:

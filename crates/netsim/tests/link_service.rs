@@ -1,46 +1,13 @@
 //! The lazy link-service model (DESIGN.md §5l): a packet committed to an
 //! idle wire schedules its own arrival and nothing else; a wake
 //! (`LinkTxComplete`) exists only while something waits in the buffer.
-//!
-//! The property test flips the process-global shard knob, so every test
-//! in this binary takes [`KNOBS`] and the binary's tests run one at a
-//! time.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use slowcc_netsim::prelude::*;
-use slowcc_netsim::sim::set_default_shards;
 use slowcc_netsim::time::transmission_time;
-
-static KNOBS: Mutex<()> = Mutex::new(());
-
-/// Holds [`KNOBS`] and restores the process defaults on drop, so a
-/// failing assertion cannot leak an override into the next test.
-struct Knobs {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Knobs {
-    fn defaults() -> Self {
-        Knobs {
-            _lock: KNOBS.lock().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    fn with_shards(shards: usize) -> Self {
-        let guard = Knobs::defaults();
-        set_default_shards(Some(shards));
-        guard
-    }
-}
-
-impl Drop for Knobs {
-    fn drop(&mut self) {
-        set_default_shards(None);
-    }
-}
 
 const RATE_BPS: f64 = 8e6; // 1000 B serialize in exactly 1 ms
 const DELAY: SimDuration = SimDuration::from_millis(5);
@@ -98,8 +65,7 @@ impl Run {
 }
 
 /// `a --link--> b` with a `Script` on `a` feeding a `Recorder` on `b`,
-/// run until `until`. The single link carries the topology's maximum
-/// delay, so at two shards `a` and `b` land on different shards.
+/// run until `until`.
 fn run_script(mut sim: Simulator, at: &[SimTime], sizes: &[u32], cap: usize, until: SimTime) -> Run {
     let a = sim.add_node();
     let b = sim.add_node();
@@ -132,7 +98,6 @@ fn ms(n: u64) -> SimTime {
 
 #[test]
 fn an_idle_link_schedules_no_wake_and_a_backlog_one_per_waiter() {
-    let _knobs = Knobs::defaults();
     // One packet over an idle link: start, start, timer, arrive.
     let one = run_script(Simulator::new(1), &[ms(0)], &[1000], 100, ms(100));
     assert_eq!(one.arrivals, vec![(0, ms(1 + 5))]);
@@ -155,7 +120,6 @@ fn an_idle_link_schedules_no_wake_and_a_backlog_one_per_waiter() {
 
 #[test]
 fn a_packet_arriving_as_the_wire_frees_up_respects_fifo() {
-    let _knobs = Knobs::defaults();
     // Packet 0 occupies the wire over [0, 1 ms); packet 1 queues behind
     // it at 0.5 ms and arms the wake. Packet 2 is admitted at exactly
     // 1 ms, ahead of that wake in event order: it must still queue
@@ -182,7 +146,6 @@ fn a_packet_arriving_as_the_wire_frees_up_respects_fifo() {
 
 #[test]
 fn stopping_mid_serialization_reconciles_under_strict_audit() {
-    let _knobs = Knobs::defaults();
     // Ten 1 ms packets at once into a 4-deep buffer: one goes on the
     // wire, four queue, five drop. At 2.5 ms packets 0 and 1 are fully
     // serialized, packet 2 is half way, two still wait.
@@ -212,8 +175,7 @@ proptest! {
 
     /// Work-conserving FIFO in closed form: whatever the arrival pattern,
     /// packet `k` leaves the wire at `max(arrive_k, depart_{k-1}) + tx_k`
-    /// and is delivered one propagation delay later — serial and across
-    /// a shard boundary.
+    /// and is delivered one propagation delay later.
     #[test]
     fn arrival_times_match_the_fifo_closed_form(
         raw in prop::collection::vec(0u64..52, 1..80),
@@ -235,11 +197,7 @@ proptest! {
             depart = arrive.max(depart) + transmission_time(size, RATE_BPS);
             expected.push((k as u64, depart + DELAY));
         }
-        for shards in [1, 2] {
-            let _knobs = Knobs::with_shards(shards);
-            let run = run_script(Simulator::new(7), &at, &sizes, 100, SimTime::from_secs(1));
-            prop_assert_eq!(run.sim.shard_count(), shards);
-            prop_assert_eq!(&run.arrivals, &expected, "{} shards", shards);
-        }
+        let run = run_script(Simulator::new(7), &at, &sizes, 100, SimTime::from_secs(1));
+        prop_assert_eq!(&run.arrivals, &expected);
     }
 }

@@ -59,7 +59,7 @@ fn spawn_offset(token: u64) -> Option<u64> {
     }
 }
 
-/// Dispatch the whole queue as `Shard::run_window` does, one
+/// Dispatch the whole queue as `Simulator::run_window` does, one
 /// `pop_if_at_or_before` per event, applying the spawn rule after each.
 fn run_dispatch<Q: Queue>(times: &[u64], budget: usize) -> Vec<(u64, u64)> {
     let horizon = SimTime::from_nanos(u64::MAX);
@@ -171,7 +171,7 @@ proptest! {
     }
 
     /// Massed ties at a handful of instants, with handlers adding more
-    /// at those same instants: order is carried by `(sched, seq)` alone.
+    /// at those same instants: order is carried by `seq` alone.
     #[test]
     fn tied_dispatch_resolves_identically(
         slots in prop::collection::vec(0u64..4, 2..200),
