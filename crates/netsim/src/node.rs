@@ -1,23 +1,27 @@
 //! Nodes and static routing.
 //!
 //! A node is a host or router with a per-destination routing table and an
-//! optional default route. Routing is static: the experiments use fixed
-//! dumbbell topologies, so tables are filled once at construction time by
-//! [`crate::topology`] helpers (or by hand for custom topologies).
+//! optional default route. Routing is static: tables are filled once at
+//! construction time by [`crate::topology`] helpers (or by hand for
+//! custom topologies).
 
 use crate::ids::{LinkId, NodeId};
 
 /// A host or router.
 ///
-/// The routing table is a flat sorted vector rather than a `HashMap`:
-/// [`Node::route`] runs for every packet at every hop, tables are tiny
-/// (a handful of entries on the paper's dumbbells) and built once at
-/// topology-construction time, so a cache-resident binary search beats
-/// hashing every destination id through SipHash on the hot path.
+/// The routing table is dense: slot `dst.index()` holds the out-link for
+/// `dst`, so [`Node::route`] — which runs for every packet at every hop —
+/// is one bounds-checked load. Tables are not tiny: a parking-lot router
+/// serving 1 024 flows holds ~2 048 entries, so a search would cost
+/// eleven dependent loads per hop. The table is only as long as the
+/// largest destination routed through this node; a host with just a
+/// default route keeps it empty. [`crate::sim::Simulator::add_route`]
+/// rejects destinations that are not nodes of the simulator, which
+/// bounds the table by the node count.
 #[derive(Debug, Default, Clone)]
 pub struct Node {
-    /// `(dst, out-link)` pairs, sorted by `dst` (unique).
-    routes: Vec<(NodeId, LinkId)>,
+    /// Next hop by destination index; `None` falls back to the default.
+    routes: Vec<Option<LinkId>>,
     default_route: Option<LinkId>,
 }
 
@@ -30,10 +34,10 @@ impl Node {
     /// Install a route: packets for `dst` leave on `link`. Re-adding a
     /// destination replaces its entry.
     pub fn add_route(&mut self, dst: NodeId, link: LinkId) {
-        match self.routes.binary_search_by_key(&dst, |&(d, _)| d) {
-            Ok(i) => self.routes[i].1 = link,
-            Err(i) => self.routes.insert(i, (dst, link)),
+        if self.routes.len() <= dst.index() {
+            self.routes.resize(dst.index() + 1, None);
         }
+        self.routes[dst.index()] = Some(link);
     }
 
     /// Install the default route used when no per-destination entry
@@ -45,10 +49,11 @@ impl Node {
     /// Outgoing link for `dst`, if the node knows one.
     #[inline]
     pub fn route(&self, dst: NodeId) -> Option<LinkId> {
-        match self.routes.binary_search_by_key(&dst, |&(d, _)| d) {
-            Ok(i) => Some(self.routes[i].1),
-            Err(_) => self.default_route,
-        }
+        self.routes
+            .get(dst.index())
+            .copied()
+            .flatten()
+            .or(self.default_route)
     }
 }
 
@@ -72,5 +77,44 @@ mod tests {
     fn no_route_when_empty() {
         let n = Node::new();
         assert_eq!(n.route(NodeId::from_index(0)), None);
+    }
+
+    #[test]
+    fn sparse_out_of_order_routes_resolve_and_holes_fall_back() {
+        let mut n = Node::new();
+        let fallback = LinkId::from_index(9);
+        n.set_default_route(fallback);
+        n.add_route(NodeId::from_index(40), LinkId::from_index(4));
+        n.add_route(NodeId::from_index(3), LinkId::from_index(1));
+        n.add_route(NodeId::from_index(17), LinkId::from_index(2));
+        assert_eq!(n.route(NodeId::from_index(3)), Some(LinkId::from_index(1)));
+        assert_eq!(n.route(NodeId::from_index(17)), Some(LinkId::from_index(2)));
+        assert_eq!(n.route(NodeId::from_index(40)), Some(LinkId::from_index(4)));
+        // Holes inside the table and indices past its end both use the
+        // default route.
+        assert_eq!(n.route(NodeId::from_index(0)), Some(fallback));
+        assert_eq!(n.route(NodeId::from_index(18)), Some(fallback));
+        assert_eq!(n.route(NodeId::from_index(41)), Some(fallback));
+        assert_eq!(n.route(NodeId::from_index(1_000_000)), Some(fallback));
+    }
+
+    #[test]
+    fn re_adding_a_destination_replaces_its_entry() {
+        let mut n = Node::new();
+        let dst = NodeId::from_index(5);
+        n.add_route(dst, LinkId::from_index(1));
+        n.add_route(dst, LinkId::from_index(2));
+        assert_eq!(n.route(dst), Some(LinkId::from_index(2)));
+        assert_eq!(n.route(NodeId::from_index(4)), None);
+    }
+
+    #[test]
+    fn default_route_alone_keeps_the_table_empty() {
+        let mut n = Node::new();
+        let up = LinkId::from_index(0);
+        n.set_default_route(up);
+        assert!(n.routes.is_empty());
+        assert_eq!(n.route(NodeId::from_index(0)), Some(up));
+        assert_eq!(n.route(NodeId::from_index(123)), Some(up));
     }
 }

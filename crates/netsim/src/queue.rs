@@ -65,6 +65,12 @@ pub trait QueueDiscipline: Send {
 }
 
 /// A FIFO queue with a hard capacity in packets.
+///
+/// The buffer starts empty and grows to the deepest backlog the link
+/// actually sees, as [`Red`]'s does: `capacity` is a drop threshold, not
+/// an allocation. Most DropTail queues are access links that rarely hold
+/// more than a few packets; pre-allocating the limit would cost the
+/// 1 024-flow parking lot's 4 096 access links 61 MB.
 #[derive(Debug)]
 pub struct DropTail {
     buf: VecDeque<PacketId>,
@@ -73,10 +79,10 @@ pub struct DropTail {
 
 impl DropTail {
     /// A FIFO holding at most `capacity` packets. A capacity of zero drops
-    /// everything.
+    /// everything. Allocates nothing until the first enqueue.
     pub fn new(capacity: usize) -> Self {
         DropTail {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
+            buf: VecDeque::new(),
             capacity,
         }
     }
@@ -446,6 +452,15 @@ mod tests {
         assert_eq!(pool.get(q.dequeue(SimTime::ZERO).unwrap()).uid, 2);
         assert!(q.dequeue(SimTime::ZERO).is_none());
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn droptail_allocates_on_first_enqueue_not_at_construction() {
+        let mut q = DropTail::new(10_000);
+        assert_eq!(q.buf.capacity(), 0);
+        let mut pool = PacketPool::new();
+        offer(&mut q, &mut pool, 1, SimTime::ZERO, &mut rng());
+        assert!((1..10_000).contains(&q.buf.capacity()));
     }
 
     fn red_cfg() -> RedConfig {

@@ -548,14 +548,35 @@ impl Simulator {
         id
     }
 
-    /// Install a per-destination route at `node`.
+    /// Install a per-destination route at `node`. Panics unless `node`
+    /// and `dst` are nodes and `link` a link of this simulator: the
+    /// routing table is indexed by `dst`, so an unissued id would either
+    /// allocate a table to match it or fail only at the first forward.
     pub fn add_route(&mut self, node: NodeId, dst: NodeId, link: LinkId) {
+        self.check_route(node, link);
+        assert!(
+            dst.index() < self.world.nodes.len(),
+            "route destination {dst} is not a node of this simulator"
+        );
         self.world.nodes[node.index()].add_route(dst, link);
     }
 
-    /// Install the default route at `node`.
+    /// Install the default route at `node`. Panics unless `node` is a
+    /// node and `link` a link of this simulator.
     pub fn set_default_route(&mut self, node: NodeId, link: LinkId) {
+        self.check_route(node, link);
         self.world.nodes[node.index()].set_default_route(link);
+    }
+
+    fn check_route(&self, node: NodeId, link: LinkId) {
+        assert!(
+            node.index() < self.world.nodes.len(),
+            "route node {node} is not a node of this simulator"
+        );
+        assert!(
+            link.index() < self.world.links.len(),
+            "route link {link} is not a link of this simulator"
+        );
     }
 
     /// Allocate a flow identifier for statistics accounting.
@@ -1357,6 +1378,122 @@ mod tests {
         crate::budget::set_thread_budget(crate::budget::Budget::none());
         assert_eq!(sim.budget().max_events, Some(20));
         assert!(Simulator::new(0).budget().is_unlimited());
+    }
+
+    #[test]
+    #[should_panic(expected = "route destination NodeId#1000000 is not a node of this simulator")]
+    fn add_route_rejects_an_unissued_destination() {
+        let (mut sim, a, _) = two_node_world(0, 8e6, SimDuration::from_millis(1), 10);
+        sim.add_route(a, NodeId::from_index(1_000_000), LinkId::from_index(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "route link LinkId#2 is not a link of this simulator")]
+    fn set_default_route_rejects_an_unissued_link() {
+        let (mut sim, a, _) = two_node_world(0, 8e6, SimDuration::from_millis(1), 10);
+        sim.set_default_route(a, LinkId::from_index(2));
+    }
+
+    /// Sends one 1000-byte data packet every 5 ms, forever.
+    struct Ticker {
+        flow: FlowId,
+        dst_node: NodeId,
+        dst_agent: AgentId,
+        seq: u64,
+    }
+
+    impl Agent for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.on_timer(0, ctx);
+        }
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
+            ctx.send(PacketSpec::data(
+                self.flow,
+                self.seq,
+                1000,
+                self.dst_node,
+                self.dst_agent,
+            ));
+            self.seq += 1;
+            ctx.set_timer(SimDuration::from_millis(5), 0);
+        }
+    }
+
+    /// A two-node world with a ticking sender and an acking sink: both
+    /// links and the flow record in every bin; nothing is dropped or
+    /// marked.
+    fn ticking_world() -> (Simulator, FlowId) {
+        let (mut sim, a, b) = two_node_world(5, 8e6, SimDuration::from_millis(1), 100);
+        let received = Arc::new(AtomicU64::new(0));
+        let sink = sim.add_agent(b, Box::new(CountingSink { received, acks: true }));
+        let flow = sim.new_flow();
+        sim.add_agent(
+            a,
+            Box::new(Ticker {
+                flow,
+                dst_node: b,
+                dst_agent: sink,
+                seq: 0,
+            }),
+        );
+        (sim, flow)
+    }
+
+    /// Every binned series of `flow` and of both links, with its name.
+    fn recorded_series(sim: &Simulator, flow: FlowId) -> Vec<(String, Vec<u64>, usize)> {
+        let mut out = Vec::new();
+        let mut push = |name: String, v: &Vec<u64>| out.push((name, v.clone(), v.capacity()));
+        let f = sim.stats().flow(flow).unwrap();
+        push("flow.tx_bytes".into(), &f.tx_bytes);
+        push("flow.rx_bytes".into(), &f.rx_bytes);
+        push("flow.rx_packets".into(), &f.rx_packets);
+        for ix in 0..2 {
+            let l = sim.stats().link(LinkId::from_index(ix)).unwrap();
+            push(format!("link{ix}.arrivals"), &l.arrivals);
+            push(format!("link{ix}.queue_sum"), &l.queue_sum);
+            push(format!("link{ix}.tx_bytes"), &l.tx_bytes);
+        }
+        out
+    }
+
+    #[test]
+    fn stats_series_are_sized_to_the_horizon_once() {
+        let (mut sim, flow) = ticking_world();
+        sim.run_until(SimTime::from_secs(1));
+        // 10 ms bins: bin_index(1 s) + 1 = 101 bins, plus one for a
+        // `tx_bytes` booked past the horizon.
+        for (name, v, cap) in recorded_series(&sim, flow) {
+            assert!(!v.is_empty(), "{name} recorded nothing");
+            assert_eq!(cap, 102, "{name} capacity");
+        }
+        for ix in 0..2 {
+            let l = sim.stats().link(LinkId::from_index(ix)).unwrap();
+            assert_eq!(l.total_drops + l.total_marks, 0);
+            assert_eq!(l.drops.capacity(), 0, "link{ix}.drops allocated");
+            assert_eq!(l.marks.capacity(), 0, "link{ix}.marks allocated");
+        }
+
+        // A second, longer horizon re-sizes each series once, and the
+        // split run records exactly what one 2 s run does.
+        sim.run_until(SimTime::from_secs(2));
+        let (mut whole, whole_flow) = ticking_world();
+        whole.run_until(SimTime::from_secs(2));
+        let split = recorded_series(&sim, flow);
+        let single = recorded_series(&whole, whole_flow);
+        for ((name, v, cap), (_, w, _)) in split.iter().zip(&single) {
+            assert_eq!(v, w, "{name} differs from a single 2 s run");
+            assert_eq!(*cap, 202, "{name} capacity after the second horizon");
+        }
+        let (f, g) = (
+            sim.stats().flow(flow).unwrap(),
+            whole.stats().flow(whole_flow).unwrap(),
+        );
+        assert_eq!(
+            (f.total_tx_bytes, f.total_rx_bytes, f.total_rx_packets),
+            (g.total_tx_bytes, g.total_rx_bytes, g.total_rx_packets)
+        );
+        assert!(f.total_rx_packets > 350, "ticker should run the whole 2 s");
     }
 
     #[test]

@@ -87,20 +87,37 @@ pub struct Stats {
     /// and bins are ~10 ms wide, so almost every record hits the memo
     /// and skips the 64-bit division in [`Self::bin_index`].
     bin_memo: (u64, u64, usize),
-    /// Bin-count hint for newly created per-flow/per-link series, set
-    /// from the `run_until` horizon: series are allocated at their final
-    /// capacity up front instead of doubling through ~10 reallocs each
-    /// over the run. Capacity only — serialized lengths are untouched.
+    /// Bins up to the furthest `run_until` horizon so far. A series is
+    /// allocated on its first record at `reserve_hint + 1` bins (`tx_bytes`
+    /// is booked at serialization end and can land one bin past the
+    /// horizon) and re-sized to the new horizon when a later `run_until`
+    /// outgrows it, so a run pays one allocation per recorded series
+    /// instead of doubling through ~10 reallocs and up to 2x slack.
+    /// Never-recorded series stay unallocated. Capacity only — recorded
+    /// lengths and values are untouched.
     reserve_hint: usize,
     flows: Vec<FlowStats>,
     links: Vec<LinkStats>,
 }
 
-fn bump(v: &mut Vec<u64>, ix: usize, amount: u64) {
+/// Add `amount` to bin `ix` of `v`. The common case is a compare and an
+/// add; extending the series is out of line in [`grow`].
+#[inline]
+fn bump(v: &mut Vec<u64>, ix: usize, amount: u64, hint: usize) {
     if v.len() <= ix {
-        v.resize(ix + 1, 0);
+        grow(v, ix, hint);
     }
     v[ix] += amount;
+}
+
+/// Extend `v` to cover bin `ix`, reserving exactly `hint + 1` bins when
+/// the horizon is beyond the current capacity (see `Stats::reserve_hint`);
+/// a bin past the horizon falls back to `Vec`'s doubling.
+#[cold]
+#[inline(never)]
+fn grow(v: &mut Vec<u64>, ix: usize, hint: usize) {
+    v.reserve_exact((hint + 1).saturating_sub(v.len()));
+    v.resize(ix + 1, 0);
 }
 
 impl Stats {
@@ -139,9 +156,11 @@ impl Stats {
         ix
     }
 
-    /// Record the horizon the simulator is about to run to, so series
-    /// created from here on start at their final capacity. Clamped so a
-    /// `run_until(SimTime::MAX)` drain cannot trigger a huge allocation.
+    /// Record the horizon the simulator is about to run to (`run_until`
+    /// calls this before dispatching anything), so every series first
+    /// recorded or outgrown from here on is sized to it in one
+    /// allocation. Clamped so a `run_until(SimTime::MAX)` drain cannot
+    /// trigger a huge allocation.
     pub(crate) fn set_reserve_hint(&mut self, until: SimTime) {
         const MAX_HINT_BINS: usize = 1 << 17;
         self.reserve_hint = self
@@ -149,58 +168,48 @@ impl Stats {
             .max((self.bin_index(until) + 1).min(MAX_HINT_BINS));
     }
 
-    fn series(&self) -> Vec<u64> {
-        Vec::with_capacity(self.reserve_hint)
-    }
-
+    /// Register `flow` (and every lower index). Allocates no bins.
     pub(crate) fn ensure_flow(&mut self, flow: FlowId) {
-        while self.flows.len() <= flow.index() {
-            self.flows.push(FlowStats {
-                tx_bytes: self.series(),
-                rx_bytes: self.series(),
-                rx_packets: self.series(),
-                ..FlowStats::default()
-            });
+        if self.flows.len() <= flow.index() {
+            self.flows.resize_with(flow.index() + 1, FlowStats::default);
         }
     }
 
+    /// Register `link` (and every lower index). Allocates no bins; the
+    /// simulator registers each link in `add_link`, so the per-hop
+    /// `record_link_*` calls index it directly.
     pub(crate) fn ensure_link(&mut self, link: LinkId) {
-        while self.links.len() <= link.index() {
-            self.links.push(LinkStats {
-                arrivals: self.series(),
-                drops: self.series(),
-                marks: self.series(),
-                queue_sum: self.series(),
-                tx_bytes: self.series(),
-                ..LinkStats::default()
-            });
+        if self.links.len() <= link.index() {
+            self.links.resize_with(link.index() + 1, LinkStats::default);
         }
     }
 
     pub(crate) fn record_flow_tx(&mut self, flow: FlowId, now: SimTime, bytes: u32) {
         let ix = self.bin_index_hot(now);
         self.ensure_flow(flow);
+        let hint = self.reserve_hint;
         let f = &mut self.flows[flow.index()];
-        bump(&mut f.tx_bytes, ix, bytes as u64);
+        bump(&mut f.tx_bytes, ix, bytes as u64, hint);
         f.total_tx_bytes += bytes as u64;
     }
 
     pub(crate) fn record_flow_rx(&mut self, flow: FlowId, now: SimTime, bytes: u32) {
         let ix = self.bin_index_hot(now);
         self.ensure_flow(flow);
+        let hint = self.reserve_hint;
         let f = &mut self.flows[flow.index()];
-        bump(&mut f.rx_bytes, ix, bytes as u64);
-        bump(&mut f.rx_packets, ix, 1);
+        bump(&mut f.rx_bytes, ix, bytes as u64, hint);
+        bump(&mut f.rx_packets, ix, 1, hint);
         f.total_rx_bytes += bytes as u64;
         f.total_rx_packets += 1;
     }
 
     pub(crate) fn record_link_arrival(&mut self, link: LinkId, now: SimTime, queue_len: usize) {
         let ix = self.bin_index_hot(now);
-        self.ensure_link(link);
+        let hint = self.reserve_hint;
         let l = &mut self.links[link.index()];
-        bump(&mut l.arrivals, ix, 1);
-        bump(&mut l.queue_sum, ix, queue_len as u64);
+        bump(&mut l.arrivals, ix, 1, hint);
+        bump(&mut l.queue_sum, ix, queue_len as u64, hint);
         l.total_arrivals += 1;
     }
 
@@ -227,9 +236,9 @@ impl Stats {
 
     pub(crate) fn record_link_drop(&mut self, link: LinkId, now: SimTime) {
         let ix = self.bin_index_hot(now);
-        self.ensure_link(link);
+        let hint = self.reserve_hint;
         let l = &mut self.links[link.index()];
-        bump(&mut l.drops, ix, 1);
+        bump(&mut l.drops, ix, 1, hint);
         l.total_drops += 1;
     }
 
@@ -241,28 +250,26 @@ impl Stats {
     }
 
     pub(crate) fn record_link_duplicate(&mut self, link: LinkId) {
-        self.ensure_link(link);
         self.links[link.index()].total_duplicates += 1;
     }
 
     pub(crate) fn record_link_fault_held(&mut self, link: LinkId) {
-        self.ensure_link(link);
         self.links[link.index()].total_fault_held += 1;
     }
 
     pub(crate) fn record_link_mark(&mut self, link: LinkId, now: SimTime) {
         let ix = self.bin_index_hot(now);
-        self.ensure_link(link);
+        let hint = self.reserve_hint;
         let l = &mut self.links[link.index()];
-        bump(&mut l.marks, ix, 1);
+        bump(&mut l.marks, ix, 1, hint);
         l.total_marks += 1;
     }
 
     pub(crate) fn record_link_tx(&mut self, link: LinkId, now: SimTime, bytes: u32) {
         let ix = self.bin_index_hot(now);
-        self.ensure_link(link);
+        let hint = self.reserve_hint;
         let l = &mut self.links[link.index()];
-        bump(&mut l.tx_bytes, ix, bytes as u64);
+        bump(&mut l.tx_bytes, ix, bytes as u64, hint);
         l.total_tx_bytes += bytes as u64;
         l.total_tx_packets += 1;
     }
@@ -445,6 +452,7 @@ mod tests {
     fn loss_fraction_counts_drops_over_arrivals() {
         let mut s = Stats::new(SimDuration::from_millis(10));
         let l = LinkId::from_index(0);
+        s.ensure_link(l);
         for i in 0..10 {
             s.record_link_arrival(l, t(i), 0);
         }
@@ -470,9 +478,27 @@ mod tests {
     fn utilization_against_nominal_rate() {
         let mut s = Stats::new(SimDuration::from_millis(10));
         let l = LinkId::from_index(1);
+        s.ensure_link(l);
         // 125_000 bytes in 1 second = 1 Mbit/s.
         s.record_link_tx(l, t(500), 125_000);
         let u = s.link_utilization_in(l, t(0), SimTime::from_secs(1), 2e6);
         assert!((u - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_series_is_allocated_at_the_hint_on_first_record() {
+        let mut s = Stats::new(SimDuration::from_millis(10));
+        let l = LinkId::from_index(0);
+        s.ensure_link(l);
+        s.set_reserve_hint(SimTime::from_secs(1));
+        assert_eq!(s.link(l).unwrap().arrivals.capacity(), 0);
+        s.record_link_arrival(l, t(5), 0);
+        let stats = s.link(l).unwrap();
+        assert_eq!(stats.arrivals.capacity(), 102);
+        assert_eq!(stats.arrivals.len(), 1);
+        assert_eq!(stats.drops.capacity(), 0, "unrecorded series allocated");
+        // A bin past the horizon still records (growing past the hint).
+        s.record_link_tx(l, t(1_500), 100);
+        assert_eq!(s.link_tx_bytes_in(l, t(1_500), t(1_510)), 100);
     }
 }
