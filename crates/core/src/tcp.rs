@@ -14,7 +14,7 @@
 //! bottleneck rate collapses, the ACK clock throttles the sender within
 //! one RTT — the property Section 4.1 identifies as the safety mechanism.
 
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 use slowcc_netsim::packet::{AckInfo, Packet, PacketSpec};
 use slowcc_netsim::sim::{Agent, Ctx, Simulator};
@@ -509,8 +509,11 @@ impl Agent for Tcp {
 pub struct TcpSink {
     /// Next in-order sequence expected.
     expected: u64,
-    /// Out-of-order segments awaiting the hole to fill.
-    ooo: BTreeSet<u64>,
+    /// Out-of-order segments awaiting the hole to fill, sorted and
+    /// unique, every one above `expected`. Reordering is nearly always
+    /// an arrival past the back (a `push_back`) and a hole fill pops
+    /// from the front, so a deque beats a tree here.
+    ooo: VecDeque<u64>,
     /// Total data packets received.
     total: u64,
     /// Delayed-ACK mode.
@@ -530,7 +533,7 @@ impl TcpSink {
     pub fn new() -> Self {
         TcpSink {
             expected: 0,
-            ooo: BTreeSet::new(),
+            ooo: VecDeque::new(),
             total: 0,
             delack: false,
             pending: None,
@@ -559,6 +562,30 @@ impl TcpSink {
         self.acks_sent += 1;
         self.pending = None;
         self.delack_gen += 1; // invalidate any armed delack timer
+    }
+
+    /// Book the arrival of data segment `seq` into `expected` and `ooo`.
+    /// Returns whether it was the in-order segment with reordered ones
+    /// waiting behind it (a hole fill). Old duplicates (`seq <
+    /// expected`) and repeats of a held segment change nothing.
+    fn accept(&mut self, seq: u64) -> bool {
+        if seq == self.expected {
+            let filled_hole = !self.ooo.is_empty();
+            self.expected += 1;
+            while self.ooo.front() == Some(&self.expected) {
+                self.ooo.pop_front();
+                self.expected += 1;
+            }
+            return filled_hole;
+        }
+        if seq > self.expected {
+            if self.ooo.back().is_none_or(|&back| seq > back) {
+                self.ooo.push_back(seq);
+            } else if let Err(at) = self.ooo.binary_search(&seq) {
+                self.ooo.insert(at, seq);
+            }
+        }
+        false
     }
 }
 
@@ -593,15 +620,7 @@ impl Agent for TcpSink {
         }
         self.total += 1;
         let in_order = pkt.seq == self.expected;
-        let filled_hole = in_order && !self.ooo.is_empty();
-        if in_order {
-            self.expected += 1;
-            while self.ooo.remove(&self.expected) {
-                self.expected += 1;
-            }
-        } else if pkt.seq > self.expected {
-            self.ooo.insert(pkt.seq);
-        }
+        let filled_hole = self.accept(pkt.seq);
         // Old duplicates (seq < expected) still elicit an ACK, per TCP.
         if !self.delack {
             self.emit_ack(&pkt, ctx);
@@ -638,6 +657,7 @@ mod tests {
     use super::*;
     use slowcc_netsim::link::EveryNth;
     use slowcc_netsim::topology::{Dumbbell, DumbbellConfig, DumbbellOptions, QueueKind};
+    use std::collections::BTreeSet;
 
     fn dumbbell(bps: f64) -> DumbbellConfig {
         DumbbellConfig::paper(bps)
@@ -1274,6 +1294,58 @@ mod tests {
             1,
             "dups below fr_guard suppressed, dups above honored (RFC 6582 §4)"
         );
+    }
+
+    /// The sink's sorted-deque reorder set books every arrival exactly as
+    /// the `BTreeSet` bookkeeping `GuardScript` uses: random arrival
+    /// orders with gaps, duplicates of held segments, old retransmits
+    /// below `expected` and late hole fills, checked after every arrival.
+    #[test]
+    fn sink_reorder_set_matches_the_btreeset_model() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut sink = TcpSink::new();
+            let (mut expected, mut ooo) = (0u64, BTreeSet::new());
+            // One past the highest segment sent so far.
+            let mut next = 0u64;
+            for step in 0..2_000 {
+                let seq = match rng.gen_range_u64(0, 10) {
+                    // New data, sometimes past a gap of lost segments.
+                    0..=4 => {
+                        if rng.gen_bool(0.3) {
+                            next += rng.gen_range_u64(1, 5);
+                        }
+                        next += 1;
+                        next - 1
+                    }
+                    // The hole itself.
+                    5 => expected,
+                    // Anywhere in the window: late fills and duplicates
+                    // of held segments.
+                    6 | 7 if next > expected => rng.gen_range_u64(expected, next),
+                    // Old retransmits below `expected`.
+                    8 if expected > 0 => rng.gen_range_u64(0, expected),
+                    _ => next.saturating_sub(1),
+                };
+                let model_filled_hole = seq == expected && !ooo.is_empty();
+                if seq == expected {
+                    expected += 1;
+                    while ooo.remove(&expected) {
+                        expected += 1;
+                    }
+                } else if seq > expected {
+                    ooo.insert(seq);
+                }
+                let filled_hole = sink.accept(seq);
+                let at = format!("seed {seed} step {step} seq {seq}");
+                assert_eq!(filled_hole, model_filled_hole, "{at}");
+                assert_eq!(sink.expected, expected, "{at}");
+                assert!(sink.ooo.iter().eq(ooo.iter()), "{at}: {:?}", sink.ooo);
+            }
+        }
     }
 
     /// The sink ACKs every data packet cumulatively, emitting duplicate

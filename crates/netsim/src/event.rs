@@ -3,8 +3,10 @@
 //! [`EventQueue`] is a calendar queue in the style of Brown (1988) and
 //! ns-2's scheduler: events are hashed into time buckets of width 2^k
 //! nanoseconds, insert and pop are amortized O(1), and the bucket array
-//! resizes (and re-picks its width from the observed event spacing) as
-//! the pending-event population drifts.
+//! resizes (and re-picks its width from the spacing of the distinct
+//! times at the head of the queue) as the pending-event population
+//! drifts. A head of ties says nothing about spacing and keeps the
+//! width it finds.
 //!
 //! Ordering is by `(time, sequence)`: the instant the event fires, then
 //! a monotone token assigned at scheduling time. Ties in simulated time
@@ -237,24 +239,28 @@ impl EventQueue {
     /// `(max - min) / len` estimate is wrong whenever the distribution
     /// is skewed — e.g. a dense recycling cluster at the front with a
     /// sparse tail of far-out timers behind it.
+    ///
+    /// The gap is taken over the head's *distinct* times: ties carry no
+    /// spacing information, and a head that sits at one instant (every
+    /// sink's `AgentStart` at t = 0 in a many-flow set-up) keeps the
+    /// current width instead of collapsing it to the 16 ns floor.
     fn resize(&mut self, new_nb: usize) {
         const WIDTH_SAMPLE: usize = 32;
         let mut entries: Vec<Entry> = Vec::with_capacity(self.len);
         for bucket in &mut self.buckets {
             entries.extend(std::mem::take(bucket));
         }
-        if entries.len() >= 2 {
-            // The WIDTH_SAMPLE earliest event times, via an O(n) select
-            // (order within the head does not matter, only its span).
-            let mut times: Vec<u64> = entries.iter().map(|e| e.time.as_nanos()).collect();
-            if times.len() > WIDTH_SAMPLE {
-                times.select_nth_unstable(WIDTH_SAMPLE - 1);
-                times.truncate(WIDTH_SAMPLE);
-            }
-            let head = &times[..];
-            let lo = head.iter().min().copied().unwrap_or(0);
-            let hi = head.iter().max().copied().unwrap_or(0);
-            let mean_gap = (hi - lo) / head.len().max(1) as u64;
+        // The WIDTH_SAMPLE earliest event times, via an O(n) select,
+        // then sorted and deduplicated.
+        let mut head: Vec<u64> = entries.iter().map(|e| e.time.as_nanos()).collect();
+        if head.len() > WIDTH_SAMPLE {
+            head.select_nth_unstable(WIDTH_SAMPLE - 1);
+            head.truncate(WIDTH_SAMPLE);
+        }
+        head.sort_unstable();
+        head.dedup();
+        if let [lo, .., hi] = head[..] {
+            let mean_gap = (hi - lo) / (head.len() - 1) as u64;
             // Width = smallest power of two >= 2 * mean head gap,
             // clamped so day arithmetic stays sane.
             self.shift = (64 - (mean_gap.saturating_mul(2)).leading_zeros()).clamp(4, 40);
@@ -460,6 +466,46 @@ mod tests {
         q.schedule(SimTime::from_secs(7200), timer(0, 2));
         let tokens = drain_tokens(&mut q);
         assert_eq!(tokens, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_same_instant_head_keeps_the_bucket_width() {
+        // A many-flow set-up starts every sink at t = 0: the 33rd tie
+        // triggers the 16 -> 32 grow with nothing but ties at the head.
+        let mut q = EventQueue::new();
+        for token in 0..33 {
+            q.schedule(SimTime::ZERO, timer(0, token));
+        }
+        assert_eq!(q.buckets.len(), 32);
+        assert_eq!(q.shift, INITIAL_SHIFT, "ties must not collapse the width");
+        let ties = drain_tokens(&mut q);
+        assert_eq!(ties, (0..33).collect::<Vec<_>>());
+        assert_eq!(q.shift, INITIAL_SHIFT);
+
+        // Then traffic spaced 100 µs: the next grow re-picks the width
+        // from those distinct times, 2^18 ns being the smallest power
+        // of two >= 2 × 100 µs.
+        let nb = q.buckets.len();
+        let mut token = 33;
+        while q.buckets.len() == nb {
+            q.schedule(SimTime::from_nanos(100_000 * token), timer(0, token));
+            token += 1;
+        }
+        assert_eq!(q.shift, 18);
+
+        // Interleave more ties so the drain also checks `seq` order.
+        for t in 33..token {
+            q.schedule(SimTime::from_nanos(100_000 * t), timer(0, token + t));
+        }
+        let mut keys = Vec::new();
+        while let Some((time, kind)) = q.pop() {
+            keys.push((time, token_of(kind)));
+        }
+        assert_eq!(keys.len(), 2 * (token - 33) as usize);
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "drain out of (time, seq) order"
+        );
     }
 
     #[test]

@@ -4,13 +4,20 @@
 #
 #   scripts/same-bytes.sh [REV]      REV defaults to HEAD
 #
-# Builds `repro` from `git archive REV` (unpacked into a temporary
-# directory, with its own target directory; the repository's `.git` is
-# only read) and from the working tree, runs `repro --quick all --audit`
-# at `--jobs 1` on both and again on the working tree at `--jobs 2`, and
-# compares each working-tree run against REV: stdout with `cmp`, the
-# `--out` tree with `diff -r`. Prints both audit lines; exits 1 on any
-# difference. Two release builds, so it is not part of verify.sh.
+# Builds `repro` and the repo benchmark from `git archive REV` (unpacked
+# into a temporary directory, with its own target directory; the
+# repository's `.git` is only read) and from the working tree, all
+# offline. Then two checks, each against REV:
+#
+# * `repro --quick all --audit` at `--jobs 1` on both and again on the
+#   working tree at `--jobs 2`: stdout with `cmp`, the `--out` tree with
+#   `diff -r`. Prints both audit lines.
+# * per-seed digests: `benchmark --workload W --seed S --seconds 1
+#   --trace 0` for each simulation workload at seeds 1 and 2, comparing
+#   the `events N packets N sim_digest X` part of the stderr summary.
+#
+# Exits 1 on any difference. Four release builds, so it is not part of
+# verify.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,14 +26,20 @@ commit="$(git rev-parse --verify "$rev^{commit}")"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== building repro at $rev ($commit) =="
+build() { # build SOURCE_DIR TARGET_DIR
+  (cd "$1" && CARGO_TARGET_DIR="$2" \
+    cargo build --release --offline --quiet -p slowcc-experiments --bin repro &&
+    CARGO_TARGET_DIR="$2" \
+    cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+}
+
+echo "== building repro and benchmark at $rev ($commit) =="
 mkdir "$tmp/rev"
 git archive "$commit" | tar -x -C "$tmp/rev"
-(cd "$tmp/rev" && CARGO_TARGET_DIR="$tmp/rev-target" \
-  cargo build --release --offline --quiet -p slowcc-experiments --bin repro)
+build "$tmp/rev" "$tmp/rev-target"
 
-echo "== building repro from the working tree =="
-cargo build --release --offline --quiet -p slowcc-experiments --bin repro
+echo "== building repro and benchmark from the working tree =="
+build . "$PWD/target"
 
 run() { # run NAME REPRO JOBS
   echo "== repro --quick all --audit --jobs $3 ($1) =="
@@ -47,4 +60,22 @@ for side in tree-j1 tree-j2; do
 done
 echo "audit ($rev):  $(grep "audit: " "$tmp/rev.txt")"
 echo "audit (tree): $(grep "audit: " "$tmp/tree-j1.txt")"
+
+digest() { # digest BENCHMARK WORKLOAD SEED
+  "$1" --workload "$2" --seed "$3" --seconds 1 --trace 0 2>&1 >/dev/null |
+    grep -o 'events [0-9]* packets [0-9]* sim_digest [0-9a-f]*'
+}
+echo "== per-seed digests: benchmark --seconds 1 --trace 0 =="
+for workload in bulk-tcp bulk-tcp-traced flavor-mix forward-cbr wide-lot; do
+  for seed in 1 2; do
+    want="$(digest "$tmp/rev-target/release/benchmark" "$workload" "$seed")" || true
+    got="$(digest ./target/release/benchmark "$workload" "$seed")" || true
+    if [ -n "$want" ] && [ "$want" = "$got" ]; then
+      echo "$workload seed $seed: $got"
+    else
+      echo "$workload seed $seed: DIFFERS ($rev: $want; tree: $got)"
+      status=1
+    fi
+  done
+done
 exit "$status"
