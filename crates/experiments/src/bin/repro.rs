@@ -26,14 +26,14 @@
 //! the simulator's events): a panicking, over-budget, livelocked
 //! or cancelled simulation unwinds cleanly on its own worker thread
 //! (joined, never abandoned), fails its own cell, and its siblings
-//! complete. Failed cells are retried up to `--retries` times with the
-//! same seed; two identical outcomes quarantine the cell. As cells
-//! finish, their fate is recorded in `<results dir>/manifest.json`
-//! (no timestamps) and their output is cached under
-//! `<results dir>/cells/`, so `--resume` replays everything already
-//! `ok` at the same scale and re-runs only the failures and the
-//! never-attempted; `<results dir>/failures.json` carries the attempt
-//! dossier.
+//! complete. As cells finish, their fate is recorded in
+//! `<results dir>/manifest.json` (no timestamps) and their output is
+//! cached under `<results dir>/cells/`, so `--resume` replays
+//! everything already `ok` at the same scale and re-runs only the
+//! failures and the never-attempted; `<results dir>/failures.json`
+//! holds one record per failed cell (cell, seed, class, message).
+//! A failed cell is not retried in-process: a cell is a pure function
+//! of code, cell spec and seed, so only `--resume` re-runs it.
 //!
 //! Exit codes: 0 success, 1 cells failed or audit violations, 130
 //! interrupted by SIGINT/SIGTERM (manifest flushed, resumable).
@@ -95,7 +95,6 @@ fn main() -> ExitCode {
     let mut audit_run = false;
     let mut resume = false;
     let mut cell_timeout: Option<Duration> = None;
-    let mut retries = 0usize;
     let mut names: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -121,13 +120,6 @@ fn main() -> ExitCode {
                 Some(limit) => cell_timeout = Some(limit),
                 None => {
                     eprintln!("--cell-timeout requires a positive number of seconds");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--retries" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => retries = n,
-                None => {
-                    eprintln!("--retries requires a count");
                     return ExitCode::FAILURE;
                 }
             },
@@ -198,7 +190,6 @@ fn main() -> ExitCode {
         manifest_dir,
         resume,
         cell_timeout,
-        retries,
     };
     let summary = exec::run(&targets, &opts);
 
@@ -251,7 +242,7 @@ fn parse_cell_timeout(arg: &str) -> Option<Duration> {
 fn usage() {
     eprintln!(
         "usage: repro [--quick] [--audit] [--jobs N] [--out DIR] [--resume] \
-         [--cell-timeout SECS] [--retries N] <experiment>... | all | list | run <scenario.toml>..."
+         [--cell-timeout SECS] <experiment>... | all | list | run <scenario.toml>..."
     );
     eprintln!("experiments: {}", registry::names_line());
     eprintln!("run <scenario.toml>... compiles declarative scenario files (see examples/scenarios/)");
@@ -264,8 +255,6 @@ fn usage() {
     eprintln!("         from the cell cache and re-runs only failed or never-attempted cells");
     eprintln!("--cell-timeout SECS arms a cooperative wall-clock budget per cell; an");
     eprintln!("         over-budget simulation unwinds cleanly and fails only its own cell");
-    eprintln!("--retries N re-runs each failed cell up to N times (same seed, exponential");
-    eprintln!("         backoff); two identical outcomes quarantine the cell as deterministic");
     eprintln!("exit codes: 0 ok; 1 cells failed or audit violations; 130 interrupted");
     eprintln!("         (SIGINT/SIGTERM: manifest flushed, rerun with --resume to continue)");
 }

@@ -11,11 +11,10 @@
 //! The assertion is graceful degradation, not throughput: every cell
 //! must either keep moving data or stall quietly — no panic, no audit
 //! violation, no leaked timer. A flavor that crashes or corrupts the
-//! packet ledger under reordering/duplication fails its cell; the cell
-//! failures are collected via the crash-isolated runner and reported
-//! together before the sweep itself fails. Throughput and fault
-//! counters are reported per cell so regressions in *how* gracefully a
-//! flavor degrades stay visible.
+//! packet ledger under reordering/duplication panics its cell, which
+//! `repro` records as a failed cell like any other. Throughput and
+//! fault counters are reported per cell so regressions in *how*
+//! gracefully a flavor degrades stay visible.
 //!
 //! Every draw comes from the cell's own seed, so the sweep is
 //! bit-identical across runs, `--jobs` settings, and scheduler
@@ -33,7 +32,6 @@ use slowcc_netsim::topology::{Dumbbell, DumbbellConfig, DumbbellOptions};
 
 use crate::experiment::{CellSpec, Experiment};
 use crate::flavor::Flavor;
-use crate::runner::{self, CellFailure};
 use crate::scale::Scale;
 
 /// Outcome of one `(flavor, seed)` chaos cell.
@@ -171,10 +169,14 @@ fn flavors() -> Vec<Flavor> {
     ]
 }
 
+/// Simulated horizon per cell.
+fn horizon(scale: Scale) -> SimDuration {
+    scale.pick(SimDuration::from_secs(40), SimDuration::from_secs(15))
+}
+
 /// Registry entry for the chaos sweep: one cell per `(flavor, seed)`.
-/// Under the unified execution path a crashed cell is recorded in the
-/// manifest and fails the run without a digest panic; the standalone
-/// [`run`] wrapper keeps the panicking contract for in-process callers.
+/// A crashed cell panics: `repro` records it in the manifest and fails
+/// the run, and the in-process [`run`] propagates the panic.
 pub struct ChaosExperiment;
 
 impl Experiment for ChaosExperiment {
@@ -213,15 +215,13 @@ impl Experiment for ChaosExperiment {
     }
 
     fn run_cell(&self, scale: Scale, (flavor, seed): (Flavor, u64)) -> ChaosCell {
-        let horizon = scale.pick(SimDuration::from_secs(40), SimDuration::from_secs(15));
-        run_cell(flavor, seed, horizon)
+        run_cell(flavor, seed, horizon(scale))
     }
 
     fn assemble(&self, scale: Scale, cells: Vec<ChaosCell>) -> Chaos {
-        let horizon = scale.pick(SimDuration::from_secs(40), SimDuration::from_secs(15));
         Chaos {
             scale,
-            horizon_secs: horizon.as_secs_f64(),
+            horizon_secs: horizon(scale).as_secs_f64(),
             cells,
         }
     }
@@ -231,71 +231,11 @@ impl Experiment for ChaosExperiment {
     }
 }
 
-/// Run the chaos sweep. Panics with a failure digest if any cell
-/// panicked or violated an invariant — graceful degradation is the
-/// experiment's contract, and a crash under faults is a finding, not a
-/// data point.
+/// Run the chaos sweep in-process. Panics if any cell panicked or
+/// violated an invariant — graceful degradation is the experiment's
+/// contract, and a crash under faults is a finding, not a data point.
 pub fn run(scale: Scale) -> Chaos {
-    let horizon = scale.pick(SimDuration::from_secs(40), SimDuration::from_secs(15));
-    let seeds_per_flavor: u64 = scale.pick(6, 2);
-
-    let mut cells: Vec<(Flavor, u64)> = Vec::new();
-    for flavor in flavors() {
-        for s in 0..seeds_per_flavor {
-            // Seeds disjoint across flavors so no two cells share RNG
-            // streams even by accident.
-            cells.push((flavor, 1000 * (cells.len() as u64 / seeds_per_flavor + 1) + s));
-        }
-    }
-    let labels: Vec<(String, u64)> = cells
-        .iter()
-        .map(|(f, s)| (f.label(), *s))
-        .collect();
-
-    // Inherit whatever budget the surrounding supervisor armed for this
-    // cell, so the nested sweep's workers are policed like their parent
-    // (thread-locals do not propagate to helper threads on their own).
-    let outcomes = runner::run_cells_isolated(
-        cells,
-        slowcc_netsim::budget::thread_budget(),
-        move |(flavor, seed)| run_cell(flavor, seed, horizon),
-    );
-
-    let mut done = Vec::with_capacity(outcomes.len());
-    let mut failures: Vec<CellFailure> = Vec::new();
-    for (outcome, (label, seed)) in outcomes.into_iter().zip(labels) {
-        match outcome {
-            Ok(cell) => done.push(cell),
-            // A cancelled inner cell is not a chaos failure: re-throw so
-            // the supervisor classifies this whole cell as interrupted.
-            Err(crate::runner::CellError::Interrupted) => {
-                std::panic::panic_any(slowcc_netsim::budget::SimAbort::Cancelled)
-            }
-            Err(e) => failures.push(CellFailure {
-                cell_id: format!("chaos/{label}/seed{seed}"),
-                seed,
-                panic_msg: e.message(),
-            }),
-        }
-    }
-    if !failures.is_empty() {
-        let digest: Vec<String> = failures
-            .iter()
-            .map(|f| format!("{} (seed {}): {}", f.cell_id, f.seed, f.panic_msg))
-            .collect();
-        panic!(
-            "chaos: {} of {} cells failed to degrade gracefully:\n  {}",
-            failures.len(),
-            done.len() + failures.len(),
-            digest.join("\n  ")
-        );
-    }
-
-    Chaos {
-        scale,
-        horizon_secs: horizon.as_secs_f64(),
-        cells: done,
-    }
+    crate::experiment::run_experiment(&ChaosExperiment, scale)
 }
 
 impl Chaos {

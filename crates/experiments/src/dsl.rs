@@ -4,7 +4,7 @@
 //! [`ScenarioExperiment`] — a first-class [`Experiment`] that flows
 //! through the exact same [`crate::exec`] path as every registered
 //! target (manifest ledger, `--resume`, `--jobs`, `--audit`, budgets,
-//! retries, scheduler determinism). No new execution code: the
+//! scheduler determinism). No new execution code: the
 //! DSL only *compiles* a [`ScenarioSpec`], and the spec builds its
 //! simulation through [`TopologySpec::build_with`] — the same calls
 //! hand-written experiments make, so a scenario that re-expresses a

@@ -15,19 +15,21 @@
 //!    livelock bound, and the SIGINT/SIGTERM cancel flag), so `--jobs`,
 //!    budget enforcement, and panic isolation apply per cell and a wide
 //!    target cannot serialize behind a narrow one;
-//! 4. retries failed cells up to `--retries` times with exponential
-//!    backoff, re-running deterministically (same seed): two identical
-//!    consecutive outcomes quarantine the cell as deterministic, while
-//!    an environment flake passes on retry;
-//! 5. records every cell's fate in `manifest.json` as it lands (cache
+//! 4. records every cell's fate in `manifest.json` as it lands (cache
 //!    write first, then the `ok` record, so a ledger `ok` implies a
-//!    replayable cache or a re-run), and writes the full failure
-//!    dossier — per-cell attempts, durations, classifications — to
-//!    `failures.json` (an empty, byte-stable file on a clean sweep);
-//! 6. assembles, renders and saves each fully-ok target serially in
+//!    replayable cache or a re-run), and writes one record per failed
+//!    cell — cell, seed, class, message — to `failures.json` (an
+//!    empty, byte-stable file on a clean sweep);
+//! 5. assembles, renders and saves each fully-ok target serially in
 //!    command-line order — cells print nothing, so stdout is
 //!    byte-identical across `--jobs` and resumed runs — and reports
 //!    failed cells on stderr with a classification summary table.
+//!
+//! A failed cell is not retried in-process. Every cell is a pure
+//! function of code, cell spec and seed, so a re-run replays the same
+//! bytes to the same failure. The two classes that depend on more than
+//! the seed, `timeout` (wall clock) and `interrupted` (SIGINT), are
+//! retried by `--resume`, which re-runs every cell that is not `ok`.
 //!
 //! On SIGINT/SIGTERM the cancel flag rises, in-flight cells unwind at
 //! their next budget check as `interrupted`, pending cells fail fast
@@ -36,14 +38,13 @@
 //! "interrupted, resumable" code — `--resume` then continues the sweep
 //! byte-identically.
 //!
-//! Progress chatter (`resume: ...`, `retry: ...`) goes to stderr for
-//! the same reason as failures: stdout carries only the report.
+//! Progress chatter (`resume: ...`) goes to stderr for the same reason
+//! as failures: stdout carries only the report.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Duration;
 
 use slowcc_netsim::budget::{self, Budget};
 
@@ -67,10 +68,6 @@ pub struct ExecOptions {
     /// Per-cell wall-clock budget (`--cell-timeout`): sugar for
     /// [`Budget::wall_clock`] on the per-cell budget.
     pub cell_timeout: Option<Duration>,
-    /// Re-run a failed cell up to this many extra times (`--retries`),
-    /// with exponential backoff; quarantine after two identical
-    /// consecutive outcomes.
-    pub retries: usize,
 }
 
 /// What [`run`] did, for exit-code and audit-gating decisions.
@@ -80,8 +77,8 @@ pub struct ExecSummary {
     pub total_cells: usize,
     /// Cells actually executed this run (not replayed from the cache).
     pub executed_cells: usize,
-    /// Cells that exhausted their attempts this run (interrupted cells
-    /// are counted separately — they are unfinished, not failed).
+    /// Cells that failed this run (interrupted cells are counted
+    /// separately — they are unfinished, not failed).
     pub failed_cells: usize,
     /// The sweep was cancelled (SIGINT/SIGTERM): in-flight cells
     /// unwound cleanly, the manifest is flushed, `--resume` continues.
@@ -128,7 +125,6 @@ fn write_cell_cache(path: &Path, json: &str) -> std::io::Result<()> {
 }
 
 /// One cell scheduled for execution.
-#[derive(Clone)]
 struct WorkItem {
     exp: &'static dyn AnyExperiment,
     /// Position in the target's cell list.
@@ -141,99 +137,44 @@ struct WorkItem {
     cache: PathBuf,
 }
 
-/// One failed attempt at a cell: its classification and how long the
-/// attempt ran. Durations appear only here — never in the manifest or
-/// any artifact a determinism check diffs.
-struct Attempt {
-    error: CellError,
-    duration_ms: u64,
-}
-
-/// A cell that failed its first attempt, with the full attempt history
-/// the supervisor accumulates while retrying.
+/// A cell that failed this run, and how.
 struct FailureEntry {
     item: WorkItem,
-    attempts: Vec<Attempt>,
-    /// Two identical consecutive outcomes: deterministic failure,
-    /// retrying further cannot help.
-    quarantined: bool,
+    error: CellError,
 }
 
-impl FailureEntry {
-    fn last_error(&self) -> &CellError {
-        &self.attempts.last().expect("at least one attempt").error
-    }
-
-    /// The table's outcome word.
-    fn outcome(&self) -> &'static str {
-        if self.quarantined {
-            "quarantined"
-        } else if matches!(self.last_error(), CellError::Interrupted) {
-            "interrupted"
-        } else {
-            "failed"
-        }
-    }
-}
-
-/// Exponential backoff before retry attempt `n` (the first retry is
-/// `n == 2`): 100 ms doubling per attempt, capped at 5 s.
-fn backoff_before_attempt(n: usize) -> Duration {
-    let exp = (n.saturating_sub(2)).min(6) as u32;
-    Duration::from_millis(100 << exp).min(Duration::from_secs(5))
-}
-
-/// Render `failures.json`: the per-cell attempt dossier. A clean sweep
-/// writes a byte-stable empty report, so determinism checks can diff
-/// output directories wholesale.
+/// Render `failures.json`: one record per failed cell, one line each.
+/// Every field is a function of code, cell spec and seed (no attempt
+/// counts, no durations), so the file sits inside `diff -r` checks
+/// even when cells fail, and a clean sweep writes the same empty
+/// report every time.
 fn render_failures(entries: &[FailureEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"version\": 1,\n  \"failures\": [");
-    let last = entries.len().saturating_sub(1);
-    for (i, entry) in entries.iter().enumerate() {
-        out.push_str("\n    {\n");
-        out.push_str(&format!("      \"cell\": \"{}\",\n", escape(&entry.item.key)));
-        out.push_str(&format!("      \"seed\": {},\n", entry.item.seed));
-        out.push_str(&format!("      \"class\": \"{}\",\n", entry.last_error().class()));
-        out.push_str(&format!("      \"quarantined\": {},\n", entry.quarantined));
-        out.push_str("      \"attempts\": [");
-        let alast = entry.attempts.len().saturating_sub(1);
-        for (j, attempt) in entry.attempts.iter().enumerate() {
-            out.push_str(&format!(
-                "\n        {{\"class\": \"{}\", \"message\": \"{}\", \"duration_ms\": {}}}",
-                attempt.error.class(),
-                escape(&attempt.error.message()),
-                attempt.duration_ms
-            ));
-            if j != alast {
-                out.push(',');
-            }
-        }
-        if !entry.attempts.is_empty() {
-            out.push_str("\n      ");
-        }
-        out.push_str("]\n    }");
-        if i != last {
-            out.push(',');
-        }
-    }
-    if !entries.is_empty() {
-        out.push('\n');
-        out.push_str("  ");
-    }
-    out.push_str("]\n}\n");
-    out
+    let records: Vec<String> = entries
+        .iter()
+        .map(|e| {
+            format!(
+                "    {{\"cell\": \"{}\", \"seed\": {}, \"class\": \"{}\", \"message\": \"{}\"}}",
+                escape(&e.item.key),
+                e.item.seed,
+                e.error.class(),
+                escape(&e.error.message())
+            )
+        })
+        .collect();
+    let body = if records.is_empty() {
+        String::new()
+    } else {
+        format!("\n{}\n  ", records.join(",\n"))
+    };
+    format!("{{\n  \"version\": 1,\n  \"failures\": [{body}]\n}}\n")
 }
 
 fn write_failures(dir: &Path, entries: &[FailureEntry]) {
-    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-        let tmp = dir.join("failures.json.tmp");
-        let path = dir.join("failures.json");
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(render_failures(entries).as_bytes())?;
-        drop(f);
-        std::fs::rename(&tmp, path)
-    }) {
+    let tmp = dir.join("failures.json.tmp");
+    if let Err(e) = std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&tmp, render_failures(entries)))
+        .and_then(|()| std::fs::rename(&tmp, dir.join("failures.json")))
+    {
         eprintln!("warning: failed to write failures.json: {e}");
     }
 }
@@ -246,15 +187,9 @@ fn print_failure_table(entries: &[FailureEntry]) {
         .max()
         .unwrap_or(0)
         .max("cell".len());
-    eprintln!("{:width$}  {:15}  {:8}  outcome", "cell", "class", "attempts");
+    eprintln!("{:width$}  class", "cell");
     for entry in entries {
-        eprintln!(
-            "{:width$}  {:15}  {:8}  {}",
-            entry.item.key,
-            entry.last_error().class(),
-            entry.attempts.len(),
-            entry.outcome()
-        );
+        eprintln!("{:width$}  {}", entry.item.key, entry.error.class());
     }
 }
 
@@ -346,119 +281,44 @@ pub fn run(targets: &[&'static dyn AnyExperiment], opts: &ExecOptions) -> ExecSu
     // As cells finish, their fate lands in the manifest on disk, so a
     // killed or interrupted sweep still leaves an accurate ledger for
     // --resume.
-    let ledger = Arc::new(Mutex::new(ledger));
-    let recorder = {
-        let ledger = Arc::clone(&ledger);
-        let dir = opts.manifest_dir.clone();
-        move |key: &str, record: CellRecord| {
-            let mut m = ledger.lock().unwrap_or_else(|e| e.into_inner());
-            m.record(key, record);
-            if let Err(e) = m.write(&dir) {
-                eprintln!("warning: failed to write manifest: {e}");
-            }
+    let ledger = Mutex::new(ledger);
+    let record = |key: &str, record: CellRecord| {
+        let mut m = ledger.lock().unwrap_or_else(|e| e.into_inner());
+        m.record(key, record);
+        if let Err(e) = m.write(&opts.manifest_dir) {
+            eprintln!("warning: failed to write manifest: {e}");
         }
     };
 
-    // One successful cell execution: run, cache, record `ok`. Shared
-    // by the sweep pass and the retry loop so a retried success takes
-    // the identical path (cache before the ok record, as always).
-    let run_item = {
-        let on_ok = recorder.clone();
-        move |item: &WorkItem| {
-            let (out, json) = item.exp.run_cell_dyn(scale, item.cell_idx);
-            if let Err(e) = write_cell_cache(&item.cache, &json) {
-                eprintln!("warning: failed to write cell cache {}: {e}", item.cache.display());
-            }
-            on_ok(&item.key, CellRecord::ok());
-            out
+    // Cache before the `ok` record, so a ledger `ok` always implies a
+    // replayable cache.
+    let cells: Vec<&WorkItem> = work.iter().collect();
+    let outcomes = runner::run_cells_isolated(cells, cell_budget, |item| {
+        let (out, json) = item.exp.run_cell_dyn(scale, item.cell_idx);
+        if let Err(e) = write_cell_cache(&item.cache, &json) {
+            eprintln!("warning: failed to write cell cache {}: {e}", item.cache.display());
         }
-    };
-
-    let items: Vec<WorkItem> = work.clone();
-    let outcomes = runner::run_cells(work, |item: WorkItem| {
-        // A cell claimed after the cancel flag rose fails fast without
-        // running, so shutdown latency is one in-flight cell, not the
-        // whole queue.
-        if budget::cancel_requested() {
-            return (Err(CellError::Interrupted), 0u64);
-        }
-        let start = Instant::now();
-        let result = runner::run_one_isolated(cell_budget, || run_item(&item));
-        (result, start.elapsed().as_millis() as u64)
+        record(&item.key, CellRecord::ok());
+        out
     });
 
-    // Collect first-attempt failures, then retry them serially (the
-    // exception path: contention is not worth extra machinery), in
-    // input order, deterministically re-running with the same seed.
     let mut failures: Vec<FailureEntry> = Vec::new();
     let mut fresh: HashMap<String, Box<dyn std::any::Any + Send>> = HashMap::new();
-    for ((result, duration_ms), item) in outcomes.into_iter().zip(items) {
+    for (result, item) in outcomes.into_iter().zip(work) {
         match result {
             Ok(out) => {
-                fresh.insert(item.key.clone(), out);
+                fresh.insert(item.key, out);
             }
             Err(error) => {
-                recorder(&item.key, CellRecord::failed(error.status(), error.message()));
-                failures.push(FailureEntry {
-                    item,
-                    attempts: vec![Attempt { error, duration_ms }],
-                    quarantined: false,
-                });
+                record(&item.key, CellRecord::failed(error.status(), error.message()));
+                failures.push(FailureEntry { item, error });
             }
         }
     }
 
-    let max_attempts = opts.retries + 1;
-    let mut unresolved: Vec<FailureEntry> = Vec::new();
-    for mut entry in failures {
-        loop {
-            let made = entry.attempts.len();
-            if made >= 2 && entry.attempts[made - 1].error == entry.attempts[made - 2].error {
-                entry.quarantined = true;
-                eprintln!(
-                    "retry: quarantining {} ({} twice, deterministic)",
-                    entry.item.key,
-                    entry.last_error().class()
-                );
-                break;
-            }
-            if made >= max_attempts
-                || !entry.last_error().is_retryable()
-                || budget::cancel_requested()
-            {
-                break;
-            }
-            let attempt_no = made + 1;
-            std::thread::sleep(backoff_before_attempt(attempt_no));
-            eprintln!(
-                "retry: {} attempt {attempt_no}/{max_attempts} (last: {})",
-                entry.item.key,
-                entry.last_error().class()
-            );
-            let start = Instant::now();
-            let result = runner::run_one_isolated(cell_budget, || run_item(&entry.item));
-            let duration_ms = start.elapsed().as_millis() as u64;
-            match result {
-                Ok(out) => {
-                    eprintln!("retry: {} succeeded on attempt {attempt_no} (flake)", entry.item.key);
-                    fresh.insert(entry.item.key.clone(), out);
-                    entry.attempts.clear();
-                    break;
-                }
-                Err(error) => {
-                    recorder(&entry.item.key, CellRecord::failed(error.status(), error.message()));
-                    entry.attempts.push(Attempt { error, duration_ms });
-                }
-            }
-        }
-        if !entry.attempts.is_empty() {
-            unresolved.push(entry);
-        }
-    }
-
-    // The dossier is written unconditionally: byte-stable and empty on
-    // a clean sweep, so diff -r over output directories keeps working.
-    write_failures(&opts.manifest_dir, &unresolved);
+    // Written unconditionally: byte-stable and empty on a clean sweep,
+    // so diff -r over output directories keeps working.
+    write_failures(&opts.manifest_dir, &failures);
 
     // Render complete targets serially in command-line order; a target
     // with any failed cell is withheld (partial figures mislead).
@@ -480,26 +340,19 @@ pub fn run(targets: &[&'static dyn AnyExperiment], opts: &ExecOptions) -> ExecSu
     }
 
     let interrupted = budget::cancel_requested()
-        || unresolved
-            .iter()
-            .any(|e| matches!(e.last_error(), CellError::Interrupted));
-    let failed: Vec<&FailureEntry> = unresolved
-        .iter()
-        .filter(|e| !matches!(e.last_error(), CellError::Interrupted))
-        .collect();
-    if !unresolved.is_empty() {
-        for entry in &unresolved {
-            match entry.last_error() {
+        || failures.iter().any(|e| e.error == CellError::Interrupted);
+    let failed = failures.iter().filter(|e| e.error != CellError::Interrupted).count();
+    if !failures.is_empty() {
+        for entry in &failures {
+            match &entry.error {
                 CellError::Interrupted => eprintln!("interrupted cell {}", entry.item.key),
                 err => eprintln!("FAILED cell {}: {}", entry.item.key, err.message()),
             }
         }
-        print_failure_table(&unresolved);
-        if !failed.is_empty() {
+        print_failure_table(&failures);
+        if failed > 0 {
             eprintln!(
-                "{} of {} cells failed; see {} and {}",
-                failed.len(),
-                total_cells,
+                "{failed} of {total_cells} cells failed; see {} and {}",
                 opts.manifest_dir.join("manifest.json").display(),
                 opts.manifest_dir.join("failures.json").display()
             );
@@ -515,7 +368,50 @@ pub fn run(targets: &[&'static dyn AnyExperiment], opts: &ExecOptions) -> ExecSu
     ExecSummary {
         total_cells,
         executed_cells,
-        failed_cells: failed.len(),
+        failed_cells: failed,
         interrupted,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(key: &str, seed: u64, error: CellError) -> FailureEntry {
+        FailureEntry {
+            item: WorkItem {
+                exp: &crate::chaos::ChaosExperiment,
+                cell_idx: 0,
+                key: key.to_string(),
+                seed,
+                cache: PathBuf::new(),
+            },
+            error,
+        }
+    }
+
+    #[test]
+    fn clean_sweep_failures_match_the_committed_report() {
+        assert_eq!(render_failures(&[]), include_str!("../../../results/failures.json"));
+    }
+
+    #[test]
+    fn failure_records_are_one_deterministic_line_each() {
+        let entries = [
+            entry("hang-cell/fixture", 0, CellError::Livelock("stuck at t=0".into())),
+            entry("chaos/TCP/seed1000", 1000, CellError::Panic(r#"said "no" at C:\x"#.into())),
+        ];
+        assert_eq!(
+            render_failures(&entries),
+            concat!(
+                "{\n",
+                "  \"version\": 1,\n",
+                "  \"failures\": [\n",
+                "    {\"cell\": \"hang-cell/fixture\", \"seed\": 0, \"class\": \"livelock\", \"message\": \"stuck at t=0\"},\n",
+                "    {\"cell\": \"chaos/TCP/seed1000\", \"seed\": 1000, \"class\": \"panic\", \"message\": \"said \\\"no\\\" at C:\\\\x\"}\n",
+                "  ]\n",
+                "}\n"
+            )
+        );
     }
 }

@@ -27,8 +27,8 @@ use crate::{
 
 /// Hidden supervision fixture: one `fixture` cell whose `body`
 /// misbehaves on purpose, so `verify.sh` can exercise crash isolation,
-/// budget classification, quarantine under `--retries`, sibling
-/// survival and `--resume` end to end without breaking a real figure.
+/// budget classification, `failures.json` records, sibling survival
+/// and `--resume` end to end without breaking a real figure.
 struct FixtureExperiment {
     name: &'static str,
     description: &'static str,

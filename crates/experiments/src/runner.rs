@@ -171,9 +171,8 @@ where
 
 /// Why an isolated cell failed: the supervision taxonomy. Every
 /// variant's message is deterministic for a deterministic failure, so
-/// a same-seed re-run of a truly broken cell reproduces the *identical*
-/// `CellError` — which is how the retry policy tells deterministic
-/// failures (quarantine) from environment flakes (retry succeeds).
+/// a same-seed re-run of a broken cell reproduces the *identical*
+/// `CellError`, and `failures.json` is byte-stable across `--jobs`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum CellError {
     /// The cell's closure panicked; the payload is the panic message.
@@ -225,13 +224,6 @@ impl CellError {
             CellError::Interrupted => "interrupted",
         }
     }
-
-    /// Whether a retry could plausibly change the outcome. An
-    /// interrupted cell is not failed — re-running it during shutdown
-    /// would fight the user's Ctrl-C.
-    pub fn is_retryable(&self) -> bool {
-        !matches!(self, CellError::Interrupted)
-    }
 }
 
 /// Classify a caught panic payload into the taxonomy: a [`SimAbort`]
@@ -256,19 +248,6 @@ pub fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> CellError {
             }
         }
     }
-}
-
-/// A structured record of one failed sweep cell, ready for the results
-/// manifest: which cell, which seed, and what the panic said.
-#[derive(Debug, Clone, Serialize)]
-pub struct CellFailure {
-    /// Stable identifier of the cell within its sweep.
-    pub cell_id: String,
-    /// The cell's simulation seed (0 when the cell has no single seed,
-    /// e.g. a whole multi-seed experiment target).
-    pub seed: u64,
-    /// The panic payload, or the `SimAbort` message for budget trips.
-    pub panic_msg: String,
 }
 
 /// Extract a human-readable message from a panic payload.
@@ -321,7 +300,9 @@ pub fn run_one_isolated<O>(budget: Budget, f: impl FnOnce() -> O) -> Result<O, C
 /// Crash-isolated variant of [`run_cells`]: each cell runs under
 /// `catch_unwind` with `budget` armed ([`run_one_isolated`]), so one
 /// panicking, over-budget, livelocked, or cancelled simulation yields
-/// an `Err` in its own slot instead of tearing down the sweep.
+/// an `Err` in its own slot instead of tearing down the sweep. This is
+/// the one isolated sweep: [`crate::exec::run`] drives every `repro`
+/// cell through it.
 ///
 /// Cancellation is **cooperative**: the budget is checked between the
 /// simulator's events, so a cell that blocks outside the
@@ -473,9 +454,7 @@ mod tests {
         // Tags are stable: failures.json and the manifest depend on them.
         assert_eq!(CellError::Interrupted.class(), "interrupted");
         assert_eq!(CellError::Interrupted.status(), "interrupted");
-        assert!(!CellError::Interrupted.is_retryable());
         assert_eq!(CellError::Deadline(String::new()).status(), "timeout");
-        assert!(CellError::Livelock(String::new()).is_retryable());
     }
 
     #[test]

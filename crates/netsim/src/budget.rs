@@ -42,7 +42,11 @@ const WALL_CHECK_MASK: u64 = 0xFFF;
 pub struct Budget {
     /// Wall-clock limit, measured from the `Simulator`'s construction.
     pub wall_clock: Option<Duration>,
-    /// Maximum dispatched events.
+    /// Maximum dispatched events. `repro` never arms it; it is kept as
+    /// the one *deterministic* abort point, which the cancel-determinism
+    /// tests need to abort a cell at any depth and check that the re-run
+    /// is byte-identical (a zero wall clock always trips at the first
+    /// amortized check, so it cannot vary the depth).
     pub max_events: Option<u64>,
     /// Maximum *consecutive* events dispatched at the same simulated
     /// time. A zero-advance timer loop produces one event per wakeup
@@ -100,7 +104,7 @@ impl Budget {
 /// by `panic_any` when a [`Budget`] trips; supervisors downcast it to
 /// classify the failure. Messages are deterministic (they name the
 /// *limit*, never elapsed wall time), so a deterministic failure
-/// reproduces byte-identically on retry.
+/// reproduces byte-identically when re-run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimAbort {
     /// The wall-clock limit elapsed.

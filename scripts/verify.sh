@@ -126,28 +126,31 @@ fi
 grep -q "FAILED cell panic-cell/fixture" "$tmp/resume.txt"
 echo "panic isolated per cell, manifest recorded, resume re-ran only the failure"
 
-section "supervisor: hung and slow cells classified, quarantined, siblings survive"
-# hang-cell livelocks (zero-clock-advance loop) and slow-cell runs
-# effectively forever; the budget unwinds both — threads joined, not
-# abandoned — classifies them (livelock / deadline), the --retries
-# re-run hits the same deterministic outcome and quarantines, and every
-# fig45 sibling still completes.
-if ./target/release/repro --quick --out "$tmp/sup" --retries 1 --cell-timeout 2 \
-    fig45 hang-cell slow-cell > "$tmp/sup.txt" 2>&1; then
-  echo "ERROR: hang-cell/slow-cell should have produced a nonzero exit"; exit 1
-fi
-grep -q '"hang-cell/fixture": {"status": "livelock"' "$tmp/sup/manifest.json"
-grep -q '"slow-cell/fixture": {"status": "timeout"' "$tmp/sup/manifest.json"
-grep -A3 '"cell": "hang-cell/fixture"' "$tmp/sup/failures.json" | grep -q '"class": "livelock"'
-grep -A3 '"cell": "hang-cell/fixture"' "$tmp/sup/failures.json" | grep -q '"quarantined": true'
-grep -A3 '"cell": "slow-cell/fixture"' "$tmp/sup/failures.json" | grep -q '"class": "deadline"'
-grep -A3 '"cell": "slow-cell/fixture"' "$tmp/sup/failures.json" | grep -q '"quarantined": true'
-sup_cells="$(grep -c '"fig45/' "$tmp/sup/manifest.json")"
-sup_ok="$(grep '"fig45/' "$tmp/sup/manifest.json" | grep -c '"status": "ok"')"
+section "supervisor: failing cells classified, reports byte-stable across --jobs"
+# panic-cell panics, hang-cell livelocks (zero-clock-advance loop) and
+# slow-cell runs effectively forever; the budget unwinds the last two —
+# threads joined, not abandoned — and each lands as one flat record in
+# failures.json (panic / livelock / deadline) while every fig45 sibling
+# still completes. Failure records carry no timing, so the whole --out
+# tree, failures included, is identical at --jobs 1 and --jobs 2.
+for jobs in 1 2; do
+  if ./target/release/repro --quick --out "$tmp/sup$jobs" --jobs "$jobs" --cell-timeout 2 \
+      fig45 panic-cell hang-cell slow-cell > "$tmp/sup$jobs.txt" 2>&1; then
+    echo "ERROR: failing fixtures should have produced a nonzero exit"; exit 1
+  fi
+done
+diff -r "$tmp/sup1" "$tmp/sup2"
+grep -q '"hang-cell/fixture": {"status": "livelock"' "$tmp/sup1/manifest.json"
+grep -q '"slow-cell/fixture": {"status": "timeout"' "$tmp/sup1/manifest.json"
+grep -q '"cell": "panic-cell/fixture", "seed": 0, "class": "panic"' "$tmp/sup1/failures.json"
+grep -q '"cell": "hang-cell/fixture", "seed": 0, "class": "livelock"' "$tmp/sup1/failures.json"
+grep -q '"cell": "slow-cell/fixture", "seed": 0, "class": "deadline"' "$tmp/sup1/failures.json"
+sup_cells="$(grep -c '"fig45/' "$tmp/sup1/manifest.json")"
+sup_ok="$(grep '"fig45/' "$tmp/sup1/manifest.json" | grep -c '"status": "ok"')"
 if [ "$sup_cells" -lt 2 ] || [ "$sup_cells" -ne "$sup_ok" ]; then
-  echo "ERROR: expected all $sup_cells fig45 cells ok beside the hung cells, got $sup_ok"; exit 1
+  echo "ERROR: expected all $sup_cells fig45 cells ok beside the failing cells, got $sup_ok"; exit 1
 fi
-echo "livelock and deadline classified, quarantined after identical retries, siblings ok"
+echo "panic, livelock and deadline classified, siblings ok, --jobs 1 and 2 trees identical"
 
 section "supervisor: SIGINT preemption is resumable byte-identically"
 # Baseline fig3 sweep, then the same sweep plus a never-finishing cell:
