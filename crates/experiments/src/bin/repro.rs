@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use slowcc_experiments::scale::Scale;
 use slowcc_experiments::{dsl, exec, registry, runner};
-use slowcc_netsim::audit::{self, AuditMode};
+use slowcc_netsim::audit;
 use slowcc_netsim::budget;
 
 /// Exit code for an interrupted, resumable sweep (128 + SIGINT, the
@@ -93,6 +93,7 @@ fn main() -> ExitCode {
     let mut scale = Scale::Full;
     let mut out: Option<PathBuf> = None;
     let mut audit_run = false;
+    let mut jobs = runner::default_jobs();
     let mut resume = false;
     let mut cell_timeout: Option<Duration> = None;
     let mut names: Vec<String> = Vec::new();
@@ -110,7 +111,7 @@ fn main() -> ExitCode {
                 }
             },
             "--jobs" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => runner::set_jobs(n),
+                Some(n) if n >= 1 => jobs = n,
                 _ => {
                     eprintln!("--jobs requires a thread count >= 1");
                     return ExitCode::FAILURE;
@@ -172,9 +173,6 @@ fn main() -> ExitCode {
     };
 
     if audit_run {
-        // Collect, not Strict: a sweep should report every violation
-        // across all cells rather than abort at the first one.
-        audit::set_default_audit(Some(AuditMode::Collect));
         let _ = audit::take_global_report(); // start from a clean slate
     }
 
@@ -190,6 +188,8 @@ fn main() -> ExitCode {
         manifest_dir,
         resume,
         cell_timeout,
+        jobs,
+        audit: audit_run,
     };
     let summary = exec::run(&targets, &opts);
 
@@ -248,7 +248,7 @@ fn usage() {
     eprintln!("run <scenario.toml>... compiles declarative scenario files (see examples/scenarios/)");
     eprintln!("         into experiments and sweeps them through the same execution path");
     eprintln!("aliases: {}", registry::aliases_line());
-    eprintln!("--jobs N caps the process at N threads (default: available parallelism)");
+    eprintln!("--jobs N caps the sweep at N threads (default: available parallelism)");
     eprintln!("--audit runs every simulation under the packet/timer invariant auditor");
     eprintln!("        and fails (nonzero exit) on any conservation violation or timer leak");
     eprintln!("--resume replays cells marked ok in <results dir>/manifest.json (same scale)");

@@ -49,7 +49,7 @@ pub const PAPER_REVERSE_FLOWS: usize = 2;
 /// How a scenario's simulations are audited.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AuditSetting {
-    /// Follow the process default (`--audit` / `SLOWCC_AUDIT`).
+    /// Follow the sweep's `--audit` (carried in the cell's budget).
     Default,
     /// Always strict: any invariant violation panics the cell.
     Strict,

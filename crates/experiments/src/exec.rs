@@ -12,9 +12,10 @@
 //! 3. fans the remaining cells of *all* targets out together through
 //!    [`crate::runner::run_cells_isolated`] with a cooperative
 //!    [`Budget`] armed (wall-clock `--cell-timeout`, the zero-advance
-//!    livelock bound, and the SIGINT/SIGTERM cancel flag), so `--jobs`,
-//!    budget enforcement, and panic isolation apply per cell and a wide
-//!    target cannot serialize behind a narrow one;
+//!    livelock bound, the SIGINT/SIGTERM cancel flag, and the `--audit`
+//!    mode) over `--jobs` threads, so budget enforcement, auditing and
+//!    panic isolation apply per cell and a wide target cannot serialize
+//!    behind a narrow one;
 //! 4. records every cell's fate in `manifest.json` as it lands (cache
 //!    write first, then the `ok` record, so a ledger `ok` implies a
 //!    replayable cache or a re-run), and writes one record per failed
@@ -46,6 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use slowcc_netsim::audit::AuditMode;
 use slowcc_netsim::budget::{self, Budget};
 
 use crate::experiment::AnyExperiment;
@@ -68,6 +70,10 @@ pub struct ExecOptions {
     /// Per-cell wall-clock budget (`--cell-timeout`): sugar for
     /// [`Budget::wall_clock`] on the per-cell budget.
     pub cell_timeout: Option<Duration>,
+    /// Threads the sweep may use (`--jobs`).
+    pub jobs: usize,
+    /// Audit every cell in [`AuditMode::Collect`] (`--audit`).
+    pub audit: bool,
 }
 
 /// What [`run`] did, for exit-code and audit-gating decisions.
@@ -201,12 +207,15 @@ pub fn run(targets: &[&'static dyn AnyExperiment], opts: &ExecOptions) -> ExecSu
     // The per-cell budget: `--cell-timeout` arms the wall clock; the
     // livelock bound and the cancel flag are always on. Untripped
     // checks have no side effects, so arming this cannot change any
-    // byte of any artifact.
+    // byte of any artifact. `--audit` rides along as the cells' audit
+    // mode: Collect, not Strict, so the sweep reports every violation
+    // across all cells rather than aborting at the first one.
     let cell_budget = Budget {
         wall_clock: opts.cell_timeout,
         max_events: None,
         livelock_events: Some(Budget::DEFAULT_LIVELOCK_EVENTS),
         observe_cancel: true,
+        audit: opts.audit.then_some(AuditMode::Collect),
     };
 
     // Ledger: inherit the prior manifest wholesale under --resume (at
@@ -293,7 +302,7 @@ pub fn run(targets: &[&'static dyn AnyExperiment], opts: &ExecOptions) -> ExecSu
     // Cache before the `ok` record, so a ledger `ok` always implies a
     // replayable cache.
     let cells: Vec<&WorkItem> = work.iter().collect();
-    let outcomes = runner::run_cells_isolated(cells, cell_budget, |item| {
+    let outcomes = runner::run_cells_isolated(cells, opts.jobs, cell_budget, |item| {
         let (out, json) = item.exp.run_cell_dyn(scale, item.cell_idx);
         if let Err(e) = write_cell_cache(&item.cache, &json) {
             eprintln!("warning: failed to write cell cache {}: {e}", item.cache.display());

@@ -39,7 +39,6 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::runner;
 use crate::scale::Scale;
 
 /// One cell of a sweep: a stable identifier, the seed the cell's
@@ -126,14 +125,18 @@ pub trait Experiment: Send + Sync {
     }
 }
 
-/// Run a whole experiment in-process: fan the cells out over
-/// [`runner::run_cells`] and assemble. This is the path module-level
-/// `run(scale)` conveniences and tests use; `repro` goes through
-/// [`crate::exec`] instead to add isolation and the manifest ledger.
+/// Run a whole experiment in-process: map the cells serially on the
+/// calling thread and assemble. This is the path module-level
+/// `run(scale)` conveniences and tests use (the test harness already
+/// runs tests in parallel); `repro` goes through [`crate::exec`]
+/// instead to add parallelism, isolation and the manifest ledger.
 /// Both produce identical output.
 pub fn run_experiment<E: Experiment>(exp: &E, scale: Scale) -> E::Output {
-    let cells = exp.cells(scale);
-    let outs = runner::run_cells(cells, |cell| exp.run_cell(scale, cell.payload));
+    let outs = exp
+        .cells(scale)
+        .into_iter()
+        .map(|cell| exp.run_cell(scale, cell.payload))
+        .collect();
     exp.assemble(scale, outs)
 }
 
@@ -167,11 +170,6 @@ pub trait AnyExperiment: Send + Sync {
     /// Assemble the cell outputs (in cell order), render to stdout,
     /// and save artifacts when `out_dir` is set.
     fn finish(&self, scale: Scale, outs: Vec<Box<dyn Any + Send>>, out_dir: Option<&Path>);
-    /// Run every cell through the worker pool and return the per-cell
-    /// JSON encodings in cell order — the cell-level determinism probe
-    /// (compared against a serial [`AnyExperiment::run_cell_dyn`]
-    /// loop).
-    fn cell_jsons(&self, scale: Scale) -> Vec<String>;
 }
 
 impl<E: Experiment> AnyExperiment for E {
@@ -234,14 +232,6 @@ impl<E: Experiment> AnyExperiment for E {
         if let Some(dir) = out_dir {
             self.save(&output, dir);
         }
-    }
-
-    fn cell_jsons(&self, scale: Scale) -> Vec<String> {
-        let cells = self.cells(scale);
-        runner::run_cells(cells, |cell| {
-            serde_json::to_string(&self.run_cell(scale, cell.payload))
-                .expect("cell outputs serialize")
-        })
     }
 }
 

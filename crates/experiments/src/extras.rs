@@ -27,11 +27,6 @@ pub fn run_fairness_extreme(scale: Scale) -> OscFairness {
     run_with(Flavor::standard_tfrc(), OscConfig::extreme_for_scale, scale)
 }
 
-/// Run the sawtooth and reverse-sawtooth variants of Figure 7.
-pub fn run_sawtooth_variants(scale: Scale) -> Vec<OscFairness> {
-    crate::experiment::run_experiment(&SawtoothExperiment, scale)
-}
-
 /// The CBR shapes of the sawtooth experiment, in output order.
 const SAWTOOTH_SHAPES: [CbrShape; 2] = [CbrShape::Sawtooth, CbrShape::ReverseSawtooth];
 

@@ -76,11 +76,6 @@ pub struct Fig13 {
     pub points: Vec<Fig13Point>,
 }
 
-/// Run the Figure 13 sweep.
-pub fn run(scale: Scale) -> Fig13 {
-    crate::experiment::run_experiment(&Fig13Experiment, scale)
-}
-
 /// Seeds averaged per point. f(20) covers a single second of simulated
 /// time, so a single run is at the mercy of whether a loss event lands
 /// inside it; average a few seeds.

@@ -1,10 +1,8 @@
 //! # slowcc-experiments
 //!
 //! One module per table/figure of *"Dynamic Behavior of Slowly-Responsive
-//! Congestion Control Algorithms"* (SIGCOMM 2001). Each module exposes a
-//! `run(scale)` function returning a serializable result plus a `print`
-//! renderer; the `repro` binary drives them all and writes JSON into
-//! `results/`.
+//! Congestion Control Algorithms"* (SIGCOMM 2001); the `repro` binary
+//! drives them all (see below) and writes JSON into `results/`.
 //!
 //! | Module | Reproduces |
 //! |---|---|

@@ -1,7 +1,8 @@
 //! Incremental sweep manifest (`results/manifest.json`).
 //!
 //! `repro` records the fate of every sweep cell here as it completes
-//! — `ok`, `panicked`, or `timeout`, keyed `<target>/<cell-id>` —
+//! — `ok`, `panicked`, `timeout`, `livelock`, `audit-violation` or
+//! `interrupted`, keyed `<target>/<cell-id>` —
 //! rewriting the file after each cell so a crashed or killed sweep
 //! leaves an accurate ledger behind. `repro --resume` reads it back,
 //! replays cells already marked `ok` at the same scale from the cell

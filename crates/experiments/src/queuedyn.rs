@@ -54,11 +54,6 @@ pub fn queuedyn_flavors() -> Vec<Flavor> {
     ]
 }
 
-/// Run the queue-dynamics comparison.
-pub fn run(scale: Scale) -> QueueDynamics {
-    crate::experiment::run_experiment(&QueueDynExperiment, scale)
-}
-
 /// Registry entry for the queue-dynamics comparison: one cell per
 /// `(algorithm, discipline, flow count)`.
 pub struct QueueDynExperiment;

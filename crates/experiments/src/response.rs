@@ -59,11 +59,6 @@ pub fn response_flavors() -> Vec<Flavor> {
     ]
 }
 
-/// Measure both metrics for the named algorithms.
-pub fn run(scale: Scale) -> ResponseMetrics {
-    crate::experiment::run_experiment(&ResponseExperiment, scale)
-}
-
 /// Registry entry for the Section 3 metrics: one cell per algorithm,
 /// each measuring both responsiveness and aggressiveness.
 pub struct ResponseExperiment;

@@ -18,21 +18,18 @@
 //! Scheduling (which worker runs which cell, and when) therefore cannot
 //! affect any value the sweep produces — only the wall-clock time.
 //!
-//! # Nesting and oversubscription
+//! # Parallelism
 //!
-//! Sweeps nest: `repro --jobs N` runs experiment targets concurrently,
-//! and each target's own sweeps call [`run_cells`] again. A single
-//! process-wide token pool holds `jobs - 1` helper tokens; every
-//! `run_cells` invocation takes what it can from the pool for its
-//! lifetime and runs serially when the pool is empty. Total worker
-//! threads across all concurrent sweeps thus never exceed `jobs`
-//! (each caller's own thread plus the helpers it holds).
+//! The degree of parallelism is an argument: `jobs` caps the threads
+//! one sweep uses (the caller's own thread plus `jobs - 1` scoped
+//! helpers). `repro` runs one flat sweep per invocation, so nothing
+//! nests and there is no process-wide pool to share.
 //!
 //! [`Simulator`]: slowcc_netsim::sim::Simulator
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, Once, OnceLock};
+use std::sync::{Mutex, MutexGuard, Once};
 
 use serde::Serialize;
 use slowcc_netsim::budget::{self, Budget, SimAbort};
@@ -45,61 +42,9 @@ fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The process-wide helper-token pool. Initialized on first use (or by
-/// [`set_jobs`]) with `jobs - 1` tokens.
-fn helper_pool() -> &'static AtomicUsize {
-    static POOL: OnceLock<AtomicUsize> = OnceLock::new();
-    POOL.get_or_init(|| AtomicUsize::new(default_jobs().saturating_sub(1)))
-}
-
-/// Degree of parallelism when [`set_jobs`] is never called: whatever
-/// the machine offers.
+/// The default `jobs` for a sweep: whatever the machine offers.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Fix the process-wide parallelism budget to `jobs` total threads
-/// (`jobs = 1` forces every sweep serial). Must be called before the
-/// first [`run_cells`]; the first initialization wins, so a late call
-/// after sweeps have started is ignored.
-pub fn set_jobs(jobs: usize) {
-    static INIT: OnceLock<()> = OnceLock::new();
-    INIT.get_or_init(|| {
-        let pool = helper_pool();
-        // `helper_pool` may have self-initialized from the default in a
-        // different thread first; overwrite is safe because tokens are
-        // only consumed by `run_cells`, which the caller contract says
-        // has not run yet.
-        pool.store(jobs.max(1) - 1, Ordering::Release);
-    });
-}
-
-/// Take up to `want` helper tokens from the pool; returns how many were
-/// actually acquired (possibly zero).
-fn acquire_helpers(want: usize) -> usize {
-    let pool = helper_pool();
-    let mut available = pool.load(Ordering::Relaxed);
-    loop {
-        let take = want.min(available);
-        if take == 0 {
-            return 0;
-        }
-        match pool.compare_exchange_weak(
-            available,
-            available - take,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return take,
-            Err(now) => available = now,
-        }
-    }
-}
-
-fn release_helpers(n: usize) {
-    if n > 0 {
-        helper_pool().fetch_add(n, Ordering::Release);
-    }
 }
 
 /// Run `f` over every cell and return the results in input order.
@@ -110,20 +55,18 @@ fn release_helpers(n: usize) {
 /// equals `cells.into_iter().map(f).collect()` exactly — see the module
 /// docs for why scheduling cannot leak into the results.
 ///
-/// Worker count adapts to the process-wide budget ([`set_jobs`]); with
-/// a single cell, an empty pool, or `--jobs 1` this degrades to the
-/// plain serial loop with no thread or synchronization overhead.
-pub fn run_cells<I, O, F>(cells: Vec<I>, f: F) -> Vec<O>
+/// At most `jobs` threads run cells: the caller's own plus
+/// `jobs.min(cells) - 1` helpers. With a single cell or `jobs <= 1`
+/// this degrades to the plain serial loop on the calling thread, with
+/// no thread or synchronization overhead.
+pub fn run_cells<I, O, F>(cells: Vec<I>, jobs: usize, f: F) -> Vec<O>
 where
     I: Send,
     O: Send,
     F: Fn(I) -> O + Sync,
 {
     let n = cells.len();
-    if n <= 1 {
-        return cells.into_iter().map(f).collect();
-    }
-    let helpers = acquire_helpers(n - 1);
+    let helpers = jobs.min(n).saturating_sub(1);
     if helpers == 0 {
         return cells.into_iter().map(f).collect();
     }
@@ -154,10 +97,9 @@ where
         for _ in 0..helpers {
             scope.spawn(worker);
         }
-        // The calling thread is a worker too: `jobs` threads total.
+        // The calling thread is a worker too: `jobs` threads at most.
         worker();
     });
-    release_helpers(helpers);
 
     results
         .into_iter()
@@ -297,12 +239,12 @@ pub fn run_one_isolated<O>(budget: Budget, f: impl FnOnce() -> O) -> Result<O, C
     result.map_err(classify_panic)
 }
 
-/// Crash-isolated variant of [`run_cells`]: each cell runs under
-/// `catch_unwind` with `budget` armed ([`run_one_isolated`]), so one
-/// panicking, over-budget, livelocked, or cancelled simulation yields
-/// an `Err` in its own slot instead of tearing down the sweep. This is
-/// the one isolated sweep: [`crate::exec::run`] drives every `repro`
-/// cell through it.
+/// Crash-isolated variant of [`run_cells`] over at most `jobs` threads:
+/// each cell runs under `catch_unwind` with `budget` armed
+/// ([`run_one_isolated`]), so one panicking, over-budget, livelocked,
+/// or cancelled simulation yields an `Err` in its own slot instead of
+/// tearing down the sweep. This is the one isolated sweep:
+/// [`crate::exec::run`] drives every `repro` cell through it.
 ///
 /// Cancellation is **cooperative**: the budget is checked between the
 /// simulator's events, so a cell that blocks outside the
@@ -312,6 +254,7 @@ pub fn run_one_isolated<O>(budget: Budget, f: impl FnOnce() -> O) -> Result<O, C
 /// [`CellError::Interrupted`] without running.
 pub fn run_cells_isolated<I, O, F>(
     cells: Vec<I>,
+    jobs: usize,
     budget: Budget,
     f: F,
 ) -> Vec<Result<O, CellError>>
@@ -320,7 +263,7 @@ where
     O: Send,
     F: Fn(I) -> O + Sync,
 {
-    run_cells(cells, move |cell| {
+    run_cells(cells, jobs, move |cell| {
         if budget.observe_cancel && budget::cancel_requested() {
             return Err(CellError::Interrupted);
         }
@@ -337,7 +280,7 @@ mod tests {
         // Uneven per-cell cost scrambles completion order; input order
         // must survive anyway.
         let cells: Vec<u64> = (0..64).collect();
-        let out = run_cells(cells.clone(), |i| {
+        let out = run_cells(cells.clone(), 4, |i| {
             if i % 7 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
@@ -349,8 +292,42 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_sweeps_work() {
-        assert_eq!(run_cells(Vec::<u32>::new(), |x| x), Vec::<u32>::new());
-        assert_eq!(run_cells(vec![41], |x| x + 1), vec![42]);
+        assert_eq!(run_cells(Vec::<u32>::new(), 8, |x| x), Vec::<u32>::new());
+        assert_eq!(run_cells(vec![41], 8, |x| x + 1), vec![42]);
+    }
+
+    /// Run 64 cells at `jobs` and return each cell's thread, in input
+    /// order. Every cell sleeps briefly, so helpers get to claim some.
+    fn cell_threads(jobs: usize) -> Vec<std::thread::ThreadId> {
+        run_cells((0..64u64).collect(), jobs, |_| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::current().id()
+        })
+    }
+
+    #[test]
+    fn jobs_caps_the_threads_that_run_cells() {
+        let threads = cell_threads(3);
+        let distinct: std::collections::HashSet<_> = threads.iter().collect();
+        assert!(distinct.len() <= 3, "{} threads ran cells", distinct.len());
+    }
+
+    #[test]
+    fn one_job_runs_every_cell_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        assert!(cell_threads(1).iter().all(|&t| t == me));
+    }
+
+    #[test]
+    fn nested_sweeps_complete() {
+        // A cell may run a sweep of its own; each level brings its own
+        // `jobs`, and everything must finish with correct results.
+        let out = run_cells(vec![10u64, 20, 30], 2, |base| {
+            run_cells((0..base).collect(), 2, |i| i)
+                .into_iter()
+                .sum::<u64>()
+        });
+        assert_eq!(out, vec![45, 190, 435]);
     }
 
     /// Drive a deliberately livelocked simulation: an agent whose timer
@@ -376,7 +353,7 @@ mod tests {
 
     #[test]
     fn isolated_panic_fails_one_cell_without_wedging_siblings() {
-        let out = run_cells_isolated(vec![1u64, 2, 3, 4], Budget::none(), |i| {
+        let out = run_cells_isolated(vec![1u64, 2, 3, 4], 2, Budget::none(), |i| {
             if i == 3 {
                 panic!("cell {i} exploded");
             }
@@ -397,7 +374,7 @@ mod tests {
         // The livelocked cell unwinds on this worker's own thread (it is
         // joined by construction), and its siblings still complete.
         let budget = Budget::none().with_livelock_events(10_000);
-        let out = run_cells_isolated(vec![0u64, 1, 2], budget, |i| {
+        let out = run_cells_isolated(vec![0u64, 1, 2], 2, budget, |i| {
             if i == 1 {
                 spin_forever(i);
             }
@@ -416,7 +393,7 @@ mod tests {
     #[test]
     fn deadline_budget_fails_a_livelocked_cell_as_deadline() {
         let budget = Budget::none().with_wall_clock(std::time::Duration::ZERO);
-        let out = run_cells_isolated(vec![0u64], budget, spin_forever);
+        let out = run_cells_isolated(vec![0u64], 1, budget, spin_forever);
         match &out[0] {
             Err(CellError::Deadline(msg)) => assert!(msg.contains("wall-clock"), "{msg}"),
             other => panic!("expected a deadline failure: {other:?}"),
@@ -429,7 +406,7 @@ mod tests {
         let budget = Budget::none()
             .with_livelock_events(u64::MAX)
             .with_cancel();
-        let out = run_cells_isolated(vec![0u64, 1], budget, spin_forever);
+        let out = run_cells_isolated(vec![0u64, 1], 1, budget, spin_forever);
         budget::reset_cancel();
         // Cell 0 was already running when it observed the flag; cell 1
         // (claimed by the same serial worker afterwards) never started.
@@ -463,17 +440,5 @@ mod tests {
         assert_eq!(panic_message(static_payload.as_ref()), "static str");
         let owned = std::panic::catch_unwind(|| panic!("{} owned", 42)).unwrap_err();
         assert_eq!(panic_message(owned.as_ref()), "42 owned");
-    }
-
-    #[test]
-    fn nested_sweeps_complete() {
-        // Inner sweeps run while the outer one holds helpers; whatever
-        // the pool state, everything must finish with correct results.
-        let out = run_cells(vec![10u64, 20, 30], |base| {
-            run_cells((0..base).collect(), |i| i)
-                .into_iter()
-                .sum::<u64>()
-        });
-        assert_eq!(out, vec![45, 190, 435]);
     }
 }

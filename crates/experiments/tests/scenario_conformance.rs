@@ -14,15 +14,15 @@
 //!    TCP(1/2)/3-hop Quick cell: the long flow's throughput and the
 //!    cross-flow mean (re-summed in installation order) are
 //!    bit-identical.
-//! 3. Every shipped scenario file fanned out over the worker pool is
-//!    byte-identical to a serial loop over its cells, exactly like the
+//! 3. Every shipped scenario file swept over 8 workers is
+//!    byte-identical to a serial sweep over its cells, exactly like the
 //!    registry-wide conformance sweep.
 
 use slowcc_experiments::dsl::{self, builtin};
 use slowcc_experiments::experiment::Experiment;
 use slowcc_experiments::flavor::Flavor;
 use slowcc_experiments::scale::Scale;
-use slowcc_experiments::{chaos, hetero};
+use slowcc_experiments::{chaos, hetero, runner};
 
 #[test]
 fn scenario_twins_are_bit_identical_and_schedule_invariant() {
@@ -94,13 +94,15 @@ fn scenario_twins_are_bit_identical_and_schedule_invariant() {
 
         let n = exp.cell_meta(Scale::Quick).len();
         assert!(n > 0, "{name}: no cells at Quick");
-        let serial: Vec<String> = (0..n)
-            .map(|i| exp.run_cell_dyn(Scale::Quick, i).1)
-            .collect();
+        let sweep = |jobs: usize| -> Vec<String> {
+            runner::run_cells((0..n).collect(), jobs, |i| {
+                exp.run_cell_dyn(Scale::Quick, i).1
+            })
+        };
         assert_eq!(
-            exp.cell_jsons(Scale::Quick),
-            serial,
-            "{name}: pooled sweep must be byte-identical to the serial loop"
+            sweep(8),
+            sweep(1),
+            "{name}: 8-worker sweep must be byte-identical to the serial one"
         );
     }
     assert!(checked >= 3, "expected >= 3 shipped scenarios, replayed {checked}");

@@ -26,15 +26,16 @@
 //!
 //! Auditing is off by default (the hot path pays one pointer-null check
 //! per event). Enable it per simulator with
-//! [`crate::sim::Simulator::with_audit`], per process with
-//! [`set_default_audit`], or via the environment: `SLOWCC_AUDIT=1` (or
-//! `strict`) panics at the first violation, `SLOWCC_AUDIT=collect`
-//! accumulates violations into a process-global [`AuditReport`] that
-//! [`take_global_report`] drains — the mode the experiments runner's
-//! `--audit` flag uses to audit a whole figure sweep.
+//! [`crate::sim::Simulator::with_audit`], or per cell with
+//! [`crate::budget::Budget::audit`]: every simulator built under a
+//! thread budget ([`crate::budget::set_thread_budget`]) that carries a
+//! mode audits in it. [`AuditMode::Strict`] panics at the first
+//! violation; [`AuditMode::Collect`] accumulates violations into a
+//! process-global [`AuditReport`] that [`take_global_report`] drains —
+//! the mode the experiments runner's `--audit` flag puts in every
+//! cell's budget to audit a whole figure sweep.
 
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use serde::Serialize;
 
@@ -45,49 +46,13 @@ use crate::time::SimTime;
 /// How audit violations are handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditMode {
-    /// Panic at the first violation. The mode for tests and the
-    /// `SLOWCC_AUDIT=1` smoke runs: a violation is a bug, fail loudly.
+    /// Panic at the first violation. The mode for tests and
+    /// self-auditing cells: a violation is a bug, fail loudly.
     Strict,
     /// Record violations into the [`AuditReport`] and keep running. The
     /// mode for sweep-wide audits (`repro --audit`), where one report at
     /// the end beats a panic in the middle of a parallel sweep.
     Collect,
-}
-
-/// Process-wide programmatic override:
-/// 0 = unset (fall through to the environment), 1 = strict, 2 = collect.
-static AUDIT_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// The `SLOWCC_AUDIT` environment knob, read once per process.
-static ENV_MODE: OnceLock<Option<AuditMode>> = OnceLock::new();
-
-/// Force every subsequently created [`crate::sim::Simulator`] to audit in
-/// `mode`; `None` restores the default resolution (the `SLOWCC_AUDIT`
-/// environment variable, then off).
-pub fn set_default_audit(mode: Option<AuditMode>) {
-    let v = match mode {
-        None => 0,
-        Some(AuditMode::Strict) => 1,
-        Some(AuditMode::Collect) => 2,
-    };
-    AUDIT_OVERRIDE.store(v, AtomicOrdering::Relaxed);
-}
-
-/// The audit mode newly created simulators get: the [`set_default_audit`]
-/// override if set, else the `SLOWCC_AUDIT` environment variable
-/// (`1`/`strict`/`on`, `collect`, or `0`/`off`), else no auditing.
-pub fn default_mode() -> Option<AuditMode> {
-    match AUDIT_OVERRIDE.load(AtomicOrdering::Relaxed) {
-        1 => Some(AuditMode::Strict),
-        2 => Some(AuditMode::Collect),
-        _ => *ENV_MODE.get_or_init(|| match std::env::var("SLOWCC_AUDIT") {
-            Ok(v) if v == "1" || v == "strict" || v == "on" => Some(AuditMode::Strict),
-            Ok(v) if v == "collect" => Some(AuditMode::Collect),
-            Ok(v) if v == "0" || v == "off" || v.is_empty() => None,
-            Ok(v) => panic!("SLOWCC_AUDIT must be 0/1/strict/collect, got `{v}`"),
-            Err(_) => None,
-        }),
-    }
 }
 
 /// Terminal-state tracking for one injected packet, indexed by uid.

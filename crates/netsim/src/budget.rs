@@ -20,24 +20,28 @@
 //! Checks have **no side effects** while untripped: arming a budget
 //! that never trips leaves every simulation byte-identical.
 //!
-//! Budgets reach deeply-constructed simulators the same way the audit
-//! knob does: a worker thread calls [`set_thread_budget`] and every
-//! `Simulator::new` on that thread captures it.
-//! [`crate::sim::Simulator::set_budget`] overrides it per-instance.
+//! Budgets reach deeply-constructed simulators through one thread-local
+//! context: a worker thread calls [`set_thread_budget`] and every
+//! `Simulator::new` on that thread captures it — the bounds and the
+//! cell's audit mode ([`Budget::audit`]) alike.
+//! [`crate::sim::Simulator::set_budget`] overrides the bounds
+//! per-instance.
 
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use crate::audit::AuditMode;
 use crate::time::SimTime;
 
 /// Check the wall clock and cancel flag when `events & WALL_CHECK_MASK
 /// == 0`: every 4096 events, amortizing `Instant::now()` to noise.
 const WALL_CHECK_MASK: u64 = 0xFFF;
 
-/// Cooperative execution bounds for one simulation. `Default` is fully
-/// unlimited (nothing armed, one branch per event).
+/// Cooperative execution bounds for one simulation, plus the audit mode
+/// its simulators are born with. `Default` is fully unlimited (nothing
+/// armed, one branch per event) and unaudited.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Wall-clock limit, measured from the `Simulator`'s construction.
@@ -57,6 +61,11 @@ pub struct Budget {
     pub livelock_events: Option<u64>,
     /// Observe the process-global cancel flag ([`request_cancel`]).
     pub observe_cancel: bool,
+    /// Invariant-audit mode for every `Simulator` built under this
+    /// budget (`None`: unaudited). Read once, at construction:
+    /// [`crate::sim::Simulator::set_budget`] does not change the
+    /// auditor. Not a bound, so it never arms the per-event check.
+    pub audit: Option<AuditMode>,
 }
 
 impl Budget {
@@ -71,8 +80,12 @@ impl Budget {
     }
 
     /// True when nothing is armed: the per-event check short-circuits.
+    /// The audit mode is not a bound and does not count.
     pub fn is_unlimited(&self) -> bool {
-        *self == Budget::default()
+        Budget {
+            audit: None,
+            ..*self
+        } == Budget::default()
     }
 
     /// Builder: arm the wall-clock limit.
@@ -96,6 +109,12 @@ impl Budget {
     /// Builder: observe the process-global cancel flag.
     pub fn with_cancel(mut self) -> Self {
         self.observe_cancel = true;
+        self
+    }
+
+    /// Builder: audit every simulator built under this budget in `mode`.
+    pub fn with_audit(mut self, mode: AuditMode) -> Self {
+        self.audit = Some(mode);
         self
     }
 }
@@ -154,15 +173,16 @@ thread_local! {
         max_events: None,
         livelock_events: None,
         observe_cancel: false,
+        audit: None,
     }) };
 }
 
 /// Install `budget` as this thread's default: every `Simulator`
 /// constructed on this thread afterwards is born with it. Supervisors
 /// set it on worker threads before running a cell (and reset it after),
-/// so budgets reach simulators built deep inside experiment code
-/// without threading a parameter through every layer — the same
-/// pattern as the audit knob.
+/// so budgets and the cell's audit mode reach simulators built deep
+/// inside experiment code without threading a parameter through every
+/// layer.
 pub fn set_thread_budget(budget: Budget) {
     THREAD_BUDGET.with(|b| b.set(budget));
 }
@@ -216,8 +236,14 @@ pub struct BudgetState {
 }
 
 impl BudgetState {
-    /// Arm `budget` now (the wall clock starts here).
+    /// Arm `budget` now (the wall clock starts here). `budget.audit` is
+    /// dropped: the auditor is the simulator's, fixed at construction,
+    /// so the armed budget never claims a mode the simulator lacks.
     pub fn new(budget: Budget) -> Self {
+        let budget = Budget {
+            audit: None,
+            ..budget
+        };
         BudgetState {
             deadline: budget
                 .wall_clock
@@ -379,6 +405,20 @@ mod tests {
         reset_cancel();
         assert_eq!(abort, SimAbort::Cancelled);
         assert!(!cancel_requested());
+    }
+
+    #[test]
+    fn audit_mode_never_arms_the_per_event_check() {
+        let audited = Budget::none().with_audit(AuditMode::Collect);
+        assert!(audited.is_unlimited());
+        let state = BudgetState::new(audited);
+        assert!(!state.armed);
+        assert_eq!(
+            state.budget().audit,
+            None,
+            "the armed budget carries no audit mode"
+        );
+        assert!(!audited.with_max_events(1).is_unlimited());
     }
 
     #[test]

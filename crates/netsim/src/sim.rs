@@ -430,8 +430,10 @@ pub struct Simulator {
 pub const DEFAULT_STATS_BIN: SimDuration = SimDuration::from_millis(10);
 
 impl Simulator {
-    /// A fresh simulator with the given RNG seed.
+    /// A fresh simulator with the given RNG seed, born with this
+    /// thread's budget and its audit mode ([`budget::set_thread_budget`]).
     pub fn new(seed: u64) -> Self {
+        let budget = budget::thread_budget();
         Simulator {
             world: World {
                 now: SimTime::ZERO,
@@ -442,8 +444,8 @@ impl Simulator {
                 stats: Stats::new(DEFAULT_STATS_BIN),
                 next_uid: 0,
                 trace: None,
-                audit: audit::default_mode().map(|mode| Box::new(Auditor::new(mode))),
-                budget: BudgetState::new(budget::thread_budget()),
+                audit: budget.audit.map(|mode| Box::new(Auditor::new(mode))),
+                budget: BudgetState::new(budget),
             },
             agents: Vec::new(),
             seed,
@@ -473,13 +475,15 @@ impl Simulator {
 
     /// Arm (or replace) this simulator's cooperative execution budget.
     /// The wall clock starts now. Overrides the thread default captured
-    /// at construction ([`budget::set_thread_budget`]).
+    /// at construction ([`budget::set_thread_budget`]). The auditor is
+    /// fixed at construction: `budget.audit` is ignored here.
     pub fn set_budget(&mut self, budget: Budget) {
         self.world.budget = BudgetState::new(budget);
     }
 
     /// The armed budget (the thread default at construction unless
-    /// [`Self::set_budget`] replaced it).
+    /// [`Self::set_budget`] replaced it). Its `audit` is always `None`;
+    /// [`Self::audit_enabled`] reports the auditor.
     pub fn budget(&self) -> Budget {
         self.world.budget.budget()
     }
@@ -1378,6 +1382,25 @@ mod tests {
         crate::budget::set_thread_budget(crate::budget::Budget::none());
         assert_eq!(sim.budget().max_events, Some(20));
         assert!(Simulator::new(0).budget().is_unlimited());
+    }
+
+    #[test]
+    fn thread_budget_audit_mode_reaches_new_simulators() {
+        use crate::budget::{set_thread_budget, thread_budget, Budget};
+        let prev = thread_budget();
+        set_thread_budget(Budget::none().with_audit(AuditMode::Collect));
+        let mut audited = Simulator::new(0);
+        set_thread_budget(Budget::none());
+        let plain = Simulator::new(0);
+        set_thread_budget(prev);
+        assert!(audited.audit_enabled());
+        assert!(
+            audited.budget().is_unlimited(),
+            "audit must not arm the budget"
+        );
+        assert_eq!(audited.budget().audit, None);
+        assert!(!plain.audit_enabled());
+        assert!(audited.finish_audit().expect("audited").is_clean());
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl TraceSink for VecTrace {
         self.total_seen += 1;
         if self.events.len() < self.cap {
             self.events.push(*event);
-        } else if crate::audit::default_mode() == Some(AuditMode::Strict) {
+        } else if crate::budget::thread_budget().audit == Some(AuditMode::Strict) {
             // A silently truncated trace under a strict audit is a lie
             // waiting to be believed; fail the run instead.
             panic!(

@@ -69,24 +69,22 @@ for rfc in rfc1122 rfc2481 rfc3448 rfc5681 rfc6298 rfc6582; do
 done
 echo "conformance ledger clean over all six RFCs"
 
-section "audited smoke (SLOWCC_AUDIT=1)"
-# Strict env-var path: any invariant violation panics the run.
-SLOWCC_AUDIT=1 ./target/release/repro --quick fig45 > /dev/null
-# Collect --audit path: the run reports and the exit code gates.
-SLOWCC_AUDIT=1 ./target/release/repro --quick --audit fig45 > "$tmp/audit.txt"
+section "audited smoke (repro --audit fig45)"
+# The run reports every violation and the exit code gates.
+./target/release/repro --quick --audit fig45 > "$tmp/audit.txt"
 grep "audit: " "$tmp/audit.txt"
 grep -q " 0 timer leaks, 0 violations" "$tmp/audit.txt"
 echo "audited fig45 clean"
 
-section "chaos fault-injection smoke (SLOWCC_AUDIT=strict)"
-SLOWCC_AUDIT=strict \
-  ./target/release/repro --quick chaos --out "$tmp/chaos" > "$tmp/chaos.txt"
+section "chaos fault-injection smoke (repro --audit chaos)"
+# Chaos cells audit themselves strictly; --audit adds the sweep report.
+./target/release/repro --quick --audit chaos --out "$tmp/chaos" > "$tmp/chaos.txt"
 # Same seeds, second run: must replay byte-identically.
-SLOWCC_AUDIT=strict \
-  ./target/release/repro --quick chaos --out "$tmp/chaos2" > "$tmp/chaos2.txt"
+./target/release/repro --quick --audit chaos --out "$tmp/chaos2" > "$tmp/chaos2.txt"
 diff -r "$tmp/chaos" "$tmp/chaos2"
 diff "$tmp/chaos.txt" "$tmp/chaos2.txt"
 grep -q "all graceful" "$tmp/chaos.txt"
+grep -q " 0 timer leaks, 0 violations" "$tmp/chaos.txt"
 echo "chaos sweep audit-clean, bit-identical across runs"
 
 section "resume replay smoke (fully cached rerun, byte-identical)"
