@@ -176,7 +176,8 @@ fn horizon(scale: Scale) -> SimDuration {
 
 /// Registry entry for the chaos sweep: one cell per `(flavor, seed)`.
 /// A crashed cell panics: `repro` records it in the manifest and fails
-/// the run, and the in-process [`run`] propagates the panic.
+/// the run, and in-process [`crate::experiment::run_experiment`]
+/// propagates the panic.
 pub struct ChaosExperiment;
 
 impl Experiment for ChaosExperiment {
@@ -231,13 +232,6 @@ impl Experiment for ChaosExperiment {
     }
 }
 
-/// Run the chaos sweep in-process. Panics if any cell panicked or
-/// violated an invariant — graceful degradation is the experiment's
-/// contract, and a crash under faults is a finding, not a data point.
-pub fn run(scale: Scale) -> Chaos {
-    crate::experiment::run_experiment(&ChaosExperiment, scale)
-}
-
 impl Chaos {
     /// Render the sweep as the usual fixed-width table.
     pub fn print(&self) {
@@ -277,10 +271,11 @@ impl Chaos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run_experiment;
 
     #[test]
     fn quick_chaos_sweep_is_graceful_and_deterministic() {
-        let a = run(Scale::Quick);
+        let a = run_experiment(&ChaosExperiment, Scale::Quick);
         assert_eq!(a.cells.len(), 10, "5 flavors x 2 seeds");
         for c in &a.cells {
             assert!(
@@ -292,7 +287,7 @@ mod tests {
             );
         }
         // Bit-identical replay: the whole sweep derives from cell seeds.
-        let b = run(Scale::Quick);
+        let b = run_experiment(&ChaosExperiment, Scale::Quick);
         let digest = |r: &Chaos| format!("{:?}", r.cells);
         assert_eq!(digest(&a), digest(&b));
     }

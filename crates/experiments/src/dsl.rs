@@ -69,7 +69,8 @@ pub struct FlowBlock {
     pub start: SimDuration,
     /// Start spacing between consecutive flows of this block.
     pub stagger: SimDuration,
-    /// Optional send stop for every flow of this block.
+    /// Optional send stop for every flow of this block (`stop_ms`;
+    /// rejected at parse for flavors without [`Flavor::supports_stop`]).
     pub stop: Option<SimDuration>,
     /// Router span `(from, to)` on a parking lot (`path = [f, t]`).
     pub span: Option<(usize, usize)>,
@@ -552,7 +553,7 @@ fn parse_flow(sec: &Section, path: &str) -> Result<FlowBlock, String> {
     let mut count = 1usize;
     let mut start = SimDuration::ZERO;
     let mut stagger = SimDuration::from_millis(63);
-    let mut stop: Option<SimDuration> = None;
+    let mut stop: Option<(SimDuration, usize)> = None; // (value, line)
     let mut span: Option<(usize, usize)> = None;
     let mut access_delay: Option<SimDuration> = None;
     for e in &sec.table.entries {
@@ -569,7 +570,7 @@ fn parse_flow(sec: &Section, path: &str) -> Result<FlowBlock, String> {
             }
             "start_ms" => start = want_ms(e, path)?,
             "stagger_ms" => stagger = want_ms(e, path)?,
-            "stop_ms" => stop = Some(want_ms(e, path)?),
+            "stop_ms" => stop = Some((want_ms(e, path)?, e.line)),
             "path" => span = Some(want_span(e, path)?),
             "access_delay_ms" => access_delay = Some(want_ms(e, path)?),
             other => {
@@ -588,12 +589,22 @@ fn parse_flow(sec: &Section, path: &str) -> Result<FlowBlock, String> {
             "`path` and `access_delay_ms` are mutually exclusive",
         ));
     }
+    let flavor = flavor.ok_or_else(|| at(path, sec.line, "[[flow]] needs `flavor`"))?;
+    if let Some((_, line)) = stop {
+        if !flavor.supports_stop() {
+            return Err(at(
+                path,
+                line,
+                format_args!("`stop_ms` is not supported for {} flows", flavor.label()),
+            ));
+        }
+    }
     Ok(FlowBlock {
-        flavor: flavor.ok_or_else(|| at(path, sec.line, "[[flow]] needs `flavor`"))?,
+        flavor,
         count,
         start,
         stagger,
-        stop,
+        stop: stop.map(|(d, _)| d),
         span,
         access_delay,
     })
@@ -842,10 +853,7 @@ pub fn parse_scenario(text: &str, path: &str) -> Result<ScenarioSpec, String> {
         topology = Some(parse_topology(sec, path)?);
     }
     let topology = topology.ok_or_else(|| format!("{path}: missing [topology] section"))?;
-    let hops = match topology.kind {
-        TopologyKind::Dumbbell => 1,
-        TopologyKind::ParkingLot { hops } => hops,
-    };
+    let hops = topology.hops();
     let is_dumbbell = topology.kind == TopologyKind::Dumbbell;
     let check_span = |span: Option<(usize, usize)>, line: usize| -> Result<(), String> {
         if let Some((from, to)) = span {
@@ -1276,28 +1284,21 @@ fn execute(spec: &ScenarioSpec, seed: u64) -> ScenarioCellOut {
     if let Some(plan) = &spec.reverse_faults {
         opts = opts.reverse_faults(plan.clone());
     }
-    let topo = spec.topology.build_with(&mut sim, opts);
-    let pkt = topo.config().pkt_size;
+    let lot = spec.topology.build_with(&mut sim, opts);
+    let pkt = lot.config().pkt_size;
+    let access_delay = lot.config().access_delay;
+    let whole = (0, lot.hops());
 
-    let reverse = if spec.reverse_tcp > 0 {
-        let db = topo
-            .as_dumbbell()
-            .expect("reverse_tcp is validated dumbbell-only at parse");
-        add_reverse_tcp(&mut sim, db, spec.reverse_tcp)
-    } else {
-        Vec::new()
-    };
+    // Reverse traffic and flash crowds are validated dumbbell-only at
+    // parse; both span the whole chain.
+    let reverse = add_reverse_tcp(&mut sim, &lot, spec.reverse_tcp);
 
     let mut tracked: Vec<(String, FlowId)> = Vec::new();
     for fb in &spec.flows {
+        let (from, to) = fb.span.unwrap_or(whole);
+        let delay = fb.access_delay.unwrap_or(access_delay);
         for i in 0..fb.count {
-            let pair = if let Some(d) = fb.access_delay {
-                topo.add_host_pair_with_delay(&mut sim, d)
-            } else if let Some((from, to)) = fb.span {
-                topo.add_host_pair_span(&mut sim, from, to)
-            } else {
-                topo.add_host_pair(&mut sim)
-            };
+            let pair = lot.add_host_pair_with_delay(&mut sim, from, to, delay);
             let start = SimTime::ZERO + fb.start + fb.stagger * i as u64;
             let stop = fb.stop.map(|d| SimTime::ZERO + d);
             let h = fb.flavor.install(&mut sim, &pair, pkt, start, stop);
@@ -1305,10 +1306,8 @@ fn execute(spec: &ScenarioSpec, seed: u64) -> ScenarioCellOut {
         }
     }
     for cb in &spec.cbr {
-        let pair = match cb.span {
-            Some((from, to)) => topo.add_host_pair_span(&mut sim, from, to),
-            None => topo.add_host_pair(&mut sim),
-        };
+        let (from, to) = cb.span.unwrap_or(whole);
+        let pair = lot.add_host_pair_with_delay(&mut sim, from, to, access_delay);
         let schedule = match cb.shape {
             CbrShape::Constant => RateSchedule::Constant(cb.rate_bps),
             CbrShape::Square { half_period } => RateSchedule::SquareWave {
@@ -1325,9 +1324,6 @@ fn execute(spec: &ScenarioSpec, seed: u64) -> ScenarioCellOut {
         tracked.push(("CBR".to_string(), h.flow));
     }
     for fl in &spec.flash {
-        let db = topo
-            .as_dumbbell()
-            .expect("flash crowds are validated dumbbell-only at parse");
         let cfg = FlashCrowdConfig {
             flows_per_sec: fl.flows_per_sec,
             duration: fl.duration,
@@ -1336,7 +1332,7 @@ fn execute(spec: &ScenarioSpec, seed: u64) -> ScenarioCellOut {
             host_pairs: fl.host_pairs,
             seed: fl.seed.unwrap_or(seed),
         };
-        let crowd = install_flash_crowd(&mut sim, db, cfg, SimTime::ZERO + fl.start);
+        let crowd = install_flash_crowd(&mut sim, &lot, cfg, SimTime::ZERO + fl.start);
         tracked.push(("flash-crowd".to_string(), crowd.flow));
     }
 
@@ -1373,10 +1369,7 @@ fn execute(spec: &ScenarioSpec, seed: u64) -> ScenarioCellOut {
         .collect();
 
     let mut links = Vec::new();
-    for (dir, ids) in [
-        ("forward", topo.forward_links()),
-        ("reverse", topo.reverse_links()),
-    ] {
+    for (dir, ids) in [("forward", &lot.forward), ("reverse", &lot.reverse)] {
         for (hop, id) in ids.iter().enumerate() {
             let label = format!("{dir}[{hop}]");
             links.push(match sim.stats().link(*id) {

@@ -126,9 +126,9 @@ pub trait Experiment: Send + Sync {
 }
 
 /// Run a whole experiment in-process: map the cells serially on the
-/// calling thread and assemble. This is the path module-level
-/// `run(scale)` conveniences and tests use (the test harness already
-/// runs tests in parallel); `repro` goes through [`crate::exec`]
+/// calling thread and assemble. Module tests call it directly,
+/// `run_experiment(&Fig3Experiment, Scale::Quick)` (the test harness
+/// already runs tests in parallel); `repro` goes through [`crate::exec`]
 /// instead to add parallelism, isolation and the manifest ledger.
 /// Both produce identical output.
 pub fn run_experiment<E: Experiment>(exp: &E, scale: Scale) -> E::Output {

@@ -129,11 +129,6 @@ pub struct FkModel {
     pub points: Vec<FkModelPoint>,
 }
 
-/// Compare measured f(k) for TCP(1/γ) against the paper's closed form.
-pub fn run_fk_model(scale: Scale) -> FkModel {
-    crate::experiment::run_experiment(&FkModelExperiment, scale)
-}
-
 /// Registry entry for the Section 4.2.3 f(k) model check: one cell per
 /// γ, each producing the measured-vs-model comparison row.
 pub struct FkModelExperiment;
@@ -215,6 +210,7 @@ impl FkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run_experiment;
 
     /// Section 4.2.1: under 10:1 oscillation the TCP-over-TFRC advantage
     /// is at least as prominent as under 3:1.
@@ -238,7 +234,7 @@ mod tests {
     /// bounds at the sluggish end.
     #[test]
     fn fk_model_tracks_measurement_shape() {
-        let fk = run_fk_model(Scale::Quick);
+        let fk = run_experiment(&FkModelExperiment, Scale::Quick);
         assert!(fk.points.len() >= 2);
         let fast = &fk.points[0];
         let slow = fk.points.last().unwrap();

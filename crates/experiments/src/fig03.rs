@@ -58,11 +58,6 @@ fn window() -> SimDuration {
     SimDuration::from_millis(500)
 }
 
-/// Run Figure 3.
-pub fn run(scale: Scale) -> Fig3 {
-    crate::experiment::run_experiment(&Fig3Experiment, scale)
-}
-
 /// Registry entry for Figure 3: one cell per very-slow algorithm.
 pub struct Fig3Experiment;
 
@@ -198,6 +193,7 @@ fn mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run_experiment;
 
     /// The headline claim of Figure 3/4: without self-clocking, very
     /// slow TFRC keeps the loss rate elevated far longer than TCP(1/γ)
@@ -208,7 +204,7 @@ mod tests {
     /// swamp the difference the figure is about.
     #[test]
     fn slow_tfrc_without_self_clocking_has_the_longest_transient() {
-        let fig = run(Scale::Quick);
+        let fig = run_experiment(&Fig3Experiment, Scale::Quick);
         let onset_w = (fig.config.timeline.onset.as_secs_f64() / fig.window_secs) as usize;
         let transient_w = (6.0 / fig.window_secs) as usize;
         // Loss mass in the transient window per algorithm.

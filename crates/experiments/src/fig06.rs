@@ -102,11 +102,6 @@ pub fn figure6_flavors(scale: Scale) -> Vec<Flavor> {
     ]
 }
 
-/// Run Figure 6.
-pub fn run(scale: Scale) -> Fig6 {
-    crate::experiment::run_experiment(&Fig6Experiment, scale)
-}
-
 /// Series window width.
 fn window() -> SimDuration {
     SimDuration::from_millis(500)
@@ -163,7 +158,7 @@ fn run_one(flavor: Flavor, cfg: &Fig6Config, window: SimDuration) -> Fig6Series 
         let flows = scenario::install_flows(sim, db, flavor, cfg.n_background, SimTime::ZERO, None);
         let crowd = install_flash_crowd(
             sim,
-            db,
+            db.lot(),
             FlashCrowdConfig {
                 flows_per_sec: cfg.flows_per_sec,
                 duration: cfg.crowd_duration,
@@ -252,6 +247,7 @@ impl Fig6 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run_experiment;
 
     /// Figure 6's claim: the crowd grabs bandwidth quickly regardless of
     /// the background flavor (the short flows are in slow-start), and
@@ -259,7 +255,7 @@ mod tests {
     /// TFRC.
     #[test]
     fn crowd_grabs_bandwidth_from_every_background() {
-        let fig = run(Scale::Quick);
+        let fig = run_experiment(&Fig6Experiment, Scale::Quick);
         for s in &fig.series {
             assert!(
                 s.crowd_during_bps > 0.1 * fig.config.bottleneck_bps,

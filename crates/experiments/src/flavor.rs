@@ -14,6 +14,12 @@ use slowcc_netsim::sim::Simulator;
 use slowcc_netsim::time::SimTime;
 use slowcc_netsim::topology::HostPair;
 
+/// Largest TFRC history length [`Flavor::parse`] accepts: 256x the
+/// paper's largest `k`. `TFRC(k)` allocates its `k` interval weights up
+/// front, so an unbounded `k` from a scenario file is an out-of-memory
+/// abort rather than an error.
+pub const MAX_TFRC_K: usize = 65_536;
+
 /// A congestion control variant under test.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Flavor {
@@ -110,6 +116,9 @@ impl Flavor {
                 _ => return fail(),
             };
             return match k_str.parse::<usize>() {
+                Ok(k) if k > MAX_TFRC_K => Err(format!(
+                    "`{s}`: TFRC history length {k} exceeds the maximum {MAX_TFRC_K}"
+                )),
                 Ok(k) if k >= 1 => Ok(Flavor::Tfrc { k, self_clocking }),
                 _ => fail(),
             };
@@ -133,6 +142,12 @@ impl Flavor {
             "RAP" => Ok(Flavor::Rap { gamma }),
             _ => fail(),
         }
+    }
+
+    /// Whether [`Flavor::install`] accepts a stop time. RAP and TEAR
+    /// flows run to the horizon.
+    pub fn supports_stop(&self) -> bool {
+        !matches!(self, Flavor::Rap { .. } | Flavor::Tear)
     }
 
     /// Install one flow of this flavor across `pair`.

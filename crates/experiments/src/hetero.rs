@@ -48,12 +48,6 @@ pub struct RttBias {
     pub points: Vec<RttBiasPoint>,
 }
 
-/// Run the RTT-bias experiment: two same-algorithm flows, RTTs ~30 ms
-/// and ~150 ms, sharing a 10 Mb/s RED bottleneck.
-pub fn run_rtt_bias(scale: Scale) -> RttBias {
-    crate::experiment::run_experiment(&RttBiasExperiment, scale)
-}
-
 fn run_bias(flavor: Flavor, warmup: SimTime, duration: SimTime) -> RttBiasPoint {
     let mut sim = Simulator::new(77);
     let db = slowcc_netsim::topology::Dumbbell::build(&mut sim, DumbbellConfig::paper(10e6));
@@ -86,7 +80,9 @@ fn run_bias(flavor: Flavor, warmup: SimTime, duration: SimTime) -> RttBiasPoint 
     }
 }
 
-/// Registry entry for the RTT-bias experiment: one cell per algorithm.
+/// Registry entry for the RTT-bias experiment (two same-algorithm flows,
+/// RTTs ~30 ms and ~150 ms, sharing a 10 Mb/s RED bottleneck): one cell
+/// per algorithm.
 pub struct RttBiasExperiment;
 
 impl Experiment for RttBiasExperiment {
@@ -173,14 +169,9 @@ pub struct MultiHop {
     pub points: Vec<MultiHopPoint>,
 }
 
-/// Run the parking-lot experiment: one long flow across `h` hops, two
-/// cross flows per hop, everyone using the same algorithm.
-pub fn run_multihop(scale: Scale) -> MultiHop {
-    crate::experiment::run_experiment(&MultiHopExperiment, scale)
-}
-
-/// Registry entry for the multi-hop experiment: one cell per
-/// `(algorithm, hop count)`.
+/// Registry entry for the multi-hop experiment (one long flow across
+/// `h` hops, two cross flows per hop, everyone using the same
+/// algorithm): one cell per `(algorithm, hop count)`.
 pub struct MultiHopExperiment;
 
 impl Experiment for MultiHopExperiment {
@@ -294,11 +285,12 @@ impl MultiHop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run_experiment;
 
     /// Short-RTT TCP beats long-RTT TCP clearly (alpha near or above 1).
     #[test]
     fn tcp_is_rtt_biased() {
-        let bias = run_rtt_bias(Scale::Quick);
+        let bias = run_experiment(&RttBiasExperiment, Scale::Quick);
         let tcp = &bias.points[0];
         assert!(
             tcp.short_bps > 1.7 * tcp.long_bps,
@@ -313,7 +305,7 @@ mod tests {
     /// and at every hop count it gets less than the cross traffic.
     #[test]
     fn multihop_flows_lose_at_every_hop() {
-        let mh = run_multihop(Scale::Quick);
+        let mh = run_experiment(&MultiHopExperiment, Scale::Quick);
         let tcp: Vec<&MultiHopPoint> = mh.points.iter().filter(|p| p.label == "TCP(1/2)").collect();
         assert!(tcp.len() >= 2);
         let one = tcp.iter().find(|p| p.hops == 1).unwrap();

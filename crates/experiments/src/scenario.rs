@@ -43,7 +43,7 @@ where
 {
     let mut sim = Simulator::new(seed);
     let db = Dumbbell::build(&mut sim, DumbbellConfig::paper(bottleneck_bps));
-    let reverse = add_reverse_tcp(&mut sim, &db, REVERSE_FLOWS);
+    let reverse = add_reverse_tcp(&mut sim, db.lot(), REVERSE_FLOWS);
     let flows = install(&mut sim, &db);
     Scenario {
         sim,

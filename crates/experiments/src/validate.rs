@@ -62,11 +62,6 @@ pub fn static_flavors() -> Vec<Flavor> {
     ]
 }
 
-/// Run the static-compatibility validation.
-pub fn run_static(scale: Scale) -> StaticValidation {
-    crate::experiment::run_experiment(&StaticExperiment, scale)
-}
-
 fn static_point(flavor: Flavor, p: f64, secs: u64) -> StaticPoint {
     let mut sim = Simulator::new(2024);
     // Fat pipe, huge buffer: the imposed loss process is the only
@@ -191,16 +186,12 @@ pub struct EcnConvergence {
     pub points: Vec<EcnConvPoint>,
 }
 
-/// Simulate the Figure 11 model: ECN marks at probability `p`, no drops,
-/// two TCP(b) flows from a skewed allocation.
-pub fn run_ecn_convergence(scale: Scale) -> EcnConvergence {
-    crate::experiment::run_experiment(&EcnConvExperiment, scale)
-}
-
 /// Mark probability of the ECN convergence validation.
 const ECN_MARK_P: f64 = 0.01;
 
-/// Registry entry for the ECN convergence validation: one cell per γ.
+/// Registry entry for the ECN convergence validation, the Figure 11
+/// model simulated (ECN marks at probability `p`, no drops, two TCP(b)
+/// flows from a skewed allocation): one cell per γ.
 pub struct EcnConvExperiment;
 
 impl Experiment for EcnConvExperiment {
@@ -342,11 +333,6 @@ pub struct HighLossValidation {
     pub points: Vec<HighLossPoint>,
 }
 
-/// Measure TCP at the Appendix A drop rates and compare with the bound.
-pub fn run_high_loss(scale: Scale) -> HighLossValidation {
-    crate::experiment::run_experiment(&HighLossExperiment, scale)
-}
-
 fn high_loss_point(n: u64, secs: u64) -> HighLossPoint {
     // Drop every n-th packet: p = 1/n (p = 1/2, 1/3... Appendix A
     // parameterizes p = n/(n+1); dropping every 2nd packet is
@@ -445,12 +431,13 @@ impl HighLossValidation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run_experiment;
 
     /// Every algorithm in the static sweep must track the equation
     /// within the bands the TCP-friendliness literature accepts.
     #[test]
     fn static_sweep_tracks_the_equation() {
-        let v = run_static(Scale::Quick);
+        let v = run_experiment(&StaticExperiment, Scale::Quick);
         for pt in &v.points {
             assert!(
                 pt.ratio > 0.3 && pt.ratio < 3.0,
@@ -466,7 +453,7 @@ mod tests {
     /// (smaller b -> more ACKs) and rough magnitude.
     #[test]
     fn ecn_convergence_matches_model_shape() {
-        let v = run_ecn_convergence(Scale::Quick);
+        let v = run_experiment(&EcnConvExperiment, Scale::Quick);
         assert!(v.points.len() >= 2);
         // Ordering: the b = 1/8 point needs more ACKs than b = 1/2.
         let first = &v.points[0];
@@ -493,7 +480,7 @@ mod tests {
     /// Measured TCP at p = 1/2 sits below the Appendix A bound.
     #[test]
     fn high_loss_measurement_respects_the_bound() {
-        let v = run_high_loss(Scale::Quick);
+        let v = run_experiment(&HighLossExperiment, Scale::Quick);
         let half = v
             .points
             .iter()

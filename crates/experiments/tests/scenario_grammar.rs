@@ -136,12 +136,18 @@ fn spec_from(words: &[u64]) -> ScenarioSpec {
     let mut flows = Vec::new();
     for _ in 0..1 + d.pick(3) {
         let span = span(d);
+        let flavor = flavor(d);
         flows.push(FlowBlock {
-            flavor: flavor(d),
+            flavor,
             count: 1 + d.pick(4) as usize,
             start: d.ms(0, 5_000),
             stagger: d.ms(0, 500),
-            stop: d.maybe().then(|| d.ms(1_000, 10_000)),
+            // RAP and TEAR cannot stop, so `stop_ms` is not expressible
+            // for them; the draw is kept so every other field is too.
+            stop: d
+                .maybe()
+                .then(|| d.ms(1_000, 10_000))
+                .filter(|_| flavor.supports_stop()),
             span,
             access_delay: (dumbbell && d.maybe()).then(|| d.ms(1, 100)),
         });
@@ -296,4 +302,29 @@ fn invalid_spans_are_rejected_with_position() {
         &format!("{VALID}\n[[flow]]\nflavor = \"TEAR\"\npath = [2, 1]\n"),
         "not a span",
     );
+}
+
+/// Flows that would kill their cell (a panic in `Flavor::install`) or
+/// the whole process (an allocation abort) if they parsed.
+#[test]
+fn flows_that_cannot_run_are_rejected_with_position() {
+    for flavor in ["RAP(1/4)", "TEAR"] {
+        reject(
+            &format!("{VALID}\n[[flow]]\nstop_ms = 3000\nflavor = \"{flavor}\"\n"),
+            &format!("bad.toml:9: `stop_ms` is not supported for {flavor} flows"),
+        );
+    }
+    reject(
+        &format!("{VALID}\n[[flow]]\nflavor = \"TFRC(4000000000)\"\n"),
+        "bad.toml:9: `TFRC(4000000000)`: TFRC history length 4000000000 exceeds the maximum 65536",
+    );
+    // Their neighbours still parse: TFRC stops as asked, and the bound
+    // itself is a valid history length.
+    for flavor in ["TFRC(6)", "TFRC(65536)+sc"] {
+        parse_scenario(
+            &format!("{VALID}\n[[flow]]\nflavor = \"{flavor}\"\nstop_ms = 3000\n"),
+            "ok.toml",
+        )
+        .unwrap();
+    }
 }

@@ -7,9 +7,14 @@
 //!
 //! ```text
 //!  s0 ─┐                      ┌─ d0
-//!  s1 ─┤ ... ── R1 ═════ R2 ──┤ ...
+//!  s1 ─┤ ... ── R0 ═════ R1 ──┤ ...
 //!  sN ─┘    (bottleneck, RED) └─ dN
 //! ```
+//!
+//! There is one builder, [`ParkingLot`], a chain of congested hops, and
+//! one routine that wires hosts to it,
+//! [`ParkingLot::add_host_pair_with_delay`]. A [`Dumbbell`] is the
+//! one-hop lot under the names the paper's experiments use.
 
 use crate::faults::FaultPlan;
 use crate::ids::{LinkId, NodeId};
@@ -99,9 +104,9 @@ impl DumbbellConfig {
 }
 
 /// Optional attachments for a bottleneck link pair: scripted loss, ECN
-/// marking and fault-injection plans, in either direction. One builder
-/// serves both topologies — [`Dumbbell::build_with`] applies it to the
-/// shared link pair, [`ParkingLot::build_with`] to the first hop.
+/// marking and fault-injection plans, in either direction.
+/// [`ParkingLot::build_with`] applies them to the first hop, which on a
+/// dumbbell is the shared link pair.
 #[derive(Default)]
 pub struct DumbbellOptions {
     forward_loss: Option<Box<dyn LossPattern>>,
@@ -178,21 +183,6 @@ impl DumbbellOptions {
     }
 }
 
-/// A built dumbbell: the two routers and the shared links.
-#[derive(Debug)]
-pub struct Dumbbell {
-    /// Router on the senders' side.
-    pub left_router: NodeId,
-    /// Router on the receivers' side.
-    pub right_router: NodeId,
-    /// Bottleneck link left -> right (the congested direction in all the
-    /// paper's scenarios).
-    pub forward: LinkId,
-    /// Bottleneck link right -> left (carries ACKs and reverse traffic).
-    pub reverse: LinkId,
-    cfg: DumbbellConfig,
-}
-
 /// A pair of end hosts, one on each side of the bottleneck.
 #[derive(Debug, Clone, Copy)]
 pub struct HostPair {
@@ -200,6 +190,18 @@ pub struct HostPair {
     pub left: NodeId,
     /// Host on the receivers' side.
     pub right: NodeId,
+}
+
+/// A built dumbbell: a one-hop [`ParkingLot`], with its shared link pair
+/// named.
+#[derive(Debug)]
+pub struct Dumbbell {
+    /// Bottleneck link left -> right (the congested direction in all the
+    /// paper's scenarios).
+    pub forward: LinkId,
+    /// Bottleneck link right -> left (carries ACKs and reverse traffic).
+    pub reverse: LinkId,
+    lot: ParkingLot,
 }
 
 impl Dumbbell {
@@ -210,58 +212,38 @@ impl Dumbbell {
 
     /// Build with optional scripted loss, ECN marking and fault plans
     /// attached to the bottleneck links — see [`DumbbellOptions`].
-    pub fn build_with(sim: &mut Simulator, cfg: DumbbellConfig, mut opts: DumbbellOptions) -> Self {
-        let left_router = sim.add_node();
-        let right_router = sim.add_node();
-        let fwd_link = opts.decorate_forward(Link::new(
-            right_router,
-            cfg.bottleneck_bps,
-            cfg.bottleneck_delay,
-            cfg.make_bottleneck_queue(),
-        ));
-        let forward = sim.add_link(left_router, fwd_link);
-        let rev_link = opts.decorate_reverse(Link::new(
-            left_router,
-            cfg.bottleneck_bps,
-            cfg.bottleneck_delay,
-            cfg.make_bottleneck_queue(),
-        ));
-        let reverse = sim.add_link(right_router, rev_link);
-        // Routers default-route across the bottleneck; host-specific
-        // routes are added as host pairs are created.
-        sim.set_default_route(left_router, forward);
-        sim.set_default_route(right_router, reverse);
+    pub fn build_with(sim: &mut Simulator, cfg: DumbbellConfig, opts: DumbbellOptions) -> Self {
+        let lot = ParkingLot::build_with(sim, cfg, 1, opts);
         Dumbbell {
-            left_router,
-            right_router,
-            forward,
-            reverse,
-            cfg,
+            forward: lot.forward[0],
+            reverse: lot.reverse[0],
+            lot,
         }
+    }
+
+    /// The one-hop parking lot this dumbbell is.
+    pub fn lot(&self) -> &ParkingLot {
+        &self.lot
     }
 
     /// Topology parameters this dumbbell was built with.
     pub fn config(&self) -> &DumbbellConfig {
-        &self.cfg
+        self.lot.config()
     }
 
     /// Bandwidth-delay product of the bottleneck in packets.
     pub fn bdp_packets(&self) -> f64 {
-        self.cfg.bdp_packets()
+        self.config().bdp_packets()
     }
 
     /// Round-trip propagation delay between a host pair.
     pub fn base_rtt(&self) -> SimDuration {
-        self.cfg.base_rtt()
+        self.config().base_rtt()
     }
 
     /// Add a host on each side, wired to its router with access links.
-    ///
-    /// Access buffers are sized generously (4x the bottleneck BDP) so the
-    /// shared link is the only loss point unless a loss script says
-    /// otherwise.
     pub fn add_host_pair(&self, sim: &mut Simulator) -> HostPair {
-        self.add_host_pair_with_delay(sim, self.cfg.access_delay)
+        self.lot.add_host_pair(sim, 0, 1)
     }
 
     /// Add a host pair whose access links have a custom one-way delay,
@@ -272,55 +254,7 @@ impl Dumbbell {
         sim: &mut Simulator,
         access_delay: SimDuration,
     ) -> HostPair {
-        let access_buf = (4.0 * self.cfg.bdp_packets()).ceil().max(64.0) as usize;
-        let left = sim.add_node();
-        let right = sim.add_node();
-
-        let l_up = sim.add_link(
-            left,
-            Link::new(
-                self.left_router,
-                self.cfg.access_bps,
-                access_delay,
-                Box::new(DropTail::new(access_buf)),
-            ),
-        );
-        let l_down = sim.add_link(
-            self.left_router,
-            Link::new(
-                left,
-                self.cfg.access_bps,
-                access_delay,
-                Box::new(DropTail::new(access_buf)),
-            ),
-        );
-        let r_up = sim.add_link(
-            right,
-            Link::new(
-                self.right_router,
-                self.cfg.access_bps,
-                access_delay,
-                Box::new(DropTail::new(access_buf)),
-            ),
-        );
-        let r_down = sim.add_link(
-            self.right_router,
-            Link::new(
-                right,
-                self.cfg.access_bps,
-                access_delay,
-                Box::new(DropTail::new(access_buf)),
-            ),
-        );
-
-        // Stub hosts default-route to their router.
-        sim.set_default_route(left, l_up);
-        sim.set_default_route(right, r_up);
-        // Routers learn host-specific routes.
-        sim.add_route(self.left_router, left, l_down);
-        sim.add_route(self.right_router, right, r_down);
-
-        HostPair { left, right }
+        self.lot.add_host_pair_with_delay(sim, 0, 1, access_delay)
     }
 }
 
@@ -553,9 +487,25 @@ impl ParkingLot {
 
     /// Add a host pair whose traffic enters the chain at router `from`
     /// and leaves at router `to` (`from < to`), traversing hops
-    /// `from..to`. Returns the pair; per-destination routes are installed
-    /// along the chain in both directions.
+    /// `from..to`, over access links of the configured delay.
     pub fn add_host_pair(&self, sim: &mut Simulator, from: usize, to: usize) -> HostPair {
+        self.add_host_pair_with_delay(sim, from, to, self.cfg.access_delay)
+    }
+
+    /// Add a host pair spanning hops `from..to` whose four access links
+    /// have one-way delay `access_delay`: two nodes, then the links
+    /// left-up, left-down, right-up, right-down, in that order. Hosts
+    /// default-route to their router; per-destination routes are
+    /// installed along the chain in both directions. Access buffers are
+    /// sized generously (4x the bottleneck BDP) so the congested hops are
+    /// the only loss points unless a loss script says otherwise.
+    pub fn add_host_pair_with_delay(
+        &self,
+        sim: &mut Simulator,
+        from: usize,
+        to: usize,
+        access_delay: SimDuration,
+    ) -> HostPair {
         assert!(
             from < to && to < self.routers.len(),
             "need from < to <= hops (got {from}..{to} with {} hops)",
@@ -568,7 +518,7 @@ impl ParkingLot {
             Link::new(
                 dst,
                 self.cfg.access_bps,
-                self.cfg.access_delay,
+                access_delay,
                 Box::new(DropTail::new(access_buf)),
             )
         };
@@ -597,7 +547,9 @@ impl ParkingLot {
 // Spec-driven construction
 // ---------------------------------------------------------------------
 
-/// Which topology family a [`TopologySpec`] builds.
+/// Which topology family a [`TopologySpec`] describes. Both build a
+/// [`ParkingLot`]; the kind also sets the scenario DSL's defaults and
+/// its dumbbell-only rules.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopologyKind {
     /// Single shared bottleneck ([`Dumbbell`]).
@@ -609,12 +561,11 @@ pub enum TopologyKind {
     },
 }
 
-/// A declarative topology description: one struct, one build path, for
-/// both the Rust builders and the scenario DSL. Building a spec
-/// delegates to exactly the same [`Dumbbell::build_with`] /
-/// [`ParkingLot::build_with`] calls hand-written experiments make, so a
-/// spec-built simulation is event-for-event identical to its hard-coded
-/// twin.
+/// A declarative topology description, for both the Rust builders and
+/// the scenario DSL. Building a spec is exactly the
+/// [`ParkingLot::build_with`] call hand-written experiments make (a
+/// dumbbell is the one-hop lot), so a spec-built simulation is
+/// event-for-event identical to its hard-coded twin.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologySpec {
     /// Topology family (and hop count, for parking lots).
@@ -640,116 +591,23 @@ impl TopologySpec {
         }
     }
 
+    /// Number of congested hops (1 for a dumbbell).
+    pub fn hops(&self) -> usize {
+        match self.kind {
+            TopologyKind::Dumbbell => 1,
+            TopologyKind::ParkingLot { hops } => hops,
+        }
+    }
+
     /// Build the routers and congested links inside `sim`.
-    pub fn build(&self, sim: &mut Simulator) -> BuiltTopology {
+    pub fn build(&self, sim: &mut Simulator) -> ParkingLot {
         self.build_with(sim, DumbbellOptions::new())
     }
 
     /// Build with [`DumbbellOptions`] attachments (scripted loss, ECN
-    /// marking, fault plans). On a parking lot they attach to the first
-    /// hop, exactly as [`ParkingLot::build_with`] does.
-    pub fn build_with(&self, sim: &mut Simulator, opts: DumbbellOptions) -> BuiltTopology {
-        match self.kind {
-            TopologyKind::Dumbbell => {
-                BuiltTopology::Dumbbell(Dumbbell::build_with(sim, self.config, opts))
-            }
-            TopologyKind::ParkingLot { hops } => {
-                BuiltTopology::ParkingLot(ParkingLot::build_with(sim, self.config, hops, opts))
-            }
-        }
-    }
-}
-
-/// The result of building a [`TopologySpec`]: whichever family it
-/// named, behind one host-attachment interface.
-#[derive(Debug)]
-pub enum BuiltTopology {
-    /// A built dumbbell.
-    Dumbbell(Dumbbell),
-    /// A built parking lot.
-    ParkingLot(ParkingLot),
-}
-
-impl BuiltTopology {
-    /// Link/queue parameters the topology was built with.
-    pub fn config(&self) -> &DumbbellConfig {
-        match self {
-            BuiltTopology::Dumbbell(db) => db.config(),
-            BuiltTopology::ParkingLot(lot) => lot.config(),
-        }
-    }
-
-    /// Number of congested hops (1 for a dumbbell).
-    pub fn hops(&self) -> usize {
-        match self {
-            BuiltTopology::Dumbbell(_) => 1,
-            BuiltTopology::ParkingLot(lot) => lot.hops(),
-        }
-    }
-
-    /// The congested forward links, hop by hop.
-    pub fn forward_links(&self) -> Vec<LinkId> {
-        match self {
-            BuiltTopology::Dumbbell(db) => vec![db.forward],
-            BuiltTopology::ParkingLot(lot) => lot.forward.clone(),
-        }
-    }
-
-    /// The congested reverse links, hop by hop (mirrors of
-    /// [`BuiltTopology::forward_links`]).
-    pub fn reverse_links(&self) -> Vec<LinkId> {
-        match self {
-            BuiltTopology::Dumbbell(db) => vec![db.reverse],
-            BuiltTopology::ParkingLot(lot) => lot.reverse.clone(),
-        }
-    }
-
-    /// The underlying dumbbell, for attachments that are
-    /// dumbbell-specific (reverse bulk traffic, flash crowds).
-    pub fn as_dumbbell(&self) -> Option<&Dumbbell> {
-        match self {
-            BuiltTopology::Dumbbell(db) => Some(db),
-            BuiltTopology::ParkingLot(_) => None,
-        }
-    }
-
-    /// Add a host pair spanning the whole topology: across the
-    /// dumbbell, or from the first to the last parking-lot router.
-    pub fn add_host_pair(&self, sim: &mut Simulator) -> HostPair {
-        match self {
-            BuiltTopology::Dumbbell(db) => db.add_host_pair(sim),
-            BuiltTopology::ParkingLot(lot) => lot.add_host_pair(sim, 0, lot.hops()),
-        }
-    }
-
-    /// Add a host pair spanning routers `from..to`. On a dumbbell the
-    /// only valid span is `0..1` (the whole path).
-    pub fn add_host_pair_span(&self, sim: &mut Simulator, from: usize, to: usize) -> HostPair {
-        match self {
-            BuiltTopology::Dumbbell(db) => {
-                assert!(
-                    from == 0 && to == 1,
-                    "a dumbbell only has the span 0..1 (got {from}..{to})"
-                );
-                db.add_host_pair(sim)
-            }
-            BuiltTopology::ParkingLot(lot) => lot.add_host_pair(sim, from, to),
-        }
-    }
-
-    /// Add a host pair with a custom one-way access delay
-    /// (heterogeneous-RTT scenarios; dumbbell only).
-    pub fn add_host_pair_with_delay(
-        &self,
-        sim: &mut Simulator,
-        access_delay: SimDuration,
-    ) -> HostPair {
-        match self {
-            BuiltTopology::Dumbbell(db) => db.add_host_pair_with_delay(sim, access_delay),
-            BuiltTopology::ParkingLot(_) => {
-                panic!("custom access delays are only supported on dumbbells")
-            }
-        }
+    /// marking, fault plans) on the first hop.
+    pub fn build_with(&self, sim: &mut Simulator, opts: DumbbellOptions) -> ParkingLot {
+        ParkingLot::build_with(sim, self.config, self.hops(), opts)
     }
 }
 
@@ -774,10 +632,11 @@ mod spec_tests {
         let mut b = Simulator::new(9);
         let spec = TopologySpec::dumbbell(DumbbellConfig::paper(10e6));
         let built = spec.build(&mut b);
-        let pb = built.add_host_pair(&mut b);
+        let pb = built.add_host_pair(&mut b, 0, spec.hops());
         assert_eq!(pa.left, pb.left);
         assert_eq!(pa.right, pb.right);
-        assert_eq!(built.forward_links(), [db.forward]);
+        assert_eq!(built.forward, [db.forward]);
+        assert_eq!(built.reverse, [db.reverse]);
         assert_eq!(built.hops(), 1);
 
         let mut c = Simulator::new(9);
@@ -785,12 +644,13 @@ mod spec_tests {
         let pc = lot.add_host_pair(&mut c, 0, 3);
 
         let mut d = Simulator::new(9);
-        let built = TopologySpec::parking_lot(DumbbellConfig::paper(10e6), 3).build(&mut d);
-        let pd = built.add_host_pair(&mut d);
+        let spec = TopologySpec::parking_lot(DumbbellConfig::paper(10e6), 3);
+        let built = spec.build(&mut d);
+        let pd = built.add_host_pair(&mut d, 0, spec.hops());
         assert_eq!(pc.left, pd.left);
         assert_eq!(pc.right, pd.right);
-        assert_eq!(built.forward_links(), lot.forward);
-        assert!(built.as_dumbbell().is_none());
+        assert_eq!(built.forward, lot.forward);
+        assert_eq!(built.hops(), 3);
     }
 }
 
@@ -870,6 +730,92 @@ mod parking_lot_tests {
         assert_eq!(sim.stats().link(lot.forward[0]).unwrap().total_arrivals, 1);
         assert_eq!(sim.stats().link(lot.forward[1]).unwrap().total_arrivals, 2);
         assert_eq!(sim.stats().link(lot.forward[2]).unwrap().total_arrivals, 1);
+    }
+
+    /// What one builder hands the layout test: routers, the shared link
+    /// pair and the first host pair.
+    type OneHop = ([NodeId; 2], LinkId, LinkId, HostPair);
+
+    /// The one-hop layout every committed artifact depends on, since
+    /// RED's per-link RNG stream is keyed on the link id: routers are
+    /// nodes 0-1, forward and reverse are links 0-1, the first host pair
+    /// is nodes 2-3 with access links 2-5 ordered left-up, left-down,
+    /// right-up, right-down. The link order is observed as the order in
+    /// which one data packet and its echo first arrive at each link.
+    #[test]
+    fn one_hop_layout_is_the_same_from_every_builder() {
+        let builders: [fn(&mut Simulator, DumbbellConfig) -> OneHop; 3] = [
+            |sim, cfg| {
+                let db = Dumbbell::build(sim, cfg);
+                let routers = [db.lot().router(0), db.lot().router(1)];
+                (routers, db.forward, db.reverse, db.add_host_pair(sim))
+            },
+            |sim, cfg| {
+                let lot = ParkingLot::build(sim, cfg, 1);
+                let routers = [lot.router(0), lot.router(1)];
+                (
+                    routers,
+                    lot.forward[0],
+                    lot.reverse[0],
+                    lot.add_host_pair(sim, 0, 1),
+                )
+            },
+            |sim, cfg| {
+                let lot = TopologySpec::dumbbell(cfg).build(sim);
+                let routers = [lot.router(0), lot.router(1)];
+                (
+                    routers,
+                    lot.forward[0],
+                    lot.reverse[0],
+                    lot.add_host_pair(sim, 0, 1),
+                )
+            },
+        ];
+        for build in builders {
+            let mut sim = Simulator::new(0);
+            let (routers, forward, reverse, pair) = build(&mut sim, DumbbellConfig::paper(10e6));
+            assert_eq!(routers.map(NodeId::index), [0, 1]);
+            assert_eq!([forward.index(), reverse.index()], [0, 1]);
+            assert_eq!([pair.left.index(), pair.right.index()], [2, 3]);
+
+            let echoed = Arc::new(AtomicU64::new(0));
+            let e = sim.add_agent(pair.right, Box::new(Echo));
+            let flow = sim.new_flow();
+            sim.add_agent(
+                pair.left,
+                Box::new(Probe {
+                    flow,
+                    dst_node: pair.right,
+                    dst_agent: e,
+                    echoed: echoed.clone(),
+                }),
+            );
+            // Every hop takes at least 1 ms, so 100 us slices see one new
+            // link at a time.
+            let arrivals = |sim: &Simulator, ix: usize| {
+                sim.stats()
+                    .link(LinkId::from_index(ix))
+                    .unwrap()
+                    .total_arrivals
+            };
+            let mut order = Vec::new();
+            let mut t = SimTime::ZERO;
+            while t < SimTime::from_millis(200) {
+                t += SimDuration::from_micros(100);
+                sim.run_until(t);
+                for ix in 0..6 {
+                    if arrivals(&sim, ix) > 0 && !order.contains(&ix) {
+                        order.push(ix);
+                    }
+                }
+            }
+            assert_eq!(echoed.load(Ordering::Relaxed), 1);
+            // Data: left-up, forward, right-down; echo: right-up, reverse,
+            // left-down.
+            assert_eq!(order, [2, 0, 5, 4, 1, 3]);
+            assert!((0..6).all(|ix| arrivals(&sim, ix) == 1));
+            assert!(sim.stats().link(LinkId::from_index(6)).is_none());
+        }
     }
 
     #[test]

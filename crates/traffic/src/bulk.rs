@@ -1,50 +1,25 @@
-//! Helpers for populating a dumbbell with long-lived flows.
+//! Background reverse traffic.
 //!
-//! Every experiment in the paper starts from "N long-lived flows" plus
-//! the Section 3 requirement that "each simulation scenario includes data
-//! traffic flowing in both directions on the congested link". These
-//! helpers install staggered flow sets and the background reverse
-//! traffic.
+//! Section 3 requires that "each simulation scenario includes data
+//! traffic flowing in both directions on the congested link"; this
+//! helper installs that reverse traffic.
 
 use slowcc_netsim::sim::Simulator;
-use slowcc_netsim::time::{SimDuration, SimTime};
-use slowcc_netsim::topology::{Dumbbell, HostPair};
+use slowcc_netsim::time::SimTime;
+use slowcc_netsim::topology::ParkingLot;
 
 use slowcc_core::agent::FlowHandle;
 use slowcc_core::tcp::{Tcp, TcpConfig};
 
-/// Install `n` forward flows, each built by `make` on its own host pair,
-/// with starts staggered by `stagger` (staggering desynchronizes the
-/// initial slow-starts, as is conventional).
-pub fn install_many<F>(
-    sim: &mut Simulator,
-    db: &Dumbbell,
-    n: usize,
-    first_start: SimTime,
-    stagger: SimDuration,
-    mut make: F,
-) -> Vec<FlowHandle>
-where
-    F: FnMut(&mut Simulator, &HostPair, SimTime) -> FlowHandle,
-{
-    (0..n)
-        .map(|i| {
-            let pair = db.add_host_pair(sim);
-            let start = first_start + stagger * i as u64;
-            make(sim, &pair, start)
-        })
-        .collect()
-}
-
 /// Install `n` long-lived standard-TCP flows in the reverse direction
 /// (data right -> left), providing the paper's bidirectional background
-/// traffic. Their ACKs share the forward bottleneck with the flows under
-/// test.
-pub fn add_reverse_tcp(sim: &mut Simulator, db: &Dumbbell, n: usize) -> Vec<FlowHandle> {
-    let pkt = db.config().pkt_size;
+/// traffic. Each flow spans the whole chain (on a dumbbell, `db.lot()`),
+/// and its ACKs share the forward links with the flows under test.
+pub fn add_reverse_tcp(sim: &mut Simulator, lot: &ParkingLot, n: usize) -> Vec<FlowHandle> {
+    let pkt = lot.config().pkt_size;
     (0..n)
         .map(|i| {
-            let pair = db.add_host_pair(sim);
+            let pair = lot.add_host_pair(sim, 0, lot.hops());
             Tcp::install_reverse(
                 sim,
                 &pair,
@@ -58,36 +33,13 @@ pub fn add_reverse_tcp(sim: &mut Simulator, db: &Dumbbell, n: usize) -> Vec<Flow
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slowcc_netsim::topology::DumbbellConfig;
-
-    #[test]
-    fn install_many_staggers_and_returns_all_handles() {
-        let mut sim = Simulator::new(0);
-        let db = Dumbbell::build(&mut sim, DumbbellConfig::paper(10e6));
-        let flows = install_many(
-            &mut sim,
-            &db,
-            5,
-            SimTime::ZERO,
-            SimDuration::from_millis(100),
-            |sim, pair, start| Tcp::install(sim, pair, TcpConfig::standard(1000), start),
-        );
-        assert_eq!(flows.len(), 5);
-        sim.run_until(SimTime::from_secs(20));
-        for h in &flows {
-            assert!(
-                sim.stats().flow(h.flow).unwrap().total_rx_packets > 100,
-                "flow {:?} did not run",
-                h.flow
-            );
-        }
-    }
+    use slowcc_netsim::topology::{Dumbbell, DumbbellConfig};
 
     #[test]
     fn reverse_traffic_loads_the_reverse_bottleneck() {
         let mut sim = Simulator::new(0);
         let db = Dumbbell::build(&mut sim, DumbbellConfig::paper(10e6));
-        let rev = add_reverse_tcp(&mut sim, &db, 2);
+        let rev = add_reverse_tcp(&mut sim, db.lot(), 2);
         sim.run_until(SimTime::from_secs(10));
         for h in &rev {
             assert!(sim.stats().flow(h.flow).unwrap().total_rx_packets > 100);

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use slowcc_netsim::ids::{AgentId, FlowId};
 use slowcc_netsim::sim::Simulator;
 use slowcc_netsim::time::{SimDuration, SimTime};
-use slowcc_netsim::topology::{Dumbbell, HostPair};
+use slowcc_netsim::topology::{HostPair, ParkingLot};
 
 use slowcc_core::agent::SenderWiring;
 use slowcc_core::tcp::{Tcp, TcpConfig, TcpSink};
@@ -62,10 +62,11 @@ pub struct FlashCrowd {
     pub senders: Vec<AgentId>,
 }
 
-/// Install a flash crowd whose first arrival is at `start`.
+/// Install a flash crowd whose first arrival is at `start`, its host
+/// pairs spanning the whole chain (on a dumbbell, `db.lot()`).
 pub fn install_flash_crowd(
     sim: &mut Simulator,
-    db: &Dumbbell,
+    lot: &ParkingLot,
     cfg: FlashCrowdConfig,
     start: SimTime,
 ) -> FlashCrowd {
@@ -73,7 +74,7 @@ pub fn install_flash_crowd(
     assert!(cfg.host_pairs >= 1, "need at least one host pair");
     let mut rng = rand::rngs::SmallRng::seed_from_u64(cfg.seed);
     let pairs: Vec<HostPair> = (0..cfg.host_pairs)
-        .map(|_| db.add_host_pair(sim))
+        .map(|_| lot.add_host_pair(sim, 0, lot.hops()))
         .collect();
     let flow = sim.new_flow();
     let tcp_cfg = TcpConfig::standard(cfg.pkt_size).with_max_packets(cfg.transfer_packets);
@@ -110,7 +111,7 @@ pub fn install_flash_crowd(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slowcc_netsim::topology::DumbbellConfig;
+    use slowcc_netsim::topology::{Dumbbell, DumbbellConfig};
 
     #[test]
     fn crowd_size_matches_rate_times_duration() {
@@ -124,7 +125,7 @@ mod tests {
             host_pairs: 4,
             seed: 99,
         };
-        let crowd = install_flash_crowd(&mut sim, &db, cfg, SimTime::from_secs(1));
+        let crowd = install_flash_crowd(&mut sim, db.lot(), cfg, SimTime::from_secs(1));
         // 400 expected; Poisson fluctuation within ~5 sigma (±100).
         let n = crowd.senders.len();
         assert!((300..=500).contains(&n), "got {n} arrivals");
@@ -142,7 +143,7 @@ mod tests {
             host_pairs: 4,
             seed: 7,
         };
-        let crowd = install_flash_crowd(&mut sim, &db, cfg, SimTime::ZERO);
+        let crowd = install_flash_crowd(&mut sim, db.lot(), cfg, SimTime::ZERO);
         let n = crowd.senders.len() as u64;
         sim.run_until(SimTime::from_secs(30));
         let stats = sim.stats().flow(crowd.flow).unwrap();
@@ -168,7 +169,7 @@ mod tests {
             host_pairs: 1,
             seed: 7,
         };
-        let crowd = install_flash_crowd(&mut sim, &db, cfg, SimTime::ZERO);
+        let crowd = install_flash_crowd(&mut sim, db.lot(), cfg, SimTime::ZERO);
         sim.run_until(SimTime::from_secs(1));
         assert!(crowd.senders.len() <= 1);
     }

@@ -5,8 +5,8 @@
 //! * [`cbr`] — unresponsive constant-bit-rate sources with the paper's
 //!   dynamic schedules (square wave, sawtooth, reverse sawtooth, scripts),
 //! * [`flash`] — flash crowds of short TCP transfers (Figure 6),
-//! * [`bulk`] — staggered long-lived flow sets and the bidirectional
-//!   background traffic Section 3 requires,
+//! * [`bulk`] — the bidirectional background traffic Section 3
+//!   requires,
 //! * [`losspat`] — the hand-crafted loss scripts of Figures 17-19.
 
 #![forbid(unsafe_code)]
@@ -19,7 +19,7 @@ pub mod losspat;
 
 /// Commonly used names.
 pub mod prelude {
-    pub use crate::bulk::{add_reverse_tcp, install_many};
+    pub use crate::bulk::add_reverse_tcp;
     pub use crate::cbr::{install_cbr, install_pareto_onoff, CbrSink, CbrSource, ParetoOnOff, ParetoOnOffConfig, RateSchedule};
     pub use crate::flash::{install_flash_crowd, FlashCrowd, FlashCrowdConfig};
     pub use crate::losspat::{CountPhases, OnePerRtt, TimePhases};

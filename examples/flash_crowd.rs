@@ -45,7 +45,7 @@ fn main() {
         // 150 flows/s of 10-packet transfers for 4 seconds.
         let crowd = install_flash_crowd(
             &mut sim,
-            &db,
+            db.lot(),
             FlashCrowdConfig {
                 flows_per_sec: 150.0,
                 duration: SimDuration::from_secs(4),

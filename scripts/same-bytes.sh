@@ -12,6 +12,11 @@
 # * `repro --quick all --audit` at `--jobs 1` on both and again on the
 #   working tree at `--jobs 2`: stdout with `cmp`, the `--out` tree with
 #   `diff -r`. Prints both audit lines.
+# * the scenario DSL path, which `all` never runs: `repro --quick run F`
+#   on both for every `examples/scenarios/*.toml` except the
+#   `malformed-*` rejection fixtures (the working tree's files on both
+#   sides), stdout plus exit code with `cmp` and the `--out` tree with
+#   `diff -r`.
 # * per-seed digests: `benchmark --workload W --seed S --seconds 1
 #   --trace 0` for each simulation workload at seeds 1 and 2, comparing
 #   the `events N packets N sim_digest X` part of the stderr summary.
@@ -60,6 +65,25 @@ for side in tree-j1 tree-j2; do
 done
 echo "audit ($rev):  $(grep "audit: " "$tmp/rev.txt")"
 echo "audit (tree): $(grep "audit: " "$tmp/tree-j1.txt")"
+
+echo "== repro --quick run: every shipped scenario =="
+for file in examples/scenarios/*.toml; do
+  name="$(basename "$file" .toml)"
+  case "$name" in malformed-*) continue ;; esac
+  for side in rev tree; do
+    if [ "$side" = rev ]; then bin="$tmp/rev-target/release/repro"; else bin=./target/release/repro; fi
+    code=0
+    "$bin" --quick run "$file" --out "$tmp/$name.$side.out" > "$tmp/$name.$side.txt" || code=$?
+    echo "exit $code" >> "$tmp/$name.$side.txt"
+  done
+  if cmp "$tmp/$name.rev.txt" "$tmp/$name.tree.txt" &&
+    diff -r "$tmp/$name.rev.out" "$tmp/$name.tree.out"; then
+    echo "scenario $name: stdout and --out tree identical to $rev"
+  else
+    echo "scenario $name: DIFFERS from $rev"
+    status=1
+  fi
+done
 
 digest() { # digest BENCHMARK WORKLOAD SEED
   "$1" --workload "$2" --seed "$3" --seconds 1 --trace 0 2>&1 >/dev/null |
