@@ -12,7 +12,7 @@
 //! sweep over every requested experiment's cells with parallelism
 //! (`--jobs`), per-cell crash isolation and `--cell-timeout`, a
 //! per-cell `manifest.json` ledger plus output cache for `--resume`,
-//! and `--audit` gating. `repro list` prints the registry.
+//! and `--audit`. `repro list` prints the registry.
 //!
 //! Cells are seeded independently and collected in declaration order,
 //! so tables, JSON and CSV are byte-identical across `--jobs`
@@ -35,8 +35,14 @@
 //! A failed cell is not retried in-process: a cell is a pure function
 //! of code, cell spec and seed, so only `--resume` re-runs it.
 //!
-//! Exit codes: 0 success, 1 cells failed or audit violations, 130
-//! interrupted by SIGINT/SIGTERM (manifest flushed, resumable).
+//! Under `--audit` every simulation runs under the packet/timer
+//! invariant auditor, and a cell whose simulations break an invariant
+//! fails as `audit-violation` like any other failed cell. The closing
+//! `audit:` line sums the reports of the cells executed in this run;
+//! cells replayed from the cache are not re-audited.
+//!
+//! Exit codes: 0 success, 1 cells failed (audit violations included),
+//! 130 interrupted by SIGINT/SIGTERM (manifest flushed, resumable).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -44,7 +50,6 @@ use std::time::{Duration, Instant};
 
 use slowcc_experiments::scale::Scale;
 use slowcc_experiments::{dsl, exec, registry, runner};
-use slowcc_netsim::audit;
 use slowcc_netsim::budget;
 
 /// Exit code for an interrupted, resumable sweep (128 + SIGINT, the
@@ -172,10 +177,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if audit_run {
-        let _ = audit::take_global_report(); // start from a clean slate
-    }
-
     signals::install();
     budget::reset_cancel();
 
@@ -192,44 +193,20 @@ fn main() -> ExitCode {
         audit: audit_run,
     };
     let summary = exec::run(&targets, &opts);
-
-    if summary.interrupted {
-        // Interrupted cells may have been torn down mid-simulation, so
-        // the audit accumulator holds spurious in-flight state: skip
-        // the gate. The sweep is resumable; 130 = 128 + SIGINT.
-        if audit_run {
-            eprintln!("audit: run interrupted; audit gate skipped (resume to complete it)");
-        }
-        return ExitCode::from(EXIT_INTERRUPTED);
-    }
-
-    let mut code = ExitCode::SUCCESS;
-    if !summary.is_ok() {
-        code = ExitCode::FAILURE;
-    }
     if audit_run {
-        match audit::take_global_report() {
-            None if summary.executed_cells == 0 => {
-                // A fully-replayed resume executes no simulation; that
-                // is not an audit failure.
-                eprintln!("audit: no cells executed (all replayed from cache)");
-            }
-            None => {
-                eprintln!("audit: no simulation was audited");
-                code = ExitCode::FAILURE;
-            }
-            Some(report) => {
-                println!("audit: {}", report.summary());
-                for msg in &report.violation_messages {
-                    eprintln!("audit violation: {msg}");
-                }
-                if !report.is_clean() {
-                    code = ExitCode::FAILURE;
-                }
-            }
+        match &summary.audit {
+            Some(report) => println!("audit: {}", report.summary()),
+            None => eprintln!("audit: no simulation was audited in this run"),
         }
     }
-    code
+    if summary.interrupted {
+        // Resumable; 130 = 128 + SIGINT.
+        ExitCode::from(EXIT_INTERRUPTED)
+    } else if summary.is_ok() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 /// A `--cell-timeout` value: a positive number of seconds that both a
@@ -249,13 +226,13 @@ fn usage() {
     eprintln!("         into experiments and sweeps them through the same execution path");
     eprintln!("aliases: {}", registry::aliases_line());
     eprintln!("--jobs N caps the sweep at N threads (default: available parallelism)");
-    eprintln!("--audit runs every simulation under the packet/timer invariant auditor");
-    eprintln!("        and fails (nonzero exit) on any conservation violation or timer leak");
+    eprintln!("--audit runs every simulation under the packet/timer invariant auditor;");
+    eprintln!("        a conservation violation or timer leak fails its cell (audit-violation)");
     eprintln!("--resume replays cells marked ok in <results dir>/manifest.json (same scale)");
     eprintln!("         from the cell cache and re-runs only failed or never-attempted cells");
     eprintln!("--cell-timeout SECS arms a cooperative wall-clock budget per cell; an");
     eprintln!("         over-budget simulation unwinds cleanly and fails only its own cell");
-    eprintln!("exit codes: 0 ok; 1 cells failed or audit violations; 130 interrupted");
+    eprintln!("exit codes: 0 ok; 1 cells failed (audit violations included); 130 interrupted");
     eprintln!("         (SIGINT/SIGTERM: manifest flushed, rerun with --resume to continue)");
 }
 

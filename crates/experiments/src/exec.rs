@@ -9,18 +9,20 @@
 //! 2. under `--resume`, replays cells already `ok` at the same scale
 //!    from the on-disk cell cache (`<dir>/cells/...`) instead of
 //!    re-running them — an unreadable cache entry just re-runs;
-//! 3. fans the remaining cells of *all* targets out together through
-//!    [`crate::runner::run_cells_isolated`] with a cooperative
-//!    [`Budget`] armed (wall-clock `--cell-timeout`, the zero-advance
-//!    livelock bound, the SIGINT/SIGTERM cancel flag, and the `--audit`
-//!    mode) over `--jobs` threads, so budget enforcement, auditing and
-//!    panic isolation apply per cell and a wide target cannot serialize
-//!    behind a narrow one;
-//! 4. records every cell's fate in `manifest.json` as it lands (cache
-//!    write first, then the `ok` record, so a ledger `ok` implies a
-//!    replayable cache or a re-run), and writes one record per failed
-//!    cell — cell, seed, class, message — to `failures.json` (an
-//!    empty, byte-stable file on a clean sweep);
+//! 3. fans the remaining cells of *all* targets out together over
+//!    `--jobs` threads ([`crate::runner::run_cells`]), each cell through
+//!    [`crate::runner::run_one_isolated`] with a cooperative [`Budget`]
+//!    armed (wall-clock `--cell-timeout`, the zero-advance livelock
+//!    bound, the SIGINT/SIGTERM cancel flag, and the `--audit` mode),
+//!    so budget enforcement, auditing and panic isolation apply per
+//!    cell — an audit violation fails its cell like a panic does — and
+//!    a wide target cannot serialize behind a narrow one;
+//! 4. records every cell's verdict in `manifest.json` on its worker as
+//!    it lands (for a passing cell, cache write first, then the `ok`
+//!    record, so a ledger `ok` implies a replayable cache or a re-run),
+//!    and writes one record per failed cell — cell, seed, class,
+//!    message — to `failures.json` (an empty, byte-stable file on a
+//!    clean sweep);
 //! 5. assembles, renders and saves each fully-ok target serially in
 //!    command-line order — cells print nothing, so stdout is
 //!    byte-identical across `--jobs` and resumed runs — and reports
@@ -47,7 +49,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use slowcc_netsim::audit::AuditMode;
+use slowcc_netsim::audit::{AuditMode, AuditReport};
 use slowcc_netsim::budget::{self, Budget};
 
 use crate::experiment::AnyExperiment;
@@ -76,19 +78,19 @@ pub struct ExecOptions {
     pub audit: bool,
 }
 
-/// What [`run`] did, for exit-code and audit-gating decisions.
-#[derive(Debug, Clone, Copy)]
+/// What [`run`] did, for the exit code and the audit line.
+#[derive(Debug, Clone)]
 pub struct ExecSummary {
-    /// Cells across all requested targets.
-    pub total_cells: usize,
-    /// Cells actually executed this run (not replayed from the cache).
-    pub executed_cells: usize,
     /// Cells that failed this run (interrupted cells are counted
     /// separately — they are unfinished, not failed).
     pub failed_cells: usize,
     /// The sweep was cancelled (SIGINT/SIGTERM): in-flight cells
     /// unwound cleanly, the manifest is flushed, `--resume` continues.
     pub interrupted: bool,
+    /// The audit reports of the cells that ran `ok` this run, merged in
+    /// cell order; `None` when none of them audited a simulation
+    /// (replayed cells are not re-audited).
+    pub audit: Option<AuditReport>,
 }
 
 impl ExecSummary {
@@ -208,8 +210,8 @@ pub fn run(targets: &[&'static dyn AnyExperiment], opts: &ExecOptions) -> ExecSu
     // livelock bound and the cancel flag are always on. Untripped
     // checks have no side effects, so arming this cannot change any
     // byte of any artifact. `--audit` rides along as the cells' audit
-    // mode: Collect, not Strict, so the sweep reports every violation
-    // across all cells rather than aborting at the first one.
+    // mode: Collect, not Strict, so a violating cell runs to its end
+    // and fails with its first violation, while its siblings run on.
     let cell_budget = Budget {
         wall_clock: opts.cell_timeout,
         max_events: None,
@@ -279,16 +281,15 @@ pub fn run(targets: &[&'static dyn AnyExperiment], opts: &ExecOptions) -> ExecSu
         }
         cell_keys.push(keys);
     }
-    let executed_cells = work.len();
-    if opts.resume && executed_cells == 0 && total_cells > 0 {
+    if opts.resume && work.is_empty() && total_cells > 0 {
         eprintln!(
             "resume: all {total_cells} requested cells already ok in {}",
             opts.manifest_dir.join("manifest.json").display()
         );
     }
 
-    // As cells finish, their fate lands in the manifest on disk, so a
-    // killed or interrupted sweep still leaves an accurate ledger for
+    // As cells finish, their verdict lands in the manifest on disk, so
+    // a killed or interrupted sweep still leaves an accurate ledger for
     // --resume.
     let ledger = Mutex::new(ledger);
     let record = |key: &str, record: CellRecord| {
@@ -302,26 +303,33 @@ pub fn run(targets: &[&'static dyn AnyExperiment], opts: &ExecOptions) -> ExecSu
     // Cache before the `ok` record, so a ledger `ok` always implies a
     // replayable cache.
     let cells: Vec<&WorkItem> = work.iter().collect();
-    let outcomes = runner::run_cells_isolated(cells, opts.jobs, cell_budget, |item| {
-        let (out, json) = item.exp.run_cell_dyn(scale, item.cell_idx);
-        if let Err(e) = write_cell_cache(&item.cache, &json) {
-            eprintln!("warning: failed to write cell cache {}: {e}", item.cache.display());
+    let outcomes = runner::run_cells(cells, opts.jobs, |item| {
+        let result =
+            runner::run_one_isolated(cell_budget, || item.exp.run_cell_dyn(scale, item.cell_idx));
+        match &result {
+            Ok(((_, json), _)) => {
+                if let Err(e) = write_cell_cache(&item.cache, json) {
+                    eprintln!("warning: failed to write cell cache {}: {e}", item.cache.display());
+                }
+                record(&item.key, CellRecord::ok());
+            }
+            Err(error) => record(&item.key, CellRecord::failed(error.status(), error.message())),
         }
-        record(&item.key, CellRecord::ok());
-        out
+        result.map(|((out, _), report)| (out, report))
     });
 
     let mut failures: Vec<FailureEntry> = Vec::new();
     let mut fresh: HashMap<String, Box<dyn std::any::Any + Send>> = HashMap::new();
+    let mut audit: Option<AuditReport> = None;
     for (result, item) in outcomes.into_iter().zip(work) {
         match result {
-            Ok(out) => {
+            Ok((out, report)) => {
+                if let Some(report) = report {
+                    audit.get_or_insert_with(AuditReport::default).merge(&report);
+                }
                 fresh.insert(item.key, out);
             }
-            Err(error) => {
-                record(&item.key, CellRecord::failed(error.status(), error.message()));
-                failures.push(FailureEntry { item, error });
-            }
+            Err(error) => failures.push(FailureEntry { item, error }),
         }
     }
 
@@ -375,16 +383,18 @@ pub fn run(targets: &[&'static dyn AnyExperiment], opts: &ExecOptions) -> ExecSu
     }
 
     ExecSummary {
-        total_cells,
-        executed_cells,
         failed_cells: failed,
         interrupted,
+        audit,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
+    use crate::experiment::{CellSpec, Experiment};
 
     fn entry(key: &str, seed: u64, error: CellError) -> FailureEntry {
         FailureEntry {
@@ -422,5 +432,85 @@ mod tests {
                 "}\n"
             )
         );
+    }
+
+    /// One cell whose simulation leaks a timer; counts its runs.
+    struct LeakyExperiment {
+        runs: AtomicUsize,
+    }
+
+    impl Experiment for LeakyExperiment {
+        type Cell = ();
+        type CellOut = ();
+        type Output = ();
+
+        fn name(&self) -> &'static str {
+            "leaky"
+        }
+        fn description(&self) -> &'static str {
+            "test fixture"
+        }
+        fn artifact(&self) -> &'static str {
+            "leaky"
+        }
+        fn cells(&self, _scale: Scale) -> Vec<CellSpec<()>> {
+            vec![CellSpec::new("fixture", 0, ())]
+        }
+        fn run_cell(&self, _scale: Scale, _cell: ()) {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            crate::runner::tests::tick(true);
+        }
+        fn assemble(&self, _scale: Scale, _outs: Vec<()>) {}
+        fn render(&self, _output: &()) {}
+    }
+
+    #[test]
+    fn an_audit_violation_fails_its_cell_and_resume_reruns_it() {
+        let exp: &'static LeakyExperiment = Box::leak(Box::new(LeakyExperiment {
+            runs: AtomicUsize::new(0),
+        }));
+        let dir = std::env::temp_dir().join(format!("slowcc-exec-audit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = ExecOptions {
+            scale: Scale::Quick,
+            out: Some(dir.clone()),
+            manifest_dir: dir.clone(),
+            resume: false,
+            cell_timeout: None,
+            jobs: 1,
+            audit: true,
+        };
+        for resume in [false, true] {
+            let summary = run(
+                &[exp],
+                &ExecOptions {
+                    resume,
+                    ..opts.clone()
+                },
+            );
+            assert_eq!(summary.failed_cells, 1, "resume {resume}");
+            assert!(!summary.interrupted);
+            assert_eq!(summary.audit, None, "a failed cell's report is not summed");
+            let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+            assert!(
+                manifest.contains(r#""leaky/fixture": {"status": "audit-violation", "message": "audit violation: timer leak"#),
+                "{manifest}"
+            );
+            let failures = std::fs::read_to_string(dir.join("failures.json")).unwrap();
+            assert!(
+                failures.contains(r#"{"cell": "leaky/fixture", "seed": 0, "class": "audit-violation", "message": "audit violation: timer leak"#),
+                "{failures}"
+            );
+            assert!(
+                !dir.join("leaky.json").exists(),
+                "a failed target must not render"
+            );
+        }
+        assert_eq!(
+            exp.runs.load(Ordering::Relaxed),
+            2,
+            "--resume must re-run the failed cell"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,17 +15,22 @@ use slowcc_core::aimd::tcp_compatible_a;
 use slowcc_core::analysis::fk_model_tcp;
 
 use crate::experiment::{CellSpec, Experiment};
-use crate::fig0789::{run_point, run_with, CbrShape, OscConfig, OscFairness, OscPoint};
+use crate::fig0789::{run_point, CbrShape, OscConfig, OscExperiment, OscFairness, OscPoint};
 use crate::fig13::{self, Fig13Config};
 use crate::flavor::Flavor;
 use crate::report::{num, Table};
 use crate::scale::Scale;
 use crate::scenario::RTT;
 
-/// Run the 10:1-oscillation fairness experiment (TCP vs TFRC).
-pub fn run_fairness_extreme(scale: Scale) -> OscFairness {
-    run_with(Flavor::standard_tfrc(), OscConfig::extreme_for_scale, scale)
-}
+/// The 10:1-oscillation fairness experiment (TCP vs TFRC).
+pub const FAIRNESS_EXTREME: OscExperiment = OscExperiment {
+    name: "fairness-extreme",
+    description: "Section 4.2.1 - 10:1 oscillation fairness, TCP vs TFRC(6)",
+    artifact: "fairness_extreme",
+    title: "Section 4.2.1 (10:1 oscillation)",
+    other: Flavor::standard_tfrc(),
+    config: OscConfig::extreme_for_scale,
+};
 
 /// The CBR shapes of the sawtooth experiment, in output order.
 const SAWTOOTH_SHAPES: [CbrShape; 2] = [CbrShape::Sawtooth, CbrShape::ReverseSawtooth];
@@ -216,7 +221,7 @@ mod tests {
     /// is at least as prominent as under 3:1.
     #[test]
     fn extreme_oscillation_widens_the_gap() {
-        let extreme = run_fairness_extreme(Scale::Quick);
+        let extreme = run_experiment(&FAIRNESS_EXTREME, Scale::Quick);
         // At the mid period TCP should clearly beat TFRC.
         let worst_gap = extreme
             .points

@@ -111,20 +111,6 @@ pub struct OscFairness {
     pub points: Vec<OscPoint>,
 }
 
-/// Run a fairness sweep of TCP vs `other` under `config` in-process.
-pub fn run_with(other: Flavor, config: fn(Scale) -> OscConfig, scale: Scale) -> OscFairness {
-    // The labels are only read by the registry and the renderer.
-    let exp = OscExperiment {
-        name: "",
-        description: "",
-        artifact: "",
-        title: "",
-        other,
-        config,
-    };
-    crate::experiment::run_experiment(&exp, scale)
-}
-
 /// Registry entry shape shared by Figures 7/8/9 and the 10:1 extreme
 /// variant: one cell per oscillation period.
 pub struct OscExperiment {
@@ -186,9 +172,34 @@ impl Experiment for OscExperiment {
 }
 
 /// Figure 7: TCP vs TFRC(6).
-pub fn run_fig7(scale: Scale) -> OscFairness {
-    run_with(Flavor::standard_tfrc(), OscConfig::for_scale, scale)
-}
+pub const FIG7: OscExperiment = OscExperiment {
+    name: "fig7",
+    description: "Figure 7 - 3:1 oscillation fairness, TCP vs TFRC(6)",
+    artifact: "fig7",
+    title: "Figure 7",
+    other: Flavor::standard_tfrc(),
+    config: OscConfig::for_scale,
+};
+
+/// Figure 8: TCP vs TCP(1/8).
+pub const FIG8: OscExperiment = OscExperiment {
+    name: "fig8",
+    description: "Figure 8 - 3:1 oscillation fairness, TCP vs TCP(1/8)",
+    artifact: "fig8",
+    title: "Figure 8",
+    other: Flavor::Tcp { gamma: 8.0 },
+    config: OscConfig::for_scale,
+};
+
+/// Figure 9: TCP vs SQRT(1/2).
+pub const FIG9: OscExperiment = OscExperiment {
+    name: "fig9",
+    description: "Figure 9 - 3:1 oscillation fairness, TCP vs SQRT(1/2)",
+    artifact: "fig9",
+    title: "Figure 9",
+    other: Flavor::Sqrt { gamma: 2.0 },
+    config: OscConfig::for_scale,
+};
 
 fn cbr_schedule(cfg: &OscConfig, period: f64) -> RateSchedule {
     let half = SimDuration::from_secs_f64(period / 2.0);
@@ -297,12 +308,13 @@ impl OscFairness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run_experiment;
 
     /// Figure 7's claim: at mid-range periods (seconds), TCP gets more
     /// than TFRC; and TFRC never beats TCP meaningfully in the long run.
     #[test]
     fn tcp_wins_against_tfrc_at_mid_periods() {
-        let fig = run_fig7(Scale::Quick);
+        let fig = run_experiment(&FIG7, Scale::Quick);
         let mid = fig
             .points
             .iter()

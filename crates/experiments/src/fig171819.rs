@@ -81,51 +81,38 @@ pub struct Smoothness {
     pub series: Vec<SmoothnessSeries>,
 }
 
-/// Run one smoothness experiment over `flavors` in-process.
-pub fn run_pattern(pattern: Pattern, flavors: fn() -> Vec<Flavor>, scale: Scale) -> Smoothness {
-    // The labels are only read by the registry and the renderer.
-    let exp = SmoothnessExperiment {
-        name: "",
-        description: "",
-        title: "",
-        pattern,
-        flavors,
-    };
-    crate::experiment::run_experiment(&exp, scale)
-}
+/// Figure 17: TFRC vs TCP(1/8), mild pattern.
+pub const FIG17: SmoothnessExperiment = SmoothnessExperiment {
+    name: "fig17",
+    description: "Figure 17 - smoothness under mild bursty loss",
+    title: "Figure 17",
+    pattern: Pattern::Mild,
+    flavors: || vec![Flavor::standard_tfrc(), Flavor::Tcp { gamma: 8.0 }],
+};
 
-/// Run Figure 17 (TFRC vs TCP(1/8), mild pattern).
-pub fn run_fig17(scale: Scale) -> Smoothness {
-    run_pattern(
-        Pattern::Mild,
-        || vec![Flavor::standard_tfrc(), Flavor::Tcp { gamma: 8.0 }],
-        scale,
-    )
-}
+/// Figure 18: TFRC vs TCP(1/8) and TCP(1/2), harsh pattern.
+pub const FIG18: SmoothnessExperiment = SmoothnessExperiment {
+    name: "fig18",
+    description: "Figure 18 - smoothness under harsh bursty loss",
+    title: "Figure 18",
+    pattern: Pattern::Harsh,
+    flavors: || {
+        vec![
+            Flavor::standard_tfrc(),
+            Flavor::Tcp { gamma: 8.0 },
+            Flavor::standard_tcp(),
+        ]
+    },
+};
 
-/// Run Figure 18 (TFRC vs TCP(1/8) and TCP(1/2), harsh pattern).
-pub fn run_fig18(scale: Scale) -> Smoothness {
-    run_pattern(
-        Pattern::Harsh,
-        || {
-            vec![
-                Flavor::standard_tfrc(),
-                Flavor::Tcp { gamma: 8.0 },
-                Flavor::standard_tcp(),
-            ]
-        },
-        scale,
-    )
-}
-
-/// Run Figure 19 (IIAD vs SQRT, mild pattern).
-pub fn run_fig19(scale: Scale) -> Smoothness {
-    run_pattern(
-        Pattern::Mild,
-        || vec![Flavor::Iiad { gamma: 2.0 }, Flavor::Sqrt { gamma: 2.0 }],
-        scale,
-    )
-}
+/// Figure 19: IIAD vs SQRT, mild pattern.
+pub const FIG19: SmoothnessExperiment = SmoothnessExperiment {
+    name: "fig19",
+    description: "Figure 19 - smoothness of IIAD(2) and SQRT(2)",
+    title: "Figure 19",
+    pattern: Pattern::Mild,
+    flavors: || vec![Flavor::Iiad { gamma: 2.0 }, Flavor::Sqrt { gamma: 2.0 }],
+};
 
 /// Registry entry shape shared by Figures 17/18/19: one cell per
 /// flavor under the figure's loss pattern. Saving writes the JSON
@@ -305,12 +292,13 @@ impl Smoothness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run_experiment;
 
     /// Figure 17: under the mild pattern TFRC is smoother than TCP(1/8)
     /// and loses no throughput.
     #[test]
     fn mild_pattern_favors_tfrc() {
-        let fig = run_fig17(Scale::Quick);
+        let fig = run_experiment(&FIG17, Scale::Quick);
         let tfrc = &fig.series[0];
         let tcp8 = &fig.series[1];
         assert!(
@@ -331,7 +319,7 @@ mod tests {
     /// throughput falls well behind TCP(1/8)'s.
     #[test]
     fn harsh_pattern_punishes_tfrc() {
-        let fig = run_fig18(Scale::Quick);
+        let fig = run_experiment(&FIG18, Scale::Quick);
         let tfrc = &fig.series[0];
         let tcp8 = &fig.series[1];
         assert!(
@@ -369,7 +357,7 @@ mod tests {
     /// relative to SQRT.
     #[test]
     fn iiad_trades_throughput_for_smoothness() {
-        let fig = run_fig19(Scale::Quick);
+        let fig = run_experiment(&FIG19, Scale::Quick);
         let iiad = &fig.series[0];
         let sqrt = &fig.series[1];
         assert!(

@@ -87,11 +87,6 @@ pub fn run_cell(config: &OnsetConfig, family: &str, gamma: f64) -> Stabilization
     }
 }
 
-/// Run the Figures 4/5 sweep.
-pub fn run(scale: Scale) -> Fig45 {
-    crate::experiment::run_experiment(&Fig45Experiment, scale)
-}
-
 /// Registry entry for Figures 4/5: one cell per `(family, γ)`.
 pub struct Fig45Experiment;
 

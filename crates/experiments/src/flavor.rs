@@ -56,12 +56,12 @@ pub enum Flavor {
 
 impl Flavor {
     /// Standard TCP.
-    pub fn standard_tcp() -> Self {
+    pub const fn standard_tcp() -> Self {
         Flavor::Tcp { gamma: 2.0 }
     }
 
     /// TFRC as proposed for deployment (k = 6, no self-clocking).
-    pub fn standard_tfrc() -> Self {
+    pub const fn standard_tfrc() -> Self {
         Flavor::Tfrc {
             k: 6,
             self_clocking: false,

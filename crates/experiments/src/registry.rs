@@ -14,15 +14,12 @@ use std::sync::OnceLock;
 use slowcc_netsim::prelude::{Agent, Ctx, Packet, SimDuration, SimTime, Simulator};
 
 use crate::experiment::{AnyExperiment, CellSpec, Experiment};
-use crate::fig0789::{OscConfig, OscExperiment};
 use crate::fig1012::{ConvExperiment, ConvFamily};
 use crate::fig1416::{Osc2Config, Osc2Experiment};
-use crate::fig171819::{Pattern, SmoothnessExperiment};
-use crate::flavor::Flavor;
 use crate::scale::Scale;
 use crate::{
-    chaos, conformance, dsl, extras, fig03, fig06, fig11, fig13, fig20, fig45, hetero, queuedyn,
-    response, validate,
+    chaos, conformance, dsl, extras, fig03, fig06, fig0789, fig11, fig13, fig171819, fig20, fig45,
+    hetero, queuedyn, response, validate,
 };
 
 /// Hidden supervision fixture: one `fixture` cell whose `body`
@@ -109,30 +106,9 @@ fn build() -> Vec<Box<dyn AnyExperiment>> {
         Box::new(fig03::Fig3Experiment),
         Box::new(fig45::Fig45Experiment),
         Box::new(fig06::Fig6Experiment),
-        Box::new(OscExperiment {
-            name: "fig7",
-            description: "Figure 7 - 3:1 oscillation fairness, TCP vs TFRC(6)",
-            artifact: "fig7",
-            title: "Figure 7",
-            other: Flavor::standard_tfrc(),
-            config: OscConfig::for_scale,
-        }),
-        Box::new(OscExperiment {
-            name: "fig8",
-            description: "Figure 8 - 3:1 oscillation fairness, TCP vs TCP(1/8)",
-            artifact: "fig8",
-            title: "Figure 8",
-            other: Flavor::Tcp { gamma: 8.0 },
-            config: OscConfig::for_scale,
-        }),
-        Box::new(OscExperiment {
-            name: "fig9",
-            description: "Figure 9 - 3:1 oscillation fairness, TCP vs SQRT(1/2)",
-            artifact: "fig9",
-            title: "Figure 9",
-            other: Flavor::Sqrt { gamma: 2.0 },
-            config: OscConfig::for_scale,
-        }),
+        Box::new(fig0789::FIG7),
+        Box::new(fig0789::FIG8),
+        Box::new(fig0789::FIG9),
         Box::new(ConvExperiment::for_family(ConvFamily::Tcp)),
         Box::new(fig11::Fig11Experiment),
         Box::new(ConvExperiment::for_family(ConvFamily::Tfrc)),
@@ -153,42 +129,11 @@ fn build() -> Vec<Box<dyn AnyExperiment>> {
             title: "Figure 16",
             config: Osc2Config::extreme_for_scale,
         }),
-        Box::new(SmoothnessExperiment {
-            name: "fig17",
-            description: "Figure 17 - smoothness under mild bursty loss",
-            title: "Figure 17",
-            pattern: Pattern::Mild,
-            flavors: || vec![Flavor::standard_tfrc(), Flavor::Tcp { gamma: 8.0 }],
-        }),
-        Box::new(SmoothnessExperiment {
-            name: "fig18",
-            description: "Figure 18 - smoothness under harsh bursty loss",
-            title: "Figure 18",
-            pattern: Pattern::Harsh,
-            flavors: || {
-                vec![
-                    Flavor::standard_tfrc(),
-                    Flavor::Tcp { gamma: 8.0 },
-                    Flavor::standard_tcp(),
-                ]
-            },
-        }),
-        Box::new(SmoothnessExperiment {
-            name: "fig19",
-            description: "Figure 19 - smoothness of IIAD(2) and SQRT(2)",
-            title: "Figure 19",
-            pattern: Pattern::Mild,
-            flavors: || vec![Flavor::Iiad { gamma: 2.0 }, Flavor::Sqrt { gamma: 2.0 }],
-        }),
+        Box::new(fig171819::FIG17),
+        Box::new(fig171819::FIG18),
+        Box::new(fig171819::FIG19),
         Box::new(fig20::Fig20Experiment),
-        Box::new(OscExperiment {
-            name: "fairness-extreme",
-            description: "Section 4.2.1 - 10:1 oscillation fairness, TCP vs TFRC(6)",
-            artifact: "fairness_extreme",
-            title: "Section 4.2.1 (10:1 oscillation)",
-            other: Flavor::standard_tfrc(),
-            config: OscConfig::extreme_for_scale,
-        }),
+        Box::new(extras::FAIRNESS_EXTREME),
         Box::new(extras::SawtoothExperiment),
         Box::new(extras::FkModelExperiment),
         Box::new(validate::StaticExperiment),

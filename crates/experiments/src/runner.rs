@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, Once};
 
 use serde::Serialize;
+use slowcc_netsim::audit::{self, AuditReport};
 use slowcc_netsim::budget::{self, Budget, SimAbort};
 
 /// Lock a mutex, tolerating poison: a worker that panicked while holding
@@ -119,8 +120,10 @@ where
 pub enum CellError {
     /// The cell's closure panicked; the payload is the panic message.
     Panic(String),
-    /// A strict-mode invariant auditor violation panicked the cell
-    /// (see `slowcc_netsim::audit`).
+    /// The invariant auditor found a violation or a timer leak in one of
+    /// the cell's simulations: a strict auditor panicked the cell, or a
+    /// collecting one returned an unclean report (see
+    /// `slowcc_netsim::audit`).
     AuditViolation(String),
     /// The cell's wall-clock or event budget ran out
     /// ([`SimAbort::Deadline`] / [`SimAbort::MaxEvents`]).
@@ -222,58 +225,57 @@ fn install_quiet_abort_hook() {
 }
 
 /// Run one cell under crash isolation with `budget` armed as the
-/// thread-default (captured by every `Simulator` the cell builds), and
-/// classify any unwind into the [`CellError`] taxonomy.
+/// thread-default (captured by every `Simulator` the cell builds),
+/// classify any unwind into the [`CellError`] taxonomy, and hand back
+/// the cell's audit report: every audited simulation the cell ran,
+/// merged (`None` when none was audited). A report with a violation or
+/// a timer leak fails the cell as [`CellError::AuditViolation`], in
+/// either audit mode.
 ///
 /// This runs `f` **on the calling thread** — nothing is spawned and
 /// nothing can be abandoned. An over-budget, livelocked, or cancelled
 /// simulation unwinds via [`SimAbort`] (destructors run, the packet
 /// pool is freed, a strict auditor downgrades itself mid-unwind), the
 /// unwind is caught here, and the thread moves on to its next cell.
-pub fn run_one_isolated<O>(budget: Budget, f: impl FnOnce() -> O) -> Result<O, CellError> {
+/// The thread's audit accumulator is drained before and after `f`, so
+/// a failed cell's partial simulations never reach another cell's
+/// report.
+///
+/// Cancellation is **cooperative**: the budget is checked between the
+/// simulator's events, so a cell that blocks outside the simulator
+/// (e.g. on I/O) is beyond its reach — but every simulation, including
+/// a zero-clock-advance livelock, unwinds within one check interval. A
+/// cell started after the cancel flag rose fails fast as
+/// [`CellError::Interrupted`] without running.
+pub fn run_one_isolated<O>(
+    budget: Budget,
+    f: impl FnOnce() -> O,
+) -> Result<(O, Option<AuditReport>), CellError> {
+    if budget.observe_cancel && budget::cancel_requested() {
+        return Err(CellError::Interrupted);
+    }
     install_quiet_abort_hook();
     let prev = budget::thread_budget();
     budget::set_thread_budget(budget);
+    let _ = audit::take_thread_report();
     let result = std::panic::catch_unwind(AssertUnwindSafe(f));
+    let report = audit::take_thread_report();
     budget::set_thread_budget(prev);
-    result.map_err(classify_panic)
-}
-
-/// Crash-isolated variant of [`run_cells`] over at most `jobs` threads:
-/// each cell runs under `catch_unwind` with `budget` armed
-/// ([`run_one_isolated`]), so one panicking, over-budget, livelocked,
-/// or cancelled simulation yields an `Err` in its own slot instead of
-/// tearing down the sweep. This is the one isolated sweep:
-/// [`crate::exec::run`] drives every `repro` cell through it.
-///
-/// Cancellation is **cooperative**: the budget is checked between the
-/// simulator's events, so a cell that blocks outside the
-/// simulator (e.g. on I/O) is beyond its reach — but every simulation,
-/// including a zero-clock-advance livelock, unwinds within one check
-/// interval. Cells claimed after the cancel flag rises fail fast as
-/// [`CellError::Interrupted`] without running.
-pub fn run_cells_isolated<I, O, F>(
-    cells: Vec<I>,
-    jobs: usize,
-    budget: Budget,
-    f: F,
-) -> Vec<Result<O, CellError>>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    run_cells(cells, jobs, move |cell| {
-        if budget.observe_cancel && budget::cancel_requested() {
-            return Err(CellError::Interrupted);
-        }
-        run_one_isolated(budget, || f(cell))
-    })
+    let out = result.map_err(classify_panic)?;
+    match report {
+        Some(r) if !r.is_clean() => Err(CellError::AuditViolation(format!(
+            "audit violation: {}",
+            r.violation_messages.first().unwrap_or(&r.summary())
+        ))),
+        report => Ok((out, report)),
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use slowcc_netsim::audit::AuditMode;
+    use slowcc_netsim::prelude::*;
 
     #[test]
     fn results_come_back_in_input_order() {
@@ -334,7 +336,6 @@ mod tests {
     /// loop never advances the clock. Only returns by unwinding through
     /// a tripped budget.
     fn spin_forever(seed: u64) {
-        use slowcc_netsim::prelude::*;
         struct Spinner;
         impl slowcc_netsim::sim::Agent for Spinner {
             fn on_start(&mut self, ctx: &mut slowcc_netsim::sim::Ctx<'_>) {
@@ -351,9 +352,22 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
     }
 
+    /// Each cell through [`run_one_isolated`] under `budget`, the
+    /// reports dropped, as `exec::run` drives a sweep.
+    fn isolated<I: Send, O: Send>(
+        cells: Vec<I>,
+        jobs: usize,
+        budget: Budget,
+        f: impl Fn(I) -> O + Sync,
+    ) -> Vec<Result<O, CellError>> {
+        run_cells(cells, jobs, |cell| {
+            run_one_isolated(budget, || f(cell)).map(|(out, _)| out)
+        })
+    }
+
     #[test]
     fn isolated_panic_fails_one_cell_without_wedging_siblings() {
-        let out = run_cells_isolated(vec![1u64, 2, 3, 4], 2, Budget::none(), |i| {
+        let out = isolated(vec![1u64, 2, 3, 4], 2, Budget::none(), |i| {
             if i == 3 {
                 panic!("cell {i} exploded");
             }
@@ -374,7 +388,7 @@ mod tests {
         // The livelocked cell unwinds on this worker's own thread (it is
         // joined by construction), and its siblings still complete.
         let budget = Budget::none().with_livelock_events(10_000);
-        let out = run_cells_isolated(vec![0u64, 1, 2], 2, budget, |i| {
+        let out = isolated(vec![0u64, 1, 2], 2, budget, |i| {
             if i == 1 {
                 spin_forever(i);
             }
@@ -393,7 +407,7 @@ mod tests {
     #[test]
     fn deadline_budget_fails_a_livelocked_cell_as_deadline() {
         let budget = Budget::none().with_wall_clock(std::time::Duration::ZERO);
-        let out = run_cells_isolated(vec![0u64], 1, budget, spin_forever);
+        let out = isolated(vec![0u64], 1, budget, spin_forever);
         match &out[0] {
             Err(CellError::Deadline(msg)) => assert!(msg.contains("wall-clock"), "{msg}"),
             other => panic!("expected a deadline failure: {other:?}"),
@@ -406,12 +420,71 @@ mod tests {
         let budget = Budget::none()
             .with_livelock_events(u64::MAX)
             .with_cancel();
-        let out = run_cells_isolated(vec![0u64, 1], 1, budget, spin_forever);
+        let out = isolated(vec![0u64, 1], 1, budget, spin_forever);
         budget::reset_cancel();
         // Cell 0 was already running when it observed the flag; cell 1
         // (claimed by the same serial worker afterwards) never started.
         assert_eq!(out[0], Err(CellError::Interrupted));
         assert_eq!(out[1], Err(CellError::Interrupted));
+    }
+
+    /// One 100 ms simulation of a single agent that ticks every 10 ms;
+    /// with `done`, the agent calls itself finished while it ticks on,
+    /// which the auditor flags as a timer leak.
+    pub(crate) fn tick(done: bool) {
+        struct Ticker {
+            done: bool,
+        }
+        impl slowcc_netsim::sim::Agent for Ticker {
+            fn on_start(&mut self, ctx: &mut slowcc_netsim::sim::Ctx<'_>) {
+                ctx.set_timer(SimDuration::from_millis(10), 0);
+            }
+            fn on_packet(&mut self, _pkt: Packet, _ctx: &mut slowcc_netsim::sim::Ctx<'_>) {}
+            fn on_timer(&mut self, _token: u64, ctx: &mut slowcc_netsim::sim::Ctx<'_>) {
+                ctx.set_timer(SimDuration::from_millis(10), 0);
+            }
+            fn audit_done(&self, _now: SimTime) -> bool {
+                self.done
+            }
+        }
+        let mut sim = Simulator::new(0);
+        let n = sim.add_node();
+        sim.add_agent(n, Box::new(Ticker { done }));
+        sim.run_until(SimTime::from_millis(100));
+    }
+
+    #[test]
+    fn each_cell_returns_its_own_audit_report_and_fails_on_a_violation() {
+        let collect = Budget::none().with_audit(AuditMode::Collect);
+        // One worker runs every cell, so a report leaking from one cell
+        // into the next would show in the clean cells' `sims`.
+        let out = run_cells(vec![0u64, 1, 2, 3], 1, |i| {
+            run_one_isolated(collect, || match i {
+                1 => tick(true),
+                2 => {
+                    let _audited = Simulator::new(0);
+                    panic!("cell 2 exploded");
+                }
+                _ => tick(false),
+            })
+        });
+        for i in [0, 3] {
+            let ((), report) = out[i].as_ref().expect("clean cell passes");
+            let report = report.as_ref().expect("audited cell returns a report");
+            assert_eq!(report.sims, 1, "cell {i}: {}", report.summary());
+            assert!(report.is_clean());
+        }
+        match &out[1] {
+            Err(CellError::AuditViolation(msg)) => {
+                assert!(msg.starts_with("audit violation: timer leak"), "{msg}");
+            }
+            other => panic!("a leaking cell must fail as an audit violation: {other:?}"),
+        }
+        assert_eq!(out[1].as_ref().unwrap_err().class(), "audit-violation");
+        assert!(matches!(&out[2], Err(CellError::Panic(_))), "{:?}", out[2]);
+
+        let unaudited = run_one_isolated(Budget::none(), || tick(true));
+        assert_eq!(unaudited, Ok(((), None)));
     }
 
     #[test]

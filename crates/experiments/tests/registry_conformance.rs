@@ -5,51 +5,45 @@
 //! serial one over the same cells. This replaces the old per-target
 //! copies of these checks, which covered Figure 4/5 only; a new
 //! experiment gets the same coverage just by being registered.
-//!
-//! Own integration-test binary because it reads the process-global
-//! audit report, which any other audited test in the same process
-//! would feed.
 
 use slowcc_experiments::scale::Scale;
 use slowcc_experiments::{registry, runner};
-use slowcc_netsim::audit::{take_global_report, AuditMode};
+use slowcc_netsim::audit::{AuditMode, AuditReport};
 use slowcc_netsim::budget::Budget;
 
 #[test]
 fn every_experiment_is_schedule_invariant_and_audit_clean_at_quick() {
-    // Collect rather than Strict: a violation fails `assert_clean`
-    // below with the whole report instead of dying inside the first
-    // bad cell. (Chaos cells additionally self-audit under Strict.)
+    // Collect, as `repro --audit` runs: a violating cell fails with its
+    // first violation. (Chaos cells additionally self-audit under
+    // Strict.) The reports the cells return merge into one.
     let audited = Budget::none().with_audit(AuditMode::Collect);
-    let _ = take_global_report();
+    let mut report = AuditReport::default();
 
     for exp in registry::visible() {
         let n = exp.cell_meta(Scale::Quick).len();
         assert!(n > 0, "{}: no cells at Quick", exp.name());
         // Every cell must succeed: a failing cell unwraps here rather
         // than comparing equal to the same failure in the other pass.
-        let sweep = |jobs: usize| -> Vec<String> {
-            runner::run_cells_isolated((0..n).collect(), jobs, audited, |i| {
-                exp.run_cell_dyn(Scale::Quick, i).1
+        let sweep = |jobs: usize| -> Vec<(String, Option<AuditReport>)> {
+            runner::run_cells((0..n).collect(), jobs, |i| {
+                runner::run_one_isolated(audited, || exp.run_cell_dyn(Scale::Quick, i).1)
+                    .unwrap_or_else(|e| panic!("{} cell {i}: {}", exp.name(), e.message()))
             })
-            .into_iter()
-            .enumerate()
-            .map(|(i, out)| {
-                out.unwrap_or_else(|e| panic!("{} cell {i}: {}", exp.name(), e.message()))
-            })
-            .collect()
         };
+        let serial = sweep(1);
         // --jobs 8 must reproduce --jobs 1 byte-for-byte, even on a
-        // single-core machine.
+        // single-core machine, audit reports included.
         assert_eq!(
             sweep(8),
-            sweep(1),
+            serial,
             "{}: 8-worker sweep must be byte-identical to the serial one",
             exp.name()
         );
+        for cell_report in serial.iter().filter_map(|(_, r)| r.as_ref()) {
+            report.merge(cell_report);
+        }
     }
 
-    let report = take_global_report().expect("sweep must have audited sims");
     assert!(report.sims > 0, "no simulation was audited");
     assert!(report.packets_injected > 0, "sweep injected no packets");
     report.assert_clean();

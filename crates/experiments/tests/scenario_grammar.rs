@@ -198,10 +198,10 @@ fn spec_from(words: &[u64]) -> ScenarioSpec {
         stop,
         warmup,
         seeds: (0..1 + d.pick(4)).map(|_| d.word()).collect(),
-        audit: match d.pick(3) {
-            0 => AuditSetting::Default,
-            1 => AuditSetting::Strict,
-            _ => AuditSetting::Collect,
+        audit: if d.maybe() {
+            AuditSetting::Strict
+        } else {
+            AuditSetting::Default
         },
         reverse_tcp: if dumbbell { d.pick(4) as usize } else { 0 },
         forward_faults: d.maybe().then(|| fault_plan(d)),
@@ -277,6 +277,12 @@ fn wrong_units_and_types_are_rejected_with_position() {
     reject(
         &VALID.replace("bottleneck_mbps = 10.0", "bottleneck_mbps = \"fast\""),
         "bottleneck_mbps",
+    );
+    // A violation fails its cell in any audit mode, so `strict` (stop
+    // at the first one) is the only mode a scenario can ask for.
+    reject(
+        &VALID.replace("seeds = [1]", "seeds = [1]\naudit = \"collect\""),
+        "bad.toml:4: unknown audit mode `collect` (expected `strict`)",
     );
 }
 

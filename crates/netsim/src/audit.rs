@@ -30,12 +30,14 @@
 //! [`crate::budget::Budget::audit`]: every simulator built under a
 //! thread budget ([`crate::budget::set_thread_budget`]) that carries a
 //! mode audits in it. [`AuditMode::Strict`] panics at the first
-//! violation; [`AuditMode::Collect`] accumulates violations into a
-//! process-global [`AuditReport`] that [`take_global_report`] drains —
-//! the mode the experiments runner's `--audit` flag puts in every
-//! cell's budget to audit a whole figure sweep.
+//! violation; [`AuditMode::Collect`] records violations into the
+//! simulator's [`AuditReport`] and keeps running. Either way each
+//! audited simulator merges its report into its thread's accumulator
+//! at teardown, and [`take_thread_report`] drains it: the experiments
+//! runner drains it around every cell, so a cell's report comes back
+//! with the cell (a cell runs on one thread, and `netsim` spawns none).
 
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 use serde::Serialize;
 
@@ -50,8 +52,8 @@ pub enum AuditMode {
     /// self-auditing cells: a violation is a bug, fail loudly.
     Strict,
     /// Record violations into the [`AuditReport`] and keep running. The
-    /// mode for sweep-wide audits (`repro --audit`), where one report at
-    /// the end beats a panic in the middle of a parallel sweep.
+    /// mode `repro --audit` gives every cell: the cell runs to its end,
+    /// and the runner fails it on the report it returns.
     Collect,
 }
 
@@ -86,7 +88,7 @@ struct TimerLedger {
 const MAX_VIOLATION_MESSAGES: usize = 64;
 
 /// The structured result of an audited run (or of several merged runs).
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize)]
 pub struct AuditReport {
     /// Simulations merged into this report.
     pub sims: u64,
@@ -167,25 +169,20 @@ impl AuditReport {
     }
 }
 
-/// Process-global accumulator: every audited simulator merges its report
-/// here at teardown, so a whole sweep can be audited and read out once.
-static GLOBAL_REPORT: Mutex<Option<AuditReport>> = Mutex::new(None);
-
-pub(crate) fn merge_global(report: &AuditReport) {
-    let mut g = GLOBAL_REPORT.lock().unwrap_or_else(|e| e.into_inner());
-    match g.as_mut() {
-        Some(acc) => acc.merge(report),
-        None => *g = Some(report.clone()),
-    }
+thread_local! {
+    /// This thread's accumulator: every audited simulator merges its
+    /// report here at teardown, until [`take_thread_report`] drains it.
+    static THREAD_REPORT: RefCell<Option<AuditReport>> = const { RefCell::new(None) };
 }
 
-/// Take (and clear) the process-global accumulated report. `None` when no
-/// audited simulator has torn down since the last call.
-pub fn take_global_report() -> Option<AuditReport> {
-    GLOBAL_REPORT
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
+pub(crate) fn merge_thread(report: &AuditReport) {
+    THREAD_REPORT.with_borrow_mut(|acc| acc.get_or_insert_with(AuditReport::default).merge(report));
+}
+
+/// Take (and clear) this thread's accumulated report. `None` when no
+/// audited simulator has torn down on this thread since the last call.
+pub fn take_thread_report() -> Option<AuditReport> {
+    THREAD_REPORT.with_borrow_mut(Option::take)
 }
 
 /// The auditor itself: one per audited simulator, owned by the world and

@@ -24,8 +24,6 @@
 //! context: a worker thread calls [`set_thread_budget`] and every
 //! `Simulator::new` on that thread captures it — the bounds and the
 //! cell's audit mode ([`Budget::audit`]) alike.
-//! [`crate::sim::Simulator::set_budget`] overrides the bounds
-//! per-instance.
 
 use std::cell::Cell;
 use std::fmt;
@@ -62,9 +60,8 @@ pub struct Budget {
     /// Observe the process-global cancel flag ([`request_cancel`]).
     pub observe_cancel: bool,
     /// Invariant-audit mode for every `Simulator` built under this
-    /// budget (`None`: unaudited). Read once, at construction:
-    /// [`crate::sim::Simulator::set_budget`] does not change the
-    /// auditor. Not a bound, so it never arms the per-event check.
+    /// budget (`None`: unaudited). Read once, at construction. Not a
+    /// bound, so it never arms the per-event check.
     pub audit: Option<AuditMode>,
 }
 
@@ -236,14 +233,8 @@ pub struct BudgetState {
 }
 
 impl BudgetState {
-    /// Arm `budget` now (the wall clock starts here). `budget.audit` is
-    /// dropped: the auditor is the simulator's, fixed at construction,
-    /// so the armed budget never claims a mode the simulator lacks.
+    /// Arm `budget` now (the wall clock starts here).
     pub fn new(budget: Budget) -> Self {
-        let budget = Budget {
-            audit: None,
-            ..budget
-        };
         BudgetState {
             deadline: budget
                 .wall_clock
@@ -256,11 +247,6 @@ impl BudgetState {
             last_time: SimTime::ZERO,
             same_time_events: 0,
         }
-    }
-
-    /// The armed budget.
-    pub fn budget(&self) -> Budget {
-        self.budget
     }
 
     /// Per-event check: account one event about to dispatch at `time`
@@ -413,11 +399,6 @@ mod tests {
         assert!(audited.is_unlimited());
         let state = BudgetState::new(audited);
         assert!(!state.armed);
-        assert_eq!(
-            state.budget().audit,
-            None,
-            "the armed budget carries no audit mode"
-        );
         assert!(!audited.with_max_events(1).is_unlimited());
     }
 

@@ -31,7 +31,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::audit::{self, AuditMode, AuditReport, Auditor};
-use crate::budget::{self, Budget, BudgetState};
+use crate::budget::{self, BudgetState};
 use crate::event::{EventKind, EventQueue};
 use crate::ids::{AgentId, FlowId, LinkId, NodeId};
 use crate::link::Link;
@@ -473,25 +473,10 @@ impl Simulator {
         self.world.audit.is_some()
     }
 
-    /// Arm (or replace) this simulator's cooperative execution budget.
-    /// The wall clock starts now. Overrides the thread default captured
-    /// at construction ([`budget::set_thread_budget`]). The auditor is
-    /// fixed at construction: `budget.audit` is ignored here.
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.world.budget = BudgetState::new(budget);
-    }
-
-    /// The armed budget (the thread default at construction unless
-    /// [`Self::set_budget`] replaced it). Its `audit` is always `None`;
-    /// [`Self::audit_enabled`] reports the auditor.
-    pub fn budget(&self) -> Budget {
-        self.world.budget.budget()
-    }
-
     /// Run the teardown audit (pool/ledger uid-set reconciliation, link
     /// conservation laws, timer accounting) and return the report. The
-    /// report is also merged into the process-global accumulator read by
-    /// [`audit::take_global_report`].
+    /// report is also merged into this thread's accumulator, read by
+    /// [`audit::take_thread_report`].
     ///
     /// Returns `None` when auditing is off, and on the second call (the
     /// auditor is consumed). In [`AuditMode::Strict`] the teardown checks
@@ -500,7 +485,7 @@ impl Simulator {
     pub fn finish_audit(&mut self) -> Option<AuditReport> {
         let mut auditor = self.world.audit.take()?;
         let report = Self::audit_teardown(&mut auditor, &self.world);
-        audit::merge_global(&report);
+        audit::merge_thread(&report);
         Some(report)
     }
 
@@ -802,7 +787,7 @@ impl Simulator {
 
 impl Drop for Simulator {
     /// Audited simulators that were never [`Self::finish_audit`]ed still
-    /// run the teardown checks and contribute to the global report. When
+    /// run the teardown checks and merge into this thread's report. When
     /// the thread is already panicking the auditor is downgraded to
     /// [`AuditMode::Collect`] so a strict-mode teardown never
     /// double-panics.
@@ -814,7 +799,7 @@ impl Drop for Simulator {
             auditor.set_collect();
         }
         let report = Self::audit_teardown(&mut auditor, &self.world);
-        audit::merge_global(&report);
+        audit::merge_thread(&report);
     }
 }
 
@@ -911,6 +896,7 @@ impl Ctx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Budget;
     use crate::packet::AckInfo;
     use crate::queue::DropTail;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1268,6 +1254,16 @@ mod tests {
         }
     }
 
+    /// Run `f` (typically: build a simulator) with `budget` as this
+    /// thread's default, and restore the previous default on return.
+    fn under_budget<T>(budget: Budget, f: impl FnOnce() -> T) -> T {
+        let prev = budget::thread_budget();
+        budget::set_thread_budget(budget);
+        let out = f();
+        budget::set_thread_budget(prev);
+        out
+    }
+
     fn catch_sim_abort(f: impl FnOnce()) -> crate::budget::SimAbort {
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
             .expect_err("budget should have tripped");
@@ -1278,10 +1274,11 @@ mod tests {
 
     #[test]
     fn livelock_budget_trips_a_zero_advance_timer_loop() {
-        let mut sim = Simulator::new(0);
+        let mut sim = under_budget(Budget::none().with_livelock_events(10_000), || {
+            Simulator::new(0)
+        });
         let n = sim.add_node();
         sim.add_agent(n, Box::new(ZeroAdvanceSpinner));
-        sim.set_budget(crate::budget::Budget::none().with_livelock_events(10_000));
         let abort = catch_sim_abort(move || sim.run_until(SimTime::from_secs(1)));
         assert_eq!(
             abort,
@@ -1305,19 +1302,22 @@ mod tests {
             fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
         }
         let started = Arc::new(AtomicU64::new(0));
-        let mut sim = Simulator::new(0);
+        let mut sim = under_budget(Budget::none().with_livelock_events(10_000), || {
+            Simulator::new(0)
+        });
         let n = sim.add_node();
         for _ in 0..2_000 {
             sim.add_agent(n, Box::new(StartOnce(started.clone())));
         }
-        sim.set_budget(crate::budget::Budget::none().with_livelock_events(10_000));
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(started.load(Ordering::Relaxed), 2_000);
     }
 
     #[test]
     fn event_budget_trips_and_unwinds_through_run_until() {
-        let (mut sim, a, b) = two_node_world(7, 8e6, SimDuration::from_millis(1), 100);
+        let (mut sim, a, b) = under_budget(Budget::none().with_max_events(20), || {
+            two_node_world(7, 8e6, SimDuration::from_millis(1), 100)
+        });
         let received = Arc::new(AtomicU64::new(0));
         let sink = sim.add_agent(b, Box::new(CountingSink { received, acks: true }));
         let flow = sim.new_flow();
@@ -1331,15 +1331,16 @@ mod tests {
                 size: 1000,
             }),
         );
-        sim.set_budget(crate::budget::Budget::none().with_max_events(20));
         let abort = catch_sim_abort(move || sim.run_until(SimTime::from_secs(10)));
         assert_eq!(abort, crate::budget::SimAbort::MaxEvents { limit: 20 });
     }
 
     #[test]
     fn armed_but_untripped_budget_changes_nothing() {
-        let run = |arm: bool| {
-            let (mut sim, a, b) = two_node_world(3, 8e6, SimDuration::from_millis(2), 20);
+        let run = |budget: Budget| {
+            let (mut sim, a, b) = under_budget(budget, || {
+                two_node_world(3, 8e6, SimDuration::from_millis(2), 20)
+            });
             let received = Arc::new(AtomicU64::new(0));
             let sink = sim.add_agent(
                 b,
@@ -1359,46 +1360,29 @@ mod tests {
                     size: 1000,
                 }),
             );
-            if arm {
-                sim.set_budget(
-                    crate::budget::Budget::none()
-                        .with_wall_clock(std::time::Duration::from_secs(3600))
-                        .with_max_events(u64::MAX)
-                        .with_livelock_events(crate::budget::Budget::DEFAULT_LIVELOCK_EVENTS)
-                        .with_cancel(),
-                );
-            }
             sim.run_until(SimTime::from_secs(2));
             let f = sim.stats().flow(flow).unwrap();
             (f.total_rx_packets, f.total_rx_bytes, received.load(Ordering::Relaxed))
         };
-        assert_eq!(run(false), run(true), "armed budget altered the simulation");
-    }
-
-    #[test]
-    fn thread_default_budget_is_captured_at_construction() {
-        crate::budget::set_thread_budget(crate::budget::Budget::none().with_max_events(20));
-        let sim = Simulator::new(0);
-        crate::budget::set_thread_budget(crate::budget::Budget::none());
-        assert_eq!(sim.budget().max_events, Some(20));
-        assert!(Simulator::new(0).budget().is_unlimited());
+        let armed = Budget::none()
+            .with_wall_clock(std::time::Duration::from_secs(3600))
+            .with_max_events(u64::MAX)
+            .with_livelock_events(Budget::DEFAULT_LIVELOCK_EVENTS)
+            .with_cancel();
+        assert_eq!(
+            run(Budget::none()),
+            run(armed),
+            "armed budget altered the simulation"
+        );
     }
 
     #[test]
     fn thread_budget_audit_mode_reaches_new_simulators() {
-        use crate::budget::{set_thread_budget, thread_budget, Budget};
-        let prev = thread_budget();
-        set_thread_budget(Budget::none().with_audit(AuditMode::Collect));
-        let mut audited = Simulator::new(0);
-        set_thread_budget(Budget::none());
-        let plain = Simulator::new(0);
-        set_thread_budget(prev);
+        let mut audited = under_budget(Budget::none().with_audit(AuditMode::Collect), || {
+            Simulator::new(0)
+        });
+        let plain = under_budget(Budget::none(), || Simulator::new(0));
         assert!(audited.audit_enabled());
-        assert!(
-            audited.budget().is_unlimited(),
-            "audit must not arm the budget"
-        );
-        assert_eq!(audited.budget().audit, None);
         assert!(!plain.audit_enabled());
         assert!(audited.finish_audit().expect("audited").is_clean());
     }

@@ -3,7 +3,7 @@
 //! that keeps re-arming its timer must be flagged as a leak, and the
 //! auditor must stay off (and free) by default.
 
-use slowcc_netsim::audit::{take_global_report, AuditMode};
+use slowcc_netsim::audit::{take_thread_report, AuditMode};
 use slowcc_netsim::prelude::*;
 
 /// Sends `count` data packets back-to-back at start.
@@ -161,14 +161,14 @@ fn strict_mode_panics_on_timer_leak() {
 }
 
 #[test]
-fn audit_is_off_by_default_and_drop_merges_into_global_report() {
+fn audit_is_off_by_default_and_drop_merges_into_thread_report() {
     let mut plain = Simulator::new(5);
     assert!(!plain.audit_enabled());
     assert!(plain.finish_audit().is_none());
 
-    // A drop-without-finish still lands the report in the global
-    // accumulator (drain it first so concurrent tests don't interfere
-    // with the count semantics we assert).
+    // A drop-without-finish still lands the report in this thread's
+    // accumulator (drained first: the accumulator is per thread, so
+    // nothing but this simulator can feed it afterwards).
     {
         let mut sim = Simulator::with_audit_mode(6, AuditMode::Collect);
         let (a, b) = two_nodes(&mut sim, 100);
@@ -184,9 +184,9 @@ fn audit_is_off_by_default_and_drop_merges_into_global_report() {
             }),
         );
         sim.run_until(SimTime::from_secs(1));
-        let _ = take_global_report();
+        let _ = take_thread_report();
     }
-    let report = take_global_report().expect("drop must merge the report");
-    assert!(report.sims >= 1);
-    assert!(report.packets_injected >= 6);
+    let report = take_thread_report().expect("drop must merge the report");
+    assert_eq!(report.sims, 1);
+    assert_eq!(report.packets_injected, 6);
 }

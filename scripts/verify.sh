@@ -70,11 +70,21 @@ done
 echo "conformance ledger clean over all six RFCs"
 
 section "audited smoke (repro --audit fig45)"
-# The run reports every violation and the exit code gates.
-./target/release/repro --quick --audit fig45 > "$tmp/audit.txt"
+# A violation fails its cell: nonzero exit and a failures.json record.
+./target/release/repro --quick --audit fig45 --out "$tmp/audit" > "$tmp/audit.txt"
 grep "audit: " "$tmp/audit.txt"
 grep -q " 0 timer leaks, 0 violations" "$tmp/audit.txt"
-echo "audited fig45 clean"
+cmp "$tmp/audit/failures.json" results/failures.json
+echo "audited fig45 clean, failures.json the committed empty report"
+
+section "audited targets without audited simulations (fig11 fig20 conformance)"
+# Nothing to audit is not a failure: exit 0 and no violation line.
+./target/release/repro --quick --audit fig11 fig20 conformance --out "$tmp/audit_none" \
+  > "$tmp/audit_none.txt" 2>&1
+if grep -q "audit violation" "$tmp/audit_none.txt"; then
+  echo "ERROR: audited fig11/fig20/conformance reported a violation"; exit 1
+fi
+echo "audited fig11, fig20 and conformance exit 0"
 
 section "chaos fault-injection smoke (repro --audit chaos)"
 # Chaos cells audit themselves strictly; --audit adds the sweep report.
