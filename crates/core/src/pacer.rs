@@ -4,12 +4,13 @@
 //! no-feedback expiry does to it — stays with each agent, which passes
 //! the rate in.
 //!
-//! The two timers ride one token space (low bit = kind, the rest a
-//! generation), so re-arming a timer makes its predecessor stale without
-//! cancelling it.
+//! The two timers ride one token space, told apart by the low bit. The
+//! send timer is re-armed only from its own firing, so it is a plain
+//! [`Ctx::set_timer`] with a constant token; the no-feedback timer moves
+//! on every feedback, so it is a [`Timer`] tagged with the other bit.
 
 use slowcc_netsim::packet::{AckInfo, PacketSpec};
-use slowcc_netsim::sim::Ctx;
+use slowcc_netsim::sim::{Ctx, Timer};
 use slowcc_netsim::time::{SimDuration, SimTime};
 
 use crate::agent::SenderWiring;
@@ -26,7 +27,7 @@ pub(crate) enum PacerTimer {
 }
 
 /// Sender-side pacing state: wiring, sequence counter, RTT estimate and
-/// the two timer generations.
+/// the no-feedback timer.
 pub(crate) struct Pacer {
     w: SenderWiring,
     pkt_size: u32,
@@ -34,8 +35,7 @@ pub(crate) struct Pacer {
     /// Smoothed RTT in seconds (EWMA with q = 0.9), when measured.
     srtt: Option<f64>,
     next_seq: u64,
-    send_gen: u64,
-    nofeedback_gen: u64,
+    nofeedback: Timer,
 }
 
 impl Pacer {
@@ -46,8 +46,7 @@ impl Pacer {
             initial_rtt,
             srtt: None,
             next_seq: 0,
-            send_gen: 0,
-            nofeedback_gen: 0,
+            nofeedback: Timer::tagged(TIMER_NOFEEDBACK),
         }
     }
 
@@ -88,32 +87,25 @@ impl Pacer {
         ));
         self.next_seq += 1;
 
-        self.send_gen += 1;
         let gap = self.pkt_size as f64 / rate_bps;
-        ctx.set_timer(
-            SimDuration::from_secs_f64(gap),
-            (self.send_gen << 1) | TIMER_SEND,
-        );
+        ctx.set_timer(SimDuration::from_secs_f64(gap), TIMER_SEND);
     }
 
     /// (Re)arm the no-feedback timer for `max(4R, 2s/X)` at the current
     /// rate `rate_bps` (RFC 3448 §4.3).
     pub(crate) fn arm_nofeedback(&mut self, rate_bps: f64, ctx: &mut Ctx<'_>) {
-        self.nofeedback_gen += 1;
         let t = (4.0 * self.srtt_secs()).max(2.0 * self.pkt_size as f64 / rate_bps);
-        ctx.set_timer(
-            SimDuration::from_secs_f64(t),
-            (self.nofeedback_gen << 1) | TIMER_NOFEEDBACK,
-        );
+        ctx.arm(&mut self.nofeedback, SimDuration::from_secs_f64(t));
     }
 
-    /// Decode a fired token; `None` when a later arm superseded it.
-    pub(crate) fn live_timer(&self, token: u64) -> Option<PacerTimer> {
-        let gen = token >> 1;
-        if token & 1 == TIMER_SEND {
-            (gen == self.send_gen).then_some(PacerTimer::Send)
+    /// Decode a fired token; `None` when it is the no-feedback timer's
+    /// entry popping before its due key, or a superseded one.
+    pub(crate) fn live_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) -> Option<PacerTimer> {
+        if Timer::tag_of(token) == TIMER_SEND {
+            Some(PacerTimer::Send)
         } else {
-            (gen == self.nofeedback_gen).then_some(PacerTimer::NoFeedback)
+            ctx.fired(&mut self.nofeedback, token)
+                .then_some(PacerTimer::NoFeedback)
         }
     }
 }

@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 
 use slowcc_netsim::packet::{AckInfo, Packet, PacketSpec};
-use slowcc_netsim::sim::{Agent, Ctx, Simulator};
+use slowcc_netsim::sim::{Agent, Ctx, Simulator, Timer};
 use slowcc_netsim::time::{SimDuration, SimTime};
 use slowcc_netsim::topology::HostPair;
 
@@ -154,8 +154,8 @@ pub struct Tcp {
     dup_count: u32,
     phase: Phase,
     rtt: RttEstimator,
-    /// Timer generation; stale timer tokens are ignored.
-    rto_gen: u64,
+    /// The retransmission timer, re-armed on every new ACK.
+    rto: Timer,
     /// One ECN-triggered reduction per window: echoes for data below
     /// this sequence belong to an already-handled congestion signal.
     ecn_guard: u64,
@@ -188,7 +188,7 @@ impl Tcp {
             high_ack: 0,
             dup_count: 0,
             phase: Phase::Open,
-            rto_gen: 0,
+            rto: Timer::default(),
             ecn_guard: 0,
             timeouts: 0,
             fast_retransmits: 0,
@@ -322,12 +322,11 @@ impl Tcp {
     }
 
     fn arm_rto(&mut self, ctx: &mut Ctx<'_>) {
-        self.rto_gen += 1;
         // RFC 6298 §5.5: the armed timer carries the exponential
         // backoff; §2.5's maximum bounds the backed-off value (the old
         // shift-after-clamp here could arm a 64x-over-max timer).
         let delay = self.rtt.backed_off_rto();
-        ctx.set_timer(delay, self.rto_gen);
+        ctx.arm(&mut self.rto, delay);
     }
 
     fn grow_window(&mut self, newly_acked: u64) {
@@ -473,8 +472,8 @@ impl Agent for Tcp {
                 self.done = true;
             }
         }
-        if token != self.rto_gen || self.done {
-            return; // stale generation
+        if self.done || !ctx.fired(&mut self.rto, token) {
+            return; // stopped, or not the RTO's due key
         }
         if self.next_seq <= self.high_ack {
             return; // nothing outstanding; timer re-armed on next send
@@ -523,7 +522,8 @@ pub struct TcpSink {
     /// Delayed-ACK timer bound (RFC 1122 allows up to 500 ms; deployed
     /// stacks use ~200 ms).
     delack_timer: SimDuration,
-    delack_gen: u64,
+    /// Releases `pending`; disarmed by every ACK sent.
+    ack_timer: Timer,
     /// Total ACKs emitted (observability).
     acks_sent: u64,
 }
@@ -538,7 +538,7 @@ impl TcpSink {
             delack: false,
             pending: None,
             delack_timer: SimDuration::from_millis(200),
-            delack_gen: 0,
+            ack_timer: Timer::default(),
             acks_sent: 0,
         }
     }
@@ -561,7 +561,7 @@ impl TcpSink {
         ctx.send(PacketSpec::ack_to(template, ACK_SIZE, info));
         self.acks_sent += 1;
         self.pending = None;
-        self.delack_gen += 1; // invalidate any armed delack timer
+        self.ack_timer.disarm();
     }
 
     /// Book the arrival of data segment `seq` into `expected` and `ooo`.
@@ -637,13 +637,12 @@ impl Agent for TcpSink {
             self.emit_ack(&pkt, ctx);
         } else {
             self.pending = Some(pkt);
-            self.delack_gen += 1;
-            ctx.set_timer(self.delack_timer, self.delack_gen);
+            ctx.arm(&mut self.ack_timer, self.delack_timer);
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        if token != self.delack_gen {
+        if !ctx.fired(&mut self.ack_timer, token) {
             return;
         }
         if let Some(pkt) = self.pending.take() {

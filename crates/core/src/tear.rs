@@ -16,7 +16,7 @@
 //! rate-based transmission with TCP-derived dynamics.
 
 use slowcc_netsim::packet::{AckInfo, Packet, PacketSpec, Payload};
-use slowcc_netsim::sim::{Agent, Ctx, Simulator};
+use slowcc_netsim::sim::{Agent, Ctx, Simulator, Timer};
 use slowcc_netsim::time::{SimDuration, SimTime};
 use slowcc_netsim::topology::HostPair;
 
@@ -64,7 +64,8 @@ pub struct TearSink {
     last_data_sent_at: SimTime,
     last_data_arrival: SimTime,
     pending: Option<Packet>,
-    feedback_gen: u64,
+    /// The per-RTT feedback timer, re-armed by every report.
+    feedback: Timer,
 }
 
 impl TearSink {
@@ -81,7 +82,7 @@ impl TearSink {
             last_data_sent_at: SimTime::ZERO,
             last_data_arrival: SimTime::ZERO,
             pending: None,
-            feedback_gen: 0,
+            feedback: Timer::default(),
         }
     }
 
@@ -120,8 +121,8 @@ impl TearSink {
             ecn_echo: false,
         };
         ctx.send(PacketSpec::ack_to(pkt_template, ACK_SIZE, info));
-        self.feedback_gen += 1;
-        ctx.set_timer(self.rtt(), self.feedback_gen);
+        let rtt = self.rtt();
+        ctx.arm(&mut self.feedback, rtt);
     }
 }
 
@@ -155,7 +156,7 @@ impl Agent for TearSink {
             self.cwnd += 1.0 / self.cwnd.max(1.0);
         }
 
-        if self.feedback_gen == 0 {
+        if !self.feedback.is_armed() {
             self.send_feedback(&pkt, ctx);
         } else {
             self.pending = Some(pkt);
@@ -163,14 +164,14 @@ impl Agent for TearSink {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        if token != self.feedback_gen {
+        if !ctx.fired(&mut self.feedback, token) {
             return;
         }
         if let Some(pkt) = self.pending.take() {
             self.send_feedback(&pkt, ctx);
         } else {
-            self.feedback_gen += 1;
-            ctx.set_timer(self.rtt(), self.feedback_gen);
+            let rtt = self.rtt();
+            ctx.arm(&mut self.feedback, rtt);
         }
     }
 
@@ -242,7 +243,7 @@ impl Agent for Tear {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        match self.pacer.live_timer(token) {
+        match self.pacer.live_timer(token, ctx) {
             Some(PacerTimer::Send) => self.send_and_schedule(ctx),
             Some(PacerTimer::NoFeedback) => {
                 self.rate_bps = (self.rate_bps / 2.0).max(self.min_rate());

@@ -23,7 +23,7 @@
 //! with `C = 1.1`.
 
 use slowcc_netsim::packet::{AckInfo, Packet, PacketSpec, Payload};
-use slowcc_netsim::sim::{Agent, Ctx, Simulator};
+use slowcc_netsim::sim::{Agent, Ctx, Simulator, Timer};
 use slowcc_netsim::time::{SimDuration, SimTime};
 use slowcc_netsim::topology::HostPair;
 
@@ -288,7 +288,9 @@ pub struct TfrcSink {
     /// Newest data packet, kept as the template for the timer-driven
     /// feedback report.
     pending: Option<Packet>,
-    feedback_gen: u64,
+    /// The per-RTT feedback timer, re-armed by every report (early ones
+    /// that a loss event forces included).
+    feedback: Timer,
     started: bool,
 }
 
@@ -310,7 +312,7 @@ impl TfrcSink {
             last_recv_rate: 0.0,
             new_loss_since_feedback: false,
             pending: None,
-            feedback_gen: 0,
+            feedback: Timer::default(),
             started: false,
         }
     }
@@ -402,8 +404,8 @@ impl TfrcSink {
         // template (and acked_seq) that predates this report.
         self.pending = None;
         // Re-arm the per-RTT feedback timer.
-        self.feedback_gen += 1;
-        ctx.set_timer(self.rtt_for_grouping(), self.feedback_gen);
+        let rtt = self.rtt_for_grouping();
+        ctx.arm(&mut self.feedback, rtt);
     }
 }
 
@@ -451,7 +453,7 @@ impl Agent for TfrcSink {
 
         if force_feedback {
             self.send_feedback(&pkt, ctx);
-        } else if self.feedback_gen == 0 {
+        } else if !self.feedback.is_armed() {
             // Very first packet: report immediately so the sender gets an
             // RTT measurement, then fall into the per-RTT cadence.
             self.send_feedback(&pkt, ctx);
@@ -462,21 +464,23 @@ impl Agent for TfrcSink {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        if token != self.feedback_gen {
-            return;
-        }
+        // The stop check comes first: a stopped sink must not move its
+        // timer again.
         if let Some(stop) = self.cfg.stop_at {
             if ctx.now() >= stop {
                 return; // flow stopped: let the feedback timer lapse
             }
+        }
+        if !ctx.fired(&mut self.feedback, token) {
+            return;
         }
         if let Some(pkt) = self.pending.take() {
             self.send_feedback(&pkt, ctx);
         } else {
             // Nothing arrived this round: stay silent (the sender's
             // no-feedback timer handles the outage) but keep ticking.
-            self.feedback_gen += 1;
-            ctx.set_timer(self.rtt_for_grouping(), self.feedback_gen);
+            let rtt = self.rtt_for_grouping();
+            ctx.arm(&mut self.feedback, rtt);
         }
     }
 
@@ -616,7 +620,7 @@ impl Agent for Tfrc {
                 return; // flow stopped: let all timers lapse
             }
         }
-        match self.pacer.live_timer(token) {
+        match self.pacer.live_timer(token, ctx) {
             Some(PacerTimer::Send) => self.send_and_schedule(ctx),
             Some(PacerTimer::NoFeedback) => {
                 // No feedback for max(4R, 2s/X): halve the allowed rate

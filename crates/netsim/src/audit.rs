@@ -18,10 +18,10 @@
 //!   queued` must hold (a packet departs when it is committed to the
 //!   wire, so a link holds only its buffer) and both sets of counters
 //!   must agree.
-//! * **Timer ledger.** Armed and fired timers are counted per agent. A
-//!   *timer leak* — an agent whose [`crate::sim::Agent::audit_done`]
-//!   reports the flow finished, yet re-arms a timer from its own timer
-//!   callback — is flagged, because such an agent ticks forever and
+//! * **Timer ledger.** Timer events pushed and fired are counted per
+//!   agent. A *timer leak* — an agent whose
+//!   [`crate::sim::Agent::audit_done`] reports the flow finished, yet
+//!   pushes a timer event from its own timer callback — is flagged, because such an agent ticks forever and
 //!   corrupts any metric sampled near it.
 //!
 //! Auditing is off by default (the hot path pays one pointer-null check
@@ -100,13 +100,16 @@ pub struct AuditReport {
     pub packets_dropped: u64,
     /// Packets still in flight (queued or being serialized) at teardown.
     pub packets_in_flight: u64,
-    /// Timers armed via `Ctx::set_timer`.
+    /// Timer events pushed on the event queue: one per `Ctx::set_timer`,
+    /// and one per `Timer` push by `Ctx::arm` or `Ctx::fired` (a re-arm
+    /// that only moves a queued timer's deadline later pushes nothing).
     pub timers_armed: u64,
     /// Timer events that fired.
     pub timers_fired: u64,
-    /// Timers still pending at teardown. Informational, not a violation:
-    /// a fire-and-forget timer design legitimately leaves e.g. a TCP
-    /// sender's final RTO pending when the run's horizon cuts it off.
+    /// Timer events still queued at teardown. Informational, not a
+    /// violation: a run's horizon legitimately cuts off e.g. a TCP
+    /// sender's last retransmission timer, or a superseded timer entry
+    /// that has not popped yet.
     pub timers_pending: u64,
     /// Done agents that re-armed a timer from their own timer callback —
     /// flows that would tick forever. Every leak is also a violation.
@@ -309,7 +312,7 @@ impl Auditor {
         l.tx_bytes += bytes as u64;
     }
 
-    /// `Ctx::set_timer` ran for `agent`.
+    /// A timer event for `agent` was pushed on the event queue.
     pub(crate) fn on_timer_armed(&mut self, agent: AgentId) {
         self.timer_mut(agent).armed += 1;
     }

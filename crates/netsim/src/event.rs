@@ -11,7 +11,11 @@
 //! Ordering is by `(time, sequence)`: the instant the event fires, then
 //! a monotone token assigned at scheduling time. Ties in simulated time
 //! are therefore broken by scheduling order — explicitly, not by bucket
-//! layout — which is what makes runs bit-for-bit reproducible.
+//! layout — which is what makes runs bit-for-bit reproducible. A
+//! sequence number can also be reserved now and pushed with later
+//! ([`EventQueue::reserve_seq`], [`EventQueue::schedule_at_seq`]); the
+//! entry then orders as if it had been scheduled when the number was
+//! taken.
 //!
 //! Two checks pin the order down. The property tests in
 //! `tests/scheduler_equivalence.rs` compare pop order against a
@@ -119,7 +123,12 @@ pub struct EventQueue {
     /// in [`Self::locate_min`] so it costs O(1) per pop even when a
     /// rebuild cannot help (all events at one instant).
     pops_since_resize: usize,
+    /// The next sequence number [`Self::reserve_seq`] hands out.
     next_seq: u64,
+    /// Entries ever pushed. Below `next_seq` by the sequence numbers
+    /// reserved for a push that never came (a re-armed timer's
+    /// superseded deadlines, see [`crate::sim::Timer`]).
+    pushed: u64,
     /// Key of the most recent pop, for the pop-order assertion in
     /// [`Self::note_pop`]; only maintained when debug assertions are on.
     last_popped: Option<Key>,
@@ -296,18 +305,39 @@ impl EventQueue {
             cursor_day: 0,
             pops_since_resize: 0,
             next_seq: 0,
+            pushed: 0,
             last_popped: None,
         }
     }
 
-    /// Schedule `kind` to fire at `time`.
+    /// Schedule `kind` to fire at `time`, ordered after everything
+    /// scheduled or reserved before it.
     ///
     /// Inlined along with `pop`: every packet hop and timer goes through
     /// these, so they should collapse into their callers.
     #[inline]
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
+        let seq = self.reserve_seq();
+        self.schedule_at_seq(time, seq, kind);
+    }
+
+    /// Take the next sequence number from the monotone counter
+    /// [`Self::schedule`] draws from, without pushing anything. An entry
+    /// later pushed with it by [`Self::schedule_at_seq`] pops exactly
+    /// where one scheduled now would have.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `kind` at the key `(time, seq)`, `seq` being a number
+    /// [`Self::reserve_seq`] handed out and no entry has used yet.
+    #[inline]
+    pub fn schedule_at_seq(&mut self, time: SimTime, seq: u64, kind: EventKind) {
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        self.pushed += 1;
         let entry = Entry { time, seq, kind };
         // Scheduled below the last pop (queue-level tests only): the next
         // pop may legitimately be smaller, so `note_pop` starts over.
@@ -348,12 +378,12 @@ impl EventQueue {
         }
     }
 
-    /// Total number of events ever scheduled on this queue (the next
-    /// sequence number). With [`Self::len`] this gives the number of
-    /// events already dispatched — `scheduled() - len()` — without any
-    /// hot-path counter.
+    /// Total number of entries ever pushed on this queue — not the
+    /// sequence numbers handed out, some of which are reserved for a
+    /// push that never comes. With [`Self::len`] this gives the number
+    /// of events already dispatched: `scheduled() - len()`.
     pub fn scheduled(&self) -> u64 {
-        self.next_seq
+        self.pushed
     }
 
     /// Time of the earliest scheduled event. `&mut` because the search
@@ -403,6 +433,20 @@ mod tests {
     fn entry_is_four_words() {
         // Every scheduled event is one of these in a bucket `Vec`.
         assert_eq!(std::mem::size_of::<Entry>(), 32);
+    }
+
+    #[test]
+    fn a_reserved_seq_orders_where_it_was_taken() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        q.schedule(t, timer(0, 0));
+        let seq = q.reserve_seq();
+        q.schedule(t, timer(0, 2));
+        // Skipped numbers leave no entry behind.
+        q.reserve_seq();
+        q.schedule_at_seq(t, seq, timer(0, 1));
+        assert_eq!(q.scheduled(), 3, "pushes, not sequence numbers");
+        assert_eq!(drain_tokens(&mut q), vec![0, 1, 2]);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::packet::{AckInfo, DataInfo, Ecn, Packet, PacketSpec, Payload};
     pub use crate::pool::{PacketId, PacketPool};
     pub use crate::queue::{DropTail, EnqueueResult, QueueDiscipline, Red, RedConfig};
-    pub use crate::sim::{Agent, Ctx, Simulator};
+    pub use crate::sim::{Agent, Ctx, Simulator, Timer};
     pub use crate::stats::Stats;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{Dumbbell, DumbbellConfig, DumbbellOptions, HostPair, ParkingLot, QueueKind};

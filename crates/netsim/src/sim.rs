@@ -12,10 +12,13 @@
 //!   offers the packet to the outgoing link, which either drops it
 //!   (scripted loss, early drop, buffer overflow) or serializes it at the
 //!   link rate and delivers it after the propagation delay.
-//! * **Timers** are fire-and-forget: [`Ctx::set_timer`] schedules a token
-//!   that is handed back to the agent. There is no cancellation API;
-//!   agents version their tokens and ignore stale ones (the discipline
-//!   used by every agent in this workspace).
+//! * **Timers** come in two kinds. [`Ctx::set_timer`] is fire-and-forget:
+//!   it schedules a token that is handed back to the agent, and suits a
+//!   timer only ever re-armed from its own firing (a send tick). A timer
+//!   re-armed before it fires (a retransmission timeout, a feedback
+//!   timer) is a [`Timer`]: [`Ctx::arm`] moves its deadline and
+//!   [`Ctx::fired`] tells the agent whether a token it received is that
+//!   deadline, so a superseded deadline never reaches the agent.
 //!
 //! # Determinism
 //!
@@ -55,7 +58,8 @@ pub trait Agent: Send {
     /// Called when a packet addressed to this agent is delivered.
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>);
 
-    /// Called when a timer set via [`Ctx::set_timer`] fires.
+    /// Called when a timer set via [`Ctx::set_timer`] or [`Ctx::arm`]
+    /// fires; a [`Timer`]'s tokens go through [`Ctx::fired`].
     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
 
     /// Optional downcast hook so tests and experiment harnesses can
@@ -877,8 +881,9 @@ impl Ctx<'_> {
 
     /// Schedule `token` to be handed back to this agent after `delay`.
     ///
-    /// Timers cannot be cancelled; agents keep a generation counter in the
-    /// token and ignore stale generations.
+    /// The entry cannot be cancelled. A timer that is re-armed before it
+    /// fires should be a [`Timer`] instead, which pushes nothing when a
+    /// re-arm only moves its deadline later.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         if let Some(a) = self.world.audit.as_deref_mut() {
             a.on_timer_armed(self.agent_id);
@@ -890,6 +895,123 @@ impl Ctx<'_> {
                 token,
             },
         );
+    }
+
+    /// Arm `timer` to fire after `delay`, superseding any deadline it
+    /// had. The deadline's key is `(now + delay, a freshly reserved
+    /// seq)` — where [`Self::set_timer`] would have scheduled it — but
+    /// an entry is pushed only when none is queued or the new key is the
+    /// earlier one; a later deadline waits for [`Self::fired`] to move
+    /// the queued entry onto it.
+    #[inline]
+    pub fn arm(&mut self, timer: &mut Timer, delay: SimDuration) {
+        let due = (self.world.now + delay, self.world.queue.reserve_seq());
+        timer.due = Some(due);
+        if timer.queued.is_none_or(|queued| due < queued) {
+            self.push_timer(timer, due);
+        }
+    }
+
+    /// Whether `token`, just handed to [`Agent::on_timer`], is `timer`
+    /// firing at its due key. `false` for an entry a later arm
+    /// superseded or disarmed, and for `timer`'s entry popping before the
+    /// deadline it was since moved to — which this pushes again at that
+    /// deadline's key.
+    ///
+    /// Every token of `timer` must come through here; an agent that
+    /// drops one has let the timer lapse for good (a stopped flow).
+    #[inline]
+    pub fn fired(&mut self, timer: &mut Timer, token: u64) -> bool {
+        if token != timer.token() {
+            return false;
+        }
+        let popped = timer.queued.take();
+        match timer.due {
+            None => false,
+            due if due == popped => {
+                timer.due = None;
+                true
+            }
+            Some(due) => {
+                self.push_timer(timer, due);
+                false
+            }
+        }
+    }
+
+    /// Push `timer`'s one live entry at `key`, under a new token.
+    fn push_timer(&mut self, timer: &mut Timer, key: (SimTime, u64)) {
+        if let Some(a) = self.world.audit.as_deref_mut() {
+            a.on_timer_armed(self.agent_id);
+        }
+        timer.gen += 1;
+        timer.queued = Some(key);
+        let kind = EventKind::AgentTimer {
+            agent: self.agent_id,
+            token: timer.token(),
+        };
+        self.world.queue.schedule_at_seq(key.0, key.1, kind);
+    }
+}
+
+/// A timer that is re-armed before it fires. A re-arm that moves its
+/// deadline later pushes nothing; only one that moves it earlier leaves
+/// an entry behind to pop stale.
+///
+/// The alternative — a [`Ctx::set_timer`] per arm, with a generation in
+/// the token so the agent can ignore the superseded ones — leaves an
+/// entry per arm in the queue, nearly all of which pop stale. A `Timer`
+/// instead keeps its *due* key (each [`Ctx::arm`] reserves the sequence
+/// number that `set_timer` would have used) apart from the key of its one
+/// queued entry, and [`Ctx::fired`] moves an entry that pops early to the
+/// due key. The agent sees the timer fire at exactly the `(time, seq)`
+/// key a `set_timer` per arm would have, and every other event keeps its
+/// sequence number, so the choice never moves a simulation byte.
+///
+/// An agent with two timers tells their tokens apart by the low bit,
+/// which [`Timer::tagged`] sets.
+#[derive(Debug, Default)]
+pub struct Timer {
+    /// Low bit of every token this timer issues.
+    tag: u64,
+    /// Bumped on every push: the rest of the token.
+    gen: u64,
+    /// Key of the entry carrying the current token, while it is queued.
+    queued: Option<(SimTime, u64)>,
+    /// Key the timer is due to fire at; `None` when disarmed.
+    due: Option<(SimTime, u64)>,
+}
+
+impl Timer {
+    /// A timer whose tokens carry `tag` (0 or 1) in the low bit. The
+    /// default timer's tag is 0.
+    pub fn tagged(tag: u64) -> Self {
+        assert!(tag <= 1, "a timer tag is one bit");
+        Timer {
+            tag,
+            ..Timer::default()
+        }
+    }
+
+    /// The tag a token carries (see [`Timer::tagged`]).
+    pub fn tag_of(token: u64) -> u64 {
+        token & 1
+    }
+
+    /// Whether the timer has a deadline [`Ctx::fired`] has not yet
+    /// reported.
+    pub fn is_armed(&self) -> bool {
+        self.due.is_some()
+    }
+
+    /// Drop the deadline: the queued entry, if any, pops into
+    /// [`Ctx::fired`] as `false`.
+    pub fn disarm(&mut self) {
+        self.due = None;
+    }
+
+    fn token(&self) -> u64 {
+        (self.gen << 1) | self.tag
     }
 }
 
@@ -1231,6 +1353,150 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(fired.load(Ordering::Relaxed), 2);
+    }
+
+    /// One scripted step: arm the timer under test with a delay, disarm
+    /// it, or schedule a plain marker event a delay ahead.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Arm(SimDuration),
+        Disarm,
+        Mark(SimDuration),
+    }
+
+    /// Drives a re-armed timer through a script, two ways: a [`Timer`],
+    /// or the reference — a `set_timer` per arm with a generation in the
+    /// token. Tag-0 tokens are the timer's; tag-1 tokens are script steps
+    /// (below `MARK`) and markers. `log` records every fire and marker in
+    /// dispatch order.
+    struct ScriptedTimer {
+        script: Vec<(SimTime, Step)>,
+        timer: Option<Timer>,
+        generation: u64,
+        log: Vec<(SimTime, &'static str)>,
+    }
+
+    const MARK: u64 = 1 << 20;
+
+    impl ScriptedTimer {
+        fn run(script: &[(u64, Step)], with_timer: bool) -> (Vec<(SimTime, &'static str)>, u64) {
+            let mut sim = Simulator::new(0);
+            let n = sim.add_node();
+            let agent = ScriptedTimer {
+                script: script
+                    .iter()
+                    .map(|&(ms, step)| (SimTime::from_millis(ms), step))
+                    .collect(),
+                timer: with_timer.then(Timer::default),
+                generation: 0,
+                log: Vec::new(),
+            };
+            let id = sim.add_agent(n, Box::new(agent));
+            sim.run_until(SimTime::from_secs(1));
+            let log = sim.agent_downcast::<ScriptedTimer>(id).unwrap().log.clone();
+            (log, sim.events_processed())
+        }
+    }
+
+    impl Agent for ScriptedTimer {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (i, &(at, _)) in self.script.iter().enumerate() {
+                ctx.set_timer(at.saturating_since(ctx.now()), ((i as u64) << 1) | 1);
+            }
+        }
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+            let now = ctx.now();
+            if Timer::tag_of(token) == 0 {
+                let fired = match self.timer.as_mut() {
+                    Some(timer) => ctx.fired(timer, token),
+                    None => token >> 1 == self.generation,
+                };
+                if fired {
+                    self.log.push((now, "fire"));
+                }
+            } else if token >> 1 >= MARK {
+                self.log.push((now, "mark"));
+            } else {
+                match self.script[(token >> 1) as usize].1 {
+                    Step::Arm(delay) => match self.timer.as_mut() {
+                        Some(timer) => ctx.arm(timer, delay),
+                        None => {
+                            self.generation += 1;
+                            ctx.set_timer(delay, self.generation << 1);
+                        }
+                    },
+                    Step::Disarm => match self.timer.as_mut() {
+                        Some(timer) => timer.disarm(),
+                        None => self.generation += 1,
+                    },
+                    Step::Mark(delay) => ctx.set_timer(delay, (MARK << 1) | 1),
+                }
+            }
+        }
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    /// The `Timer` against the generation-counter reference: the same
+    /// fires and markers, in the same order at the same instants, from
+    /// fewer dispatched events. Returns the shared log.
+    fn timer_matches_reference(script: &[(u64, Step)]) -> Vec<(SimTime, &'static str)> {
+        let (reference, reference_events) = ScriptedTimer::run(script, false);
+        let (timer, timer_events) = ScriptedTimer::run(script, true);
+        assert_eq!(timer, reference);
+        assert!(timer_events <= reference_events);
+        timer
+    }
+
+    #[test]
+    fn a_timer_armed_many_times_fires_once_at_the_last_key() {
+        let ms = SimDuration::from_millis;
+        let script: Vec<(u64, Step)> = (0..5).map(|i| (i, Step::Arm(ms(10)))).collect();
+        let log = timer_matches_reference(&script);
+        assert_eq!(log, vec![(SimTime::from_millis(14), "fire")]);
+    }
+
+    #[test]
+    fn a_timer_moved_earlier_fires_at_the_new_key_only() {
+        let ms = SimDuration::from_millis;
+        let script = [(0, Step::Arm(ms(50))), (10, Step::Arm(ms(5)))];
+        let log = timer_matches_reference(&script);
+        // The superseded 50 ms entry still pops, but never as a fire.
+        assert_eq!(log, vec![(SimTime::from_millis(15), "fire")]);
+    }
+
+    #[test]
+    fn a_re_key_at_the_current_instant_follows_what_was_scheduled_between_the_arms() {
+        let ms = SimDuration::from_millis;
+        // Both arms and the marker land on 20 ms: the first arm's entry
+        // pops there and is re-keyed to the second arm's key, which the
+        // marker (scheduled between the arms) precedes.
+        let script = [
+            (0, Step::Arm(ms(20))),
+            (5, Step::Mark(ms(15))),
+            (10, Step::Arm(ms(10))),
+        ];
+        let log = timer_matches_reference(&script);
+        let t = SimTime::from_millis(20);
+        assert_eq!(log, vec![(t, "mark"), (t, "fire")]);
+    }
+
+    #[test]
+    fn a_disarmed_timer_fires_only_when_armed_again() {
+        let ms = SimDuration::from_millis;
+        let script = [
+            (0, Step::Arm(ms(10))),
+            (20, Step::Arm(ms(30))),
+            (25, Step::Disarm),
+            (30, Step::Arm(ms(10))),
+            (60, Step::Arm(ms(10))),
+            (65, Step::Disarm),
+        ];
+        let log = timer_matches_reference(&script);
+        let fires: Vec<SimTime> = log.iter().map(|&(t, _)| t).collect();
+        assert_eq!(fires, vec![SimTime::from_millis(10), SimTime::from_millis(40)]);
     }
 
     #[test]

@@ -151,6 +151,43 @@ fn done_agent_rearming_its_timer_is_flagged_as_leak() {
         .any(|m| m.contains("timer leak")));
 }
 
+/// [`EternalTicker`] on a re-armable [`Timer`]: an arm from the timer's
+/// own firing pushes a queue entry, so it is still a leak.
+#[derive(Default)]
+struct EternalTimer {
+    timer: Timer,
+}
+
+impl Agent for EternalTimer {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.arm(&mut self.timer, SimDuration::from_millis(10));
+    }
+    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        if ctx.fired(&mut self.timer, token) {
+            ctx.arm(&mut self.timer, SimDuration::from_millis(10));
+        }
+    }
+    fn audit_done(&self, _now: SimTime) -> bool {
+        true
+    }
+}
+
+#[test]
+fn done_agent_rearming_a_timer_is_flagged_as_leak() {
+    let mut sim = Simulator::with_audit_mode(3, AuditMode::Collect);
+    let n = sim.add_node();
+    sim.add_agent(n, Box::<EternalTimer>::default());
+    sim.run_until(SimTime::from_millis(100));
+    let report = sim.finish_audit().unwrap();
+    assert_eq!(report.timers_armed, 11, "one push per fire, plus the first");
+    assert_eq!(report.timer_leaks, 10, "every re-arm from a fire is a leak");
+    assert!(report
+        .violation_messages
+        .iter()
+        .any(|m| m.contains("timer leak")));
+}
+
 #[test]
 #[should_panic(expected = "timer leak")]
 fn strict_mode_panics_on_timer_leak() {

@@ -1,6 +1,8 @@
 //! The reference model the `EventQueue` property tests compare against:
 //! a `BinaryHeap` over the `(time, seq)` key. It is the definition of
-//! the pop order, written so it is obviously right rather than fast.
+//! the pop order, written so it is obviously right rather than fast: an
+//! event pops at the key of the seq it was given, whether that seq was
+//! taken at the push or reserved earlier.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -21,6 +23,8 @@ pub struct HeapModel {
 /// The operations the tests drive on both the model and the real queue.
 pub trait Queue: Default {
     fn schedule(&mut self, time: SimTime, kind: EventKind);
+    fn reserve_seq(&mut self) -> u64;
+    fn schedule_at_seq(&mut self, time: SimTime, seq: u64, kind: EventKind);
     fn pop(&mut self) -> Option<(SimTime, EventKind)>;
     fn peek_time(&mut self) -> Option<SimTime>;
 
@@ -35,9 +39,19 @@ pub trait Queue: Default {
 
 impl Queue for HeapModel {
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.kinds.len() as u64;
+        let seq = self.reserve_seq();
+        self.schedule_at_seq(time, seq, kind);
+    }
+
+    /// The seq's kind is filled in when it is scheduled.
+    fn reserve_seq(&mut self) -> u64 {
+        self.kinds.push(ev(u64::MAX));
+        self.kinds.len() as u64 - 1
+    }
+
+    fn schedule_at_seq(&mut self, time: SimTime, seq: u64, kind: EventKind) {
         self.heap.push(Reverse((time, seq)));
-        self.kinds.push(kind);
+        self.kinds[seq as usize] = kind;
     }
 
     fn pop(&mut self) -> Option<(SimTime, EventKind)> {
@@ -53,6 +67,14 @@ impl Queue for HeapModel {
 impl Queue for EventQueue {
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
         EventQueue::schedule(self, time, kind)
+    }
+
+    fn reserve_seq(&mut self) -> u64 {
+        EventQueue::reserve_seq(self)
+    }
+
+    fn schedule_at_seq(&mut self, time: SimTime, seq: u64, kind: EventKind) {
+        EventQueue::schedule_at_seq(self, time, seq, kind)
     }
 
     fn pop(&mut self) -> Option<(SimTime, EventKind)> {

@@ -1,12 +1,15 @@
 //! Property tests pinning `EventQueue` (the calendar queue) to the
 //! `BinaryHeap` reference model in `tests/common`: for *any* schedule —
 //! equal-timestamp ties, far-future times that land in overflow buckets,
-//! pops interleaved with pushes, handlers that schedule mid-dispatch —
+//! pops interleaved with pushes, handlers that schedule mid-dispatch,
+//! sequence numbers reserved now and pushed with later —
 //! the queue must produce the model's event sequence. This is the
 //! determinism contract `event.rs` promises; if it ever breaks, figure
 //! outputs silently change.
 
 mod common;
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
@@ -38,6 +41,48 @@ fn run_trace<Q: Queue>(ops: &[Option<u64>]) -> Vec<(u64, u64)> {
         }
     }
     // Drain the remainder so the full order is compared, not a prefix.
+    while let Some((t, kind)) = q.pop() {
+        popped.push((t.as_nanos(), token_of(kind)));
+    }
+    popped
+}
+
+/// `run_trace` with reservations, as a re-armed `Timer` makes them. Each
+/// op is `(kind, t)`: kind 0 schedules at `t`, 1 reserves a seq now for
+/// an event at `t`, 2 pushes the oldest outstanding reservation at its
+/// reserved key, 3 pops. Tokens count up at schedule or reserve, so an
+/// entry's token says where its seq was taken. Outstanding reservations
+/// are pushed before the drain.
+fn run_reserved_trace<Q: Queue>(ops: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut q = Q::default();
+    let mut token = 0u64;
+    let mut reserved: VecDeque<(SimTime, u64, u64)> = VecDeque::new();
+    let mut popped = Vec::new();
+    for &(kind, t) in ops {
+        let time = SimTime::from_nanos(t);
+        match kind {
+            0 => {
+                q.schedule(time, ev(token));
+                token += 1;
+            }
+            1 => {
+                reserved.push_back((time, q.reserve_seq(), token));
+                token += 1;
+            }
+            2 => {
+                if let Some((time, seq, tok)) = reserved.pop_front() {
+                    q.schedule_at_seq(time, seq, ev(tok));
+                }
+            }
+            _ => match q.pop() {
+                Some((t, kind)) => popped.push((t.as_nanos(), token_of(kind))),
+                None => popped.push((u64::MAX, u64::MAX)),
+            },
+        }
+    }
+    for (time, seq, tok) in reserved {
+        q.schedule_at_seq(time, seq, ev(tok));
+    }
     while let Some((t, kind)) = q.pop() {
         popped.push((t.as_nanos(), token_of(kind)));
     }
@@ -143,6 +188,24 @@ proptest! {
             .map(|(&r, &pop)| if pop { None } else { Some(shape_time(r)) })
             .collect();
         prop_assert_eq!(run_trace::<EventQueue>(&ops), run_trace::<HeapModel>(&ops));
+    }
+
+    /// Reserve-then-schedule-later inserts mixed with plain schedules
+    /// and pops: each reserved entry pops at its reserved key, as the
+    /// model's, including ties where only the seq orders it.
+    #[test]
+    fn reserved_seqs_pop_at_their_reserved_keys(
+        raw_times in prop::collection::vec(0u64..u64::MAX, 1..300),
+        kinds in prop::collection::vec(0u64..4, 1..300),
+    ) {
+        let ops: Vec<(u64, u64)> = raw_times
+            .iter()
+            .zip(kinds.iter().cycle())
+            // Half the times are ties among 4 instants, where the key's
+            // seq alone decides.
+            .map(|(&r, &kind)| (kind, if r % 2 == 0 { r % 4 } else { shape_time(r) }))
+            .collect();
+        prop_assert_eq!(run_reserved_trace::<EventQueue>(&ops), run_reserved_trace::<HeapModel>(&ops));
     }
 
     /// Massed equal-timestamp ties: every event at one of a handful of

@@ -77,6 +77,18 @@ grep -q " 0 timer leaks, 0 violations" "$tmp/audit.txt"
 cmp "$tmp/audit/failures.json" results/failures.json
 echo "audited fig45 clean, failures.json the committed empty report"
 
+section "pop-order assertion on real cells (test-profile repro --audit fig45)"
+# Release builds compile out the event queue's strict pop-order
+# debug_assert; the test profile (opt-level 2, debug assertions on)
+# keeps it. Here it checks every pop of the fig45 cells, where TCP's
+# re-armed retransmission timers push entries at reserved keys, and
+# the output must be the release run's byte for byte.
+cargo build --profile test -p slowcc-experiments --bin repro
+./target/debug/repro --quick --audit fig45 --out "$tmp/audit_checked" > "$tmp/audit_checked.txt"
+cmp "$tmp/audit.txt" "$tmp/audit_checked.txt"
+diff -r "$tmp/audit" "$tmp/audit_checked"
+echo "fig45 with debug assertions on: every pop in order, output identical to release"
+
 section "audited targets without audited simulations (fig11 fig20 conformance)"
 # Nothing to audit is not a failure: exit 0 and no violation line.
 ./target/release/repro --quick --audit fig11 fig20 conformance --out "$tmp/audit_none" \
