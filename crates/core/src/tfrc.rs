@@ -1157,9 +1157,7 @@ mod sink_tests {
     /// which the audit layer flags as a timer leak.
     #[test]
     fn stopped_flow_leaks_no_timers() {
-        use slowcc_netsim::audit::AuditMode;
-
-        let mut sim = Simulator::with_audit_mode(3, AuditMode::Collect);
+        let mut sim = Simulator::new(3);
         let db = Dumbbell::build(&mut sim, DumbbellConfig::paper(10e6));
         let pair = db.add_host_pair(&mut sim);
         let cfg = TfrcConfig::standard(1000).with_stop_at(SimTime::from_secs(1));

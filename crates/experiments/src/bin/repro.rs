@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--quick] [--audit] [--jobs N] [--out DIR]
+//! repro [--quick] [--jobs N] [--out DIR]
 //!       [--resume] [--cell-timeout SECS] <experiment>... | all | list
 //! repro run <scenario.toml>...
 //! ```
@@ -11,8 +11,8 @@
 //! registered runs through the one execution path in [`exec`] — a flat
 //! sweep over every requested experiment's cells with parallelism
 //! (`--jobs`), per-cell crash isolation and `--cell-timeout`, a
-//! per-cell `manifest.json` ledger plus output cache for `--resume`,
-//! and `--audit`. `repro list` prints the registry.
+//! and a per-cell `manifest.json` ledger plus output cache for
+//! `--resume`. `repro list` prints the registry.
 //!
 //! Cells are seeded independently and collected in declaration order,
 //! so tables, JSON and CSV are byte-identical across `--jobs`
@@ -35,11 +35,12 @@
 //! A failed cell is not retried in-process: a cell is a pure function
 //! of code, cell spec and seed, so only `--resume` re-runs it.
 //!
-//! Under `--audit` every simulation runs under the packet/timer
-//! invariant auditor, and a cell whose simulations break an invariant
-//! fails as `audit-violation` like any other failed cell. The closing
-//! `audit:` line sums the reports of the cells executed in this run;
-//! cells replayed from the cache are not re-audited.
+//! Every simulation keeps the packet/timer invariant auditor's books,
+//! and a cell whose simulations break an invariant fails as
+//! `audit-violation` like any other failed cell. The closing `audit:`
+//! line, on stderr so stdout carries only the report, sums the reports
+//! of the cells executed in this run; cells replayed from the cache are
+//! not re-audited.
 //!
 //! Exit codes: 0 success, 1 cells failed (audit violations included),
 //! 130 interrupted by SIGINT/SIGTERM (manifest flushed, resumable).
@@ -97,7 +98,6 @@ mod signals {
 fn main() -> ExitCode {
     let mut scale = Scale::Full;
     let mut out: Option<PathBuf> = None;
-    let mut audit_run = false;
     let mut jobs = runner::default_jobs();
     let mut resume = false;
     let mut cell_timeout: Option<Duration> = None;
@@ -106,7 +106,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => scale = Scale::Quick,
-            "--audit" => audit_run = true,
             "--resume" => resume = true,
             "--out" => match args.next() {
                 Some(dir) => out = Some(PathBuf::from(dir)),
@@ -133,6 +132,11 @@ fn main() -> ExitCode {
                 usage();
                 return ExitCode::SUCCESS;
             }
+            other if other.starts_with("--") => {
+                eprintln!("unknown option `{other}`");
+                usage();
+                return ExitCode::FAILURE;
+            }
             other => names.push(other.to_string()),
         }
     }
@@ -149,7 +153,7 @@ fn main() -> ExitCode {
 
     // `run <scenario.toml>...` compiles declarative scenario files into
     // experiments on the fly; everything downstream (manifest, --resume,
-    // --jobs, --audit, budgets) is the same exec::run path.
+    // --jobs, budgets, the audit) is the same exec::run path.
     let targets = if names[0] == "run" {
         if names.len() == 1 {
             eprintln!("run requires at least one scenario file (repro run <scenario.toml>...)");
@@ -190,15 +194,9 @@ fn main() -> ExitCode {
         resume,
         cell_timeout,
         jobs,
-        audit: audit_run,
     };
     let summary = exec::run(&targets, &opts);
-    if audit_run {
-        match &summary.audit {
-            Some(report) => println!("audit: {}", report.summary()),
-            None => eprintln!("audit: no simulation was audited in this run"),
-        }
-    }
+    eprintln!("audit: {}", summary.audit.summary());
     if summary.interrupted {
         // Resumable; 130 = 128 + SIGINT.
         ExitCode::from(EXIT_INTERRUPTED)
@@ -218,7 +216,7 @@ fn parse_cell_timeout(arg: &str) -> Option<Duration> {
 
 fn usage() {
     eprintln!(
-        "usage: repro [--quick] [--audit] [--jobs N] [--out DIR] [--resume] \
+        "usage: repro [--quick] [--jobs N] [--out DIR] [--resume] \
          [--cell-timeout SECS] <experiment>... | all | list | run <scenario.toml>..."
     );
     eprintln!("experiments: {}", registry::names_line());
@@ -226,12 +224,12 @@ fn usage() {
     eprintln!("         into experiments and sweeps them through the same execution path");
     eprintln!("aliases: {}", registry::aliases_line());
     eprintln!("--jobs N caps the sweep at N threads (default: available parallelism)");
-    eprintln!("--audit runs every simulation under the packet/timer invariant auditor;");
-    eprintln!("        a conservation violation or timer leak fails its cell (audit-violation)");
     eprintln!("--resume replays cells marked ok in <results dir>/manifest.json (same scale)");
     eprintln!("         from the cell cache and re-runs only failed or never-attempted cells");
     eprintln!("--cell-timeout SECS arms a cooperative wall-clock budget per cell; an");
     eprintln!("         over-budget simulation unwinds cleanly and fails only its own cell");
+    eprintln!("every simulation is audited: a conservation violation or timer leak fails");
+    eprintln!("         its cell (audit-violation); the closing audit: line goes to stderr");
     eprintln!("exit codes: 0 ok; 1 cells failed (audit violations included); 130 interrupted");
     eprintln!("         (SIGINT/SIGTERM: manifest flushed, rerun with --resume to continue)");
 }

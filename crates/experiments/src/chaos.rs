@@ -5,14 +5,15 @@
 //! on all five flavors at once (TCP, TFRC, RAP, SQRT, IIAD): each cell
 //! draws a seeded random [`FaultPlan`] (reordering + duplication +
 //! jitter + a flap window on the forward bottleneck, lighter faults on
-//! the ACK path) and runs one flow through the paper dumbbell under the
-//! **strict** invariant auditor.
+//! the ACK path) and runs one flow through the paper dumbbell, audited
+//! like every simulation.
 //!
 //! The assertion is graceful degradation, not throughput: every cell
 //! must either keep moving data or stall quietly — no panic, no audit
-//! violation, no leaked timer. A flavor that crashes or corrupts the
-//! packet ledger under reordering/duplication panics its cell, which
-//! `repro` records as a failed cell like any other. Throughput and
+//! violation, no leaked timer. A flavor that crashes under
+//! reordering/duplication panics its cell, and one that corrupts the
+//! packet ledger returns an unclean audit report; `repro` records
+//! either as a failed cell like any other. Throughput and
 //! fault counters are reported per cell so regressions in *how*
 //! gracefully a flavor degrades stay visible.
 //!
@@ -24,7 +25,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use slowcc_netsim::audit::AuditMode;
 use slowcc_netsim::faults::FaultPlan;
 use slowcc_netsim::sim::Simulator;
 use slowcc_netsim::time::{SimDuration, SimTime};
@@ -114,14 +114,15 @@ pub fn drawn_plans(seed: u64, horizon: SimDuration) -> (FaultPlan, FaultPlan) {
 }
 
 /// Run one cell: a single `flavor` flow through the faulted paper
-/// dumbbell under the strict auditor. Panics (caught by the isolated
-/// runner) on any invariant violation; otherwise reports what happened.
+/// dumbbell. An invariant violation fails the cell through its audit
+/// report (see [`crate::runner::run_one_isolated`]); this reports what
+/// happened.
 fn run_cell(flavor: Flavor, seed: u64, horizon: SimDuration) -> ChaosCell {
     let (fwd, rev) = drawn_plans(seed, horizon);
     let fwd_summary = fwd.summary();
     let rev_summary = rev.summary();
 
-    let mut sim = Simulator::with_audit_mode(seed, AuditMode::Strict);
+    let mut sim = Simulator::new(seed);
     let db = Dumbbell::build_with(
         &mut sim,
         DumbbellConfig::paper(10e6),
@@ -131,10 +132,6 @@ fn run_cell(flavor: Flavor, seed: u64, horizon: SimDuration) -> ChaosCell {
     let h = flavor.install(&mut sim, &pair, 1000, SimTime::ZERO, None);
     let end = SimTime::ZERO + horizon;
     sim.run_until(end);
-
-    // Strict teardown: conservation, ledger/pool reconciliation, timer
-    // discipline. Any violation panics here and fails the cell.
-    sim.finish_audit().expect("chaos cells always audit");
 
     let flow = sim.stats().flow(h.flow).expect("installed flow has stats");
     let rx_packets = flow.total_rx_packets;
@@ -189,7 +186,7 @@ impl Experiment for ChaosExperiment {
     }
 
     fn description(&self) -> &'static str {
-        "Chaos sweep - randomized faults under the strict auditor"
+        "Chaos sweep - randomized faults under the invariant auditor"
     }
 
     fn artifact(&self) -> &'static str {
@@ -258,6 +255,9 @@ impl Chaos {
             );
         }
         let stalled = self.cells.iter().filter(|c| c.status == "stalled").count();
+        // "strict" is kept so the rendered bytes stay put; it now means
+        // that an audit violation fails the cell, so a rendered sweep
+        // had none.
         println!(
             "{} cells, all graceful ({} progressing, {} stalled); strict audit clean",
             self.cells.len(),
@@ -271,10 +271,13 @@ impl Chaos {
 mod tests {
     use super::*;
     use crate::experiment::run_experiment;
+    use slowcc_netsim::audit::take_thread_report;
 
     #[test]
     fn quick_chaos_sweep_is_graceful_and_deterministic() {
+        let _ = take_thread_report();
         let a = run_experiment(&ChaosExperiment, Scale::Quick);
+        take_thread_report().expect("chaos cells simulate").assert_clean();
         assert_eq!(a.cells.len(), 10, "5 flavors x 2 seeds");
         for c in &a.cells {
             assert!(

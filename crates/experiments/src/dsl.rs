@@ -3,8 +3,8 @@
 //! `repro run scenario.toml` turns a declarative scenario file into a
 //! [`ScenarioExperiment`] — a first-class [`Experiment`] that flows
 //! through the exact same [`crate::exec`] path as every registered
-//! target (manifest ledger, `--resume`, `--jobs`, `--audit`, budgets,
-//! scheduler determinism). No new execution code: the
+//! target (manifest ledger, `--resume`, `--jobs`, budgets, the audit
+//! every simulation keeps, scheduler determinism). No new execution code: the
 //! DSL only *compiles* a [`ScenarioSpec`], and the spec builds its
 //! simulation through [`TopologySpec::build_with`] — the same calls
 //! hand-written experiments make, so a scenario that re-expresses a
@@ -22,7 +22,6 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use slowcc_netsim::audit::AuditMode;
 use slowcc_netsim::faults::{FaultPlan, FlapWindow};
 use slowcc_netsim::ids::FlowId;
 use slowcc_netsim::queue::RedConfig;
@@ -45,15 +44,6 @@ use crate::toml::{parse_document, Entry, Section, Value};
 /// Reverse-direction background TCP flows a dumbbell scenario gets by
 /// default ("data traffic flowing in both directions", Section 3).
 pub const PAPER_REVERSE_FLOWS: usize = 2;
-
-/// How a scenario's simulations are audited.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AuditSetting {
-    /// Follow the sweep's `--audit` (carried in the cell's budget).
-    Default,
-    /// Always strict: any invariant violation panics the cell.
-    Strict,
-}
 
 /// One `[[flow]]` block: `count` flows of one flavor with staggered
 /// starts.
@@ -154,8 +144,6 @@ pub struct ScenarioSpec {
     pub warmup: SimDuration,
     /// One cell per seed.
     pub seeds: Vec<u64>,
-    /// Audit mode for every cell.
-    pub audit: AuditSetting,
     /// Reverse-direction background TCP flows (dumbbell only).
     pub reverse_tcp: usize,
     /// Fault plan on the forward bottleneck (first hop).
@@ -779,7 +767,6 @@ pub fn parse_scenario(text: &str, path: &str) -> Result<ScenarioSpec, String> {
     let mut stop: Option<SimDuration> = None;
     let mut warmup = SimDuration::ZERO;
     let mut seeds: Vec<u64> = Vec::new();
-    let mut audit = AuditSetting::Default;
     let mut reverse_tcp: Option<(usize, usize)> = None; // (value, line)
     for e in &doc.root.entries {
         match e.key.as_str() {
@@ -802,19 +789,6 @@ pub fn parse_scenario(text: &str, path: &str) -> Result<ScenarioSpec, String> {
                 if seeds.is_empty() {
                     return Err(at(path, e.line, "`seeds` must not be empty"));
                 }
-            }
-            "audit" => {
-                let s = want_str(e, path)?;
-                audit = match s.as_str() {
-                    "strict" => AuditSetting::Strict,
-                    other => {
-                        return Err(at(
-                            path,
-                            e.line,
-                            format_args!("unknown audit mode `{other}` (expected `strict`)"),
-                        ))
-                    }
-                };
             }
             "reverse_tcp" => reverse_tcp = Some((want_usize(e, path)?, e.line)),
             other => {
@@ -971,7 +945,6 @@ pub fn parse_scenario(text: &str, path: &str) -> Result<ScenarioSpec, String> {
         stop,
         warmup,
         seeds,
-        audit,
         reverse_tcp,
         forward_faults,
         reverse_faults,
@@ -1054,12 +1027,6 @@ pub fn render_scenario(spec: &ScenarioSpec) -> String {
         .collect::<Vec<_>>()
         .join(", ");
     let _ = writeln!(out, "seeds = [{seeds}]");
-    match spec.audit {
-        AuditSetting::Default => {}
-        AuditSetting::Strict => {
-            let _ = writeln!(out, "audit = \"strict\"");
-        }
-    }
     let _ = writeln!(out, "reverse_tcp = {}", spec.reverse_tcp);
 
     let cfg = &spec.topology.config;
@@ -1261,10 +1228,7 @@ pub struct ScenarioOut {
 
 /// Run one cell of `spec` under `seed`. Pure: same inputs, same bytes.
 fn execute(spec: &ScenarioSpec, seed: u64) -> ScenarioCellOut {
-    let mut sim = match spec.audit {
-        AuditSetting::Default => Simulator::new(seed),
-        AuditSetting::Strict => Simulator::with_audit_mode(seed, AuditMode::Strict),
-    };
+    let mut sim = Simulator::new(seed);
     if let Some(tr) = &spec.trace {
         sim.set_trace(Box::new(WindowedStats::new(tr.bin)));
     }
@@ -1329,10 +1293,6 @@ fn execute(spec: &ScenarioSpec, seed: u64) -> ScenarioCellOut {
 
     let end = SimTime::ZERO + spec.stop;
     sim.run_until(end);
-    if spec.audit == AuditSetting::Strict {
-        // The strict teardown checks panic at the first violation.
-        sim.finish_audit();
-    }
 
     let warmup_t = SimTime::ZERO + spec.warmup;
     let tail_start = SimTime::from_nanos(spec.stop.as_nanos() * 3 / 4);
@@ -1586,7 +1546,6 @@ pub mod builtin {
             stop: horizon,
             warmup: SimDuration::ZERO,
             seeds: vec![1000],
-            audit: AuditSetting::Strict,
             reverse_tcp: 0,
             forward_faults: Some(fwd),
             reverse_faults: Some(rev),
@@ -1642,7 +1601,6 @@ pub mod builtin {
             stop: SimDuration::from_secs(50),
             warmup: SimDuration::from_secs(12),
             seeds: vec![77],
-            audit: AuditSetting::Default,
             reverse_tcp: 0,
             forward_faults: None,
             reverse_faults: None,
@@ -1670,7 +1628,6 @@ mod tests {
         assert_eq!(spec.topology, TopologySpec::dumbbell(DumbbellConfig::paper(10e6)));
         assert_eq!(spec.reverse_tcp, PAPER_REVERSE_FLOWS);
         assert_eq!(spec.flows[0].stagger, SimDuration::from_millis(63));
-        assert_eq!(spec.audit, AuditSetting::Default);
         assert!(spec.trace.is_none());
     }
 

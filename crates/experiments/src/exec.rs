@@ -13,8 +13,8 @@
 //!    `--jobs` threads ([`crate::runner::run_cells`]), each cell through
 //!    [`crate::runner::run_one_isolated`] with a cooperative [`Budget`]
 //!    armed (wall-clock `--cell-timeout`, the zero-advance livelock
-//!    bound, the SIGINT/SIGTERM cancel flag, and the `--audit` mode),
-//!    so budget enforcement, auditing and panic isolation apply per
+//!    bound, the SIGINT/SIGTERM cancel flag), so budget enforcement,
+//!    the audit every simulation keeps and panic isolation apply per
 //!    cell — an audit violation fails its cell like a panic does — and
 //!    a wide target cannot serialize behind a narrow one;
 //! 4. records every cell's verdict in `manifest.json` on its worker as
@@ -49,7 +49,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use slowcc_netsim::audit::{AuditMode, AuditReport};
+use slowcc_netsim::audit::AuditReport;
 use slowcc_netsim::budget::{self, Budget};
 
 use crate::experiment::AnyExperiment;
@@ -74,8 +74,6 @@ pub struct ExecOptions {
     pub cell_timeout: Option<Duration>,
     /// Threads the sweep may use (`--jobs`).
     pub jobs: usize,
-    /// Audit every cell in [`AuditMode::Collect`] (`--audit`).
-    pub audit: bool,
 }
 
 /// What [`run`] did, for the exit code and the audit line.
@@ -88,9 +86,9 @@ pub struct ExecSummary {
     /// unwound cleanly, the manifest is flushed, `--resume` continues.
     pub interrupted: bool,
     /// The audit reports of the cells that ran `ok` this run, merged in
-    /// cell order; `None` when none of them audited a simulation
-    /// (replayed cells are not re-audited).
-    pub audit: Option<AuditReport>,
+    /// cell order (replayed cells are not re-audited, so a fully
+    /// replayed sweep reports zero simulations).
+    pub audit: AuditReport,
 }
 
 impl ExecSummary {
@@ -209,15 +207,12 @@ pub fn run(targets: &[&'static dyn AnyExperiment], opts: &ExecOptions) -> ExecSu
     // The per-cell budget: `--cell-timeout` arms the wall clock; the
     // livelock bound and the cancel flag are always on. Untripped
     // checks have no side effects, so arming this cannot change any
-    // byte of any artifact. `--audit` rides along as the cells' audit
-    // mode: Collect, not Strict, so a violating cell runs to its end
-    // and fails with its first violation, while its siblings run on.
+    // byte of any artifact.
     let cell_budget = Budget {
         wall_clock: opts.cell_timeout,
         max_events: None,
         livelock_events: Some(Budget::DEFAULT_LIVELOCK_EVENTS),
         observe_cancel: true,
-        audit: opts.audit.then_some(AuditMode::Collect),
     };
 
     // Ledger: inherit the prior manifest wholesale under --resume (at
@@ -320,13 +315,11 @@ pub fn run(targets: &[&'static dyn AnyExperiment], opts: &ExecOptions) -> ExecSu
 
     let mut failures: Vec<FailureEntry> = Vec::new();
     let mut fresh: HashMap<String, Box<dyn std::any::Any + Send>> = HashMap::new();
-    let mut audit: Option<AuditReport> = None;
+    let mut audit = AuditReport::default();
     for (result, item) in outcomes.into_iter().zip(work) {
         match result {
             Ok((out, report)) => {
-                if let Some(report) = report {
-                    audit.get_or_insert_with(AuditReport::default).merge(&report);
-                }
+                audit.merge(&report);
                 fresh.insert(item.key, out);
             }
             Err(error) => failures.push(FailureEntry { item, error }),
@@ -478,7 +471,6 @@ mod tests {
             resume: false,
             cell_timeout: None,
             jobs: 1,
-            audit: true,
         };
         for resume in [false, true] {
             let summary = run(
@@ -490,7 +482,7 @@ mod tests {
             );
             assert_eq!(summary.failed_cells, 1, "resume {resume}");
             assert!(!summary.interrupted);
-            assert_eq!(summary.audit, None, "a failed cell's report is not summed");
+            assert_eq!(summary.audit.sims, 0, "a failed cell's report is not summed");
             let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
             assert!(
                 manifest.contains(r#""leaky/fixture": {"status": "audit-violation", "message": "audit violation: timer leak"#),

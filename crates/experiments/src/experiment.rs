@@ -6,8 +6,8 @@
 //! and save the collected results. This module makes that shape a
 //! trait, so the execution machinery (parallelism, crash isolation,
 //! `--cell-timeout`, the per-cell `manifest.json` ledger, `--resume`,
-//! `--audit` gating) is written once in [`crate::exec`] and applies to
-//! all of them identically.
+//! failing a cell on its audit report) is written once in
+//! [`crate::exec`] and applies to all of them identically.
 //!
 //! An experiment declares:
 //!

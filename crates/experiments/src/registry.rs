@@ -6,8 +6,8 @@
 //! executor pulls cells from it, and the conformance test in
 //! `tests/registry_conformance.rs` walks it — so a new experiment is
 //! registered here once and inherits parallelism, crash isolation,
-//! the manifest ledger, `--resume`, `--audit` gating, and determinism
-//! coverage without touching the binary.
+//! the manifest ledger, `--resume`, the per-cell audit verdict, and
+//! determinism coverage without touching the binary.
 
 use std::sync::OnceLock;
 

@@ -121,8 +121,7 @@ pub enum CellError {
     /// The cell's closure panicked; the payload is the panic message.
     Panic(String),
     /// The invariant auditor found a violation or a timer leak in one of
-    /// the cell's simulations: a strict auditor panicked the cell, or a
-    /// collecting one returned an unclean report (see
+    /// the cell's simulations: the cell's report came back unclean (see
     /// `slowcc_netsim::audit`).
     AuditViolation(String),
     /// The cell's wall-clock or event budget ran out
@@ -172,9 +171,7 @@ impl CellError {
 }
 
 /// Classify a caught panic payload into the taxonomy: a [`SimAbort`]
-/// maps to its budget variant, a strict-audit panic (message prefix
-/// `"audit violation"`) to [`CellError::AuditViolation`], anything else
-/// to [`CellError::Panic`].
+/// maps to its budget variant, anything else to [`CellError::Panic`].
 pub fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> CellError {
     match payload.downcast::<SimAbort>() {
         Ok(abort) => match *abort {
@@ -184,14 +181,7 @@ pub fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> CellError {
             SimAbort::Livelock { .. } => CellError::Livelock(abort.to_string()),
             SimAbort::Cancelled => CellError::Interrupted,
         },
-        Err(payload) => {
-            let msg = panic_message(payload.as_ref());
-            if msg.starts_with("audit violation") {
-                CellError::AuditViolation(msg)
-            } else {
-                CellError::Panic(msg)
-            }
-        }
+        Err(payload) => CellError::Panic(panic_message(payload.as_ref())),
     }
 }
 
@@ -227,15 +217,14 @@ fn install_quiet_abort_hook() {
 /// Run one cell under crash isolation with `budget` armed as the
 /// thread-default (captured by every `Simulator` the cell builds),
 /// classify any unwind into the [`CellError`] taxonomy, and hand back
-/// the cell's audit report: every audited simulation the cell ran,
-/// merged (`None` when none was audited). A report with a violation or
-/// a timer leak fails the cell as [`CellError::AuditViolation`], in
-/// either audit mode.
+/// the cell's audit report: every simulation the cell ran, merged (an
+/// empty report when it ran none). A report with a violation or a timer
+/// leak fails the cell as [`CellError::AuditViolation`].
 ///
 /// This runs `f` **on the calling thread** — nothing is spawned and
 /// nothing can be abandoned. An over-budget, livelocked, or cancelled
 /// simulation unwinds via [`SimAbort`] (destructors run, the packet
-/// pool is freed, a strict auditor downgrades itself mid-unwind), the
+/// pool is freed, the auditor files its report), the
 /// unwind is caught here, and the thread moves on to its next cell.
 /// The thread's audit accumulator is drained before and after `f`, so
 /// a failed cell's partial simulations never reach another cell's
@@ -250,7 +239,7 @@ fn install_quiet_abort_hook() {
 pub fn run_one_isolated<O>(
     budget: Budget,
     f: impl FnOnce() -> O,
-) -> Result<(O, Option<AuditReport>), CellError> {
+) -> Result<(O, AuditReport), CellError> {
     if budget.observe_cancel && budget::cancel_requested() {
         return Err(CellError::Interrupted);
     }
@@ -259,22 +248,21 @@ pub fn run_one_isolated<O>(
     budget::set_thread_budget(budget);
     let _ = audit::take_thread_report();
     let result = std::panic::catch_unwind(AssertUnwindSafe(f));
-    let report = audit::take_thread_report();
+    let report = audit::take_thread_report().unwrap_or_default();
     budget::set_thread_budget(prev);
     let out = result.map_err(classify_panic)?;
-    match report {
-        Some(r) if !r.is_clean() => Err(CellError::AuditViolation(format!(
+    if !report.is_clean() {
+        return Err(CellError::AuditViolation(format!(
             "audit violation: {}",
-            r.violation_messages.first().unwrap_or(&r.summary())
-        ))),
-        report => Ok((out, report)),
+            report.violation_messages.first().unwrap_or(&report.summary())
+        )));
     }
+    Ok((out, report))
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use slowcc_netsim::audit::AuditMode;
     use slowcc_netsim::prelude::*;
 
     #[test]
@@ -455,14 +443,13 @@ pub(crate) mod tests {
 
     #[test]
     fn each_cell_returns_its_own_audit_report_and_fails_on_a_violation() {
-        let collect = Budget::none().with_audit(AuditMode::Collect);
         // One worker runs every cell, so a report leaking from one cell
         // into the next would show in the clean cells' `sims`.
         let out = run_cells(vec![0u64, 1, 2, 3], 1, |i| {
-            run_one_isolated(collect, || match i {
+            run_one_isolated(Budget::none(), || match i {
                 1 => tick(true),
                 2 => {
-                    let _audited = Simulator::new(0);
+                    let _sim = Simulator::new(0);
                     panic!("cell 2 exploded");
                 }
                 _ => tick(false),
@@ -470,7 +457,6 @@ pub(crate) mod tests {
         });
         for i in [0, 3] {
             let ((), report) = out[i].as_ref().expect("clean cell passes");
-            let report = report.as_ref().expect("audited cell returns a report");
             assert_eq!(report.sims, 1, "cell {i}: {}", report.summary());
             assert!(report.is_clean());
         }
@@ -483,18 +469,12 @@ pub(crate) mod tests {
         assert_eq!(out[1].as_ref().unwrap_err().class(), "audit-violation");
         assert!(matches!(&out[2], Err(CellError::Panic(_))), "{:?}", out[2]);
 
-        let unaudited = run_one_isolated(Budget::none(), || tick(true));
-        assert_eq!(unaudited, Ok(((), None)));
+        // A cell that builds no simulator passes with an empty report.
+        assert_eq!(run_one_isolated(Budget::none(), || ()), Ok(((), AuditReport::default())));
     }
 
     #[test]
     fn classification_covers_the_taxonomy() {
-        let caught =
-            std::panic::catch_unwind(|| panic!("audit violation: pool diverged")).unwrap_err();
-        match classify_panic(caught) {
-            CellError::AuditViolation(msg) => assert!(msg.contains("pool diverged")),
-            other => panic!("expected an audit violation: {other:?}"),
-        }
         let caught = std::panic::catch_unwind(|| panic!("plain boom")).unwrap_err();
         assert_eq!(classify_panic(caught), CellError::Panic("plain boom".into()));
         let abort: Box<dyn std::any::Any + Send> = Box::new(SimAbort::Cancelled);

@@ -8,15 +8,14 @@
 
 use slowcc_experiments::scale::Scale;
 use slowcc_experiments::{registry, runner};
-use slowcc_netsim::audit::{AuditMode, AuditReport};
+use slowcc_netsim::audit::AuditReport;
 use slowcc_netsim::budget::Budget;
 
 #[test]
 fn every_experiment_is_schedule_invariant_and_audit_clean_at_quick() {
-    // Collect, as `repro --audit` runs: a violating cell fails with its
-    // first violation. (Chaos cells additionally self-audit under
-    // Strict.) The reports the cells return merge into one.
-    let audited = Budget::none().with_audit(AuditMode::Collect);
+    // As `repro` runs: every simulation is audited, and a violating cell
+    // fails with its first violation. The reports the cells return
+    // merge into one.
     let mut report = AuditReport::default();
 
     for exp in registry::visible() {
@@ -24,9 +23,9 @@ fn every_experiment_is_schedule_invariant_and_audit_clean_at_quick() {
         assert!(n > 0, "{}: no cells at Quick", exp.name());
         // Every cell must succeed: a failing cell unwraps here rather
         // than comparing equal to the same failure in the other pass.
-        let sweep = |jobs: usize| -> Vec<(String, Option<AuditReport>)> {
+        let sweep = |jobs: usize| -> Vec<(String, AuditReport)> {
             runner::run_cells((0..n).collect(), jobs, |i| {
-                runner::run_one_isolated(audited, || exp.run_cell_dyn(Scale::Quick, i).1)
+                runner::run_one_isolated(Budget::none(), || exp.run_cell_dyn(Scale::Quick, i).1)
                     .unwrap_or_else(|e| panic!("{} cell {i}: {}", exp.name(), e.message()))
             })
         };
@@ -39,7 +38,7 @@ fn every_experiment_is_schedule_invariant_and_audit_clean_at_quick() {
             "{}: 8-worker sweep must be byte-identical to the serial one",
             exp.name()
         );
-        for cell_report in serial.iter().filter_map(|(_, r)| r.as_ref()) {
+        for (_, cell_report) in &serial {
             report.merge(cell_report);
         }
     }

@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use slowcc_experiments::dsl::{
-    parse_scenario, render_scenario, AuditSetting, CbrBlock, CbrShape, FlashBlock, FlowBlock,
-    ScenarioSpec, TraceSpec,
+    parse_scenario, render_scenario, CbrBlock, CbrShape, FlashBlock, FlowBlock, ScenarioSpec,
+    TraceSpec,
 };
 use slowcc_experiments::flavor::Flavor;
 use slowcc_netsim::faults::{Duplicate, FaultPlan, FlapWindow, Jitter, Reorder};
@@ -198,11 +198,6 @@ fn spec_from(words: &[u64]) -> ScenarioSpec {
         stop,
         warmup,
         seeds: (0..1 + d.pick(4)).map(|_| d.word()).collect(),
-        audit: if d.maybe() {
-            AuditSetting::Strict
-        } else {
-            AuditSetting::Default
-        },
         reverse_tcp: if dumbbell { d.pick(4) as usize } else { 0 },
         forward_faults: d.maybe().then(|| fault_plan(d)),
         reverse_faults: d.maybe().then(|| fault_plan(d)),
@@ -278,11 +273,10 @@ fn wrong_units_and_types_are_rejected_with_position() {
         &VALID.replace("bottleneck_mbps = 10.0", "bottleneck_mbps = \"fast\""),
         "bottleneck_mbps",
     );
-    // A violation fails its cell in any audit mode, so `strict` (stop
-    // at the first one) is the only mode a scenario can ask for.
+    // Every simulation is audited, so a scenario has no audit key.
     reject(
-        &VALID.replace("seeds = [1]", "seeds = [1]\naudit = \"collect\""),
-        "bad.toml:4: unknown audit mode `collect` (expected `strict`)",
+        &VALID.replace("seeds = [1]", "seeds = [1]\naudit = \"strict\""),
+        "bad.toml:4: unknown top-level key `audit`",
     );
 }
 

@@ -1,4 +1,4 @@
-//! Opt-in runtime invariant auditing.
+//! Runtime invariant auditing: every simulator keeps the books.
 //!
 //! Every figure in the paper reduces to counting packets correctly, so a
 //! silent accounting bug — a slot leaked in the packet pool, a stale
@@ -8,10 +8,10 @@
 //!
 //! * **Packet ledger.** Every packet injected via [`crate::sim::Ctx::send`]
 //!   is tracked from injection to exactly one terminal state (delivered,
-//!   dropped, or still in flight at end of run). After every event the
-//!   ledger's live count is compared against the slab pool's live-slot
-//!   count, and at teardown the exact uid sets are compared,
-//!   so the pool can never silently leak or double-free.
+//!   dropped, or still in flight at end of run), one bit per uid. After
+//!   every event the ledger's live count is compared against the slab
+//!   pool's live-slot count, and at teardown the exact uid sets are
+//!   compared, so the pool can never silently leak or double-free.
 //! * **Link ledger.** Arrivals, departures, drops and transmitted bytes
 //!   are counted per link independently of [`crate::stats::Stats`]; at
 //!   teardown the conservation law `arrivals == departures + drops +
@@ -24,18 +24,14 @@
 //!   pushes a timer event from its own timer callback — is flagged, because such an agent ticks forever and
 //!   corrupts any metric sampled near it.
 //!
-//! Auditing is off by default (the hot path pays one pointer-null check
-//! per event). Enable it per simulator with
-//! [`crate::sim::Simulator::with_audit`], or per cell with
-//! [`crate::budget::Budget::audit`]: every simulator built under a
-//! thread budget ([`crate::budget::set_thread_budget`]) that carries a
-//! mode audits in it. [`AuditMode::Strict`] panics at the first
-//! violation; [`AuditMode::Collect`] records violations into the
-//! simulator's [`AuditReport`] and keeps running. Either way each
-//! audited simulator merges its report into its thread's accumulator
-//! at teardown, and [`take_thread_report`] drains it: the experiments
+//! Auditing is not a mode: every [`crate::sim::Simulator`] audits itself.
+//! A violation is recorded into the simulator's [`AuditReport`] and the
+//! run keeps going. At teardown ([`crate::sim::Simulator::finish_audit`],
+//! or `Drop`) each simulator merges its report into its thread's
+//! accumulator, and [`take_thread_report`] drains it: the experiments
 //! runner drains it around every cell, so a cell's report comes back
-//! with the cell (a cell runs on one thread, and `netsim` spawns none).
+//! with the cell (a cell runs on one thread, and `netsim` spawns none)
+//! and an unclean one fails the cell.
 
 use std::cell::RefCell;
 
@@ -45,24 +41,15 @@ use crate::ids::{AgentId, LinkId};
 use crate::stats::Stats;
 use crate::time::SimTime;
 
-/// How audit violations are handled.
+/// How audit violations are handled: one way, for every simulator. The
+/// type stays because the repo benchmark (`benchmark/src/simload.rs`)
+/// still names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditMode {
-    /// Panic at the first violation. The mode for tests and
-    /// self-auditing cells: a violation is a bug, fail loudly.
-    Strict,
-    /// Record violations into the [`AuditReport`] and keep running. The
-    /// mode `repro --audit` gives every cell: the cell runs to its end,
-    /// and the runner fails it on the report it returns.
+    /// Record violations into the [`AuditReport`] and keep running: the
+    /// run goes to its end, and the runner fails the cell on the report
+    /// it returns.
     Collect,
-}
-
-/// Terminal-state tracking for one injected packet, indexed by uid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PacketState {
-    InFlight,
-    Delivered,
-    Dropped,
 }
 
 /// Independent per-link books: what the auditor itself saw happen at the
@@ -82,12 +69,12 @@ struct TimerLedger {
     fired: u64,
 }
 
-/// Cap on stored violation messages, so a Collect-mode run with a
-/// systematic bug doesn't grow a report without bound. The violation
+/// Cap on stored violation messages, so a run with a systematic bug
+/// doesn't grow a report without bound. The violation
 /// *count* keeps counting past the cap.
 const MAX_VIOLATION_MESSAGES: usize = 64;
 
-/// The structured result of an audited run (or of several merged runs).
+/// The structured result of a run's audit (or of several merged runs).
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize)]
 pub struct AuditReport {
     /// Simulations merged into this report.
@@ -153,7 +140,7 @@ impl AuditReport {
         }
     }
 
-    /// One-line human summary, for the `repro --audit` epilogue.
+    /// One-line human summary, for `repro`'s closing `audit:` line.
     pub fn summary(&self) -> String {
         format!(
             "{} sims audited: {} packets ({} delivered, {} dropped, {} in flight at end), \
@@ -173,8 +160,8 @@ impl AuditReport {
 }
 
 thread_local! {
-    /// This thread's accumulator: every audited simulator merges its
-    /// report here at teardown, until [`take_thread_report`] drains it.
+    /// This thread's accumulator: every simulator merges its report
+    /// here at teardown, until [`take_thread_report`] drains it.
     static THREAD_REPORT: RefCell<Option<AuditReport>> = const { RefCell::new(None) };
 }
 
@@ -183,19 +170,21 @@ pub(crate) fn merge_thread(report: &AuditReport) {
 }
 
 /// Take (and clear) this thread's accumulated report. `None` when no
-/// audited simulator has torn down on this thread since the last call.
+/// simulator has torn down on this thread since the last call.
 pub fn take_thread_report() -> Option<AuditReport> {
     THREAD_REPORT.with_borrow_mut(Option::take)
 }
 
-/// The auditor itself: one per audited simulator, owned by the world and
-/// fed by hooks on the simulator's hot paths.
-#[derive(Debug)]
+/// The auditor itself: one per simulator, owned by the world and fed
+/// by hooks on the simulator's hot paths.
+#[derive(Debug, Default)]
 pub(crate) struct Auditor {
-    mode: AuditMode,
-    /// Terminal-state ledger, indexed by uid (assigned densely from zero
-    /// by `Ctx::send`).
-    ledger: Vec<PacketState>,
+    /// In-flight bitset, indexed by uid (assigned densely from zero by
+    /// `Ctx::send`): bit `uid % 64` of word `uid / 64` is set from
+    /// injection until the packet's terminal state.
+    in_flight: Vec<u64>,
+    /// Packets injected so far: the next uid expected.
+    injected: u64,
     /// Maintained live-packet count: `+1` on inject, `-1` on any
     /// terminal state. Equals the pool's live-slot count at all times.
     live: u64,
@@ -206,34 +195,12 @@ pub(crate) struct Auditor {
     timer_leaks: u64,
     violations: u64,
     messages: Vec<String>,
+    /// Set by [`Self::finish`]: the teardown audit runs once.
+    finished: bool,
 }
 
 impl Auditor {
-    pub(crate) fn new(mode: AuditMode) -> Self {
-        Auditor {
-            mode,
-            ledger: Vec::new(),
-            live: 0,
-            delivered: 0,
-            dropped: 0,
-            links: Vec::new(),
-            timers: Vec::new(),
-            timer_leaks: 0,
-            violations: 0,
-            messages: Vec::new(),
-        }
-    }
-
-    /// Downgrade to Collect, used when teardown runs during an unrelated
-    /// panic and must not double-panic.
-    pub(crate) fn set_collect(&mut self) {
-        self.mode = AuditMode::Collect;
-    }
-
     fn violation(&mut self, msg: String) {
-        if self.mode == AuditMode::Strict {
-            panic!("audit violation: {msg}");
-        }
         self.violations += 1;
         if self.messages.len() < MAX_VIOLATION_MESSAGES {
             self.messages.push(msg);
@@ -260,44 +227,54 @@ impl Auditor {
 
     /// A packet entered the pool via `Ctx::send`.
     pub(crate) fn on_inject(&mut self, uid: u64) {
-        if uid != self.ledger.len() as u64 {
+        if uid != self.injected {
             self.violation(format!(
                 "packet uid {uid} injected out of order (expected {})",
-                self.ledger.len()
+                self.injected
             ));
             return;
         }
-        self.ledger.push(PacketState::InFlight);
+        let word = (uid / 64) as usize;
+        if word == self.in_flight.len() {
+            self.in_flight.push(0);
+        }
+        self.in_flight[word] |= 1 << (uid % 64);
+        self.injected += 1;
         self.live += 1;
     }
 
-    fn terminate(&mut self, uid: u64, state: PacketState, what: &str) {
-        match self.ledger.get(uid as usize).copied() {
-            Some(PacketState::InFlight) => {
-                self.ledger[uid as usize] = state;
-                self.live -= 1;
-                match state {
-                    PacketState::Delivered => self.delivered += 1,
-                    PacketState::Dropped => self.dropped += 1,
-                    PacketState::InFlight => unreachable!(),
-                }
-            }
-            Some(prior) => self.violation(format!(
-                "packet uid {uid} {what} but was already {prior:?} (double terminal state)"
-            )),
-            None => self.violation(format!("packet uid {uid} {what} but was never injected")),
+    /// Move `uid` out of flight. False (and a violation) when it was
+    /// never injected or has already reached a terminal state.
+    fn terminate(&mut self, uid: u64, what: &str) -> bool {
+        if uid >= self.injected {
+            self.violation(format!("packet uid {uid} {what} but was never injected"));
+            return false;
         }
+        let (word, bit) = ((uid / 64) as usize, 1u64 << (uid % 64));
+        if self.in_flight[word] & bit == 0 {
+            self.violation(format!(
+                "packet uid {uid} {what} but was already terminated (double terminal state)"
+            ));
+            return false;
+        }
+        self.in_flight[word] &= !bit;
+        self.live -= 1;
+        true
     }
 
     /// A packet was dropped at `link` (scripted loss or queue drop).
     pub(crate) fn on_link_drop(&mut self, link: LinkId, uid: u64) {
-        self.terminate(uid, PacketState::Dropped, "dropped");
+        if self.terminate(uid, "dropped") {
+            self.dropped += 1;
+        }
         self.link_mut(link).drops += 1;
     }
 
     /// A packet reached its destination agent.
     pub(crate) fn on_deliver(&mut self, uid: u64) {
-        self.terminate(uid, PacketState::Delivered, "delivered");
+        if self.terminate(uid, "delivered") {
+            self.delivered += 1;
+        }
     }
 
     /// A packet was offered to `link` (counted before loss/queueing).
@@ -350,6 +327,11 @@ impl Auditor {
         }
     }
 
+    /// Whether [`Self::finish`] has run.
+    pub(crate) fn is_finished(&self) -> bool {
+        self.finished
+    }
+
     /// Teardown: reconcile the ledger against the pool's exact live uid
     /// set, each link's conservation law and [`Stats`] counters, and
     /// produce the run's report.
@@ -361,15 +343,19 @@ impl Auditor {
         queued: &[usize],
         stats: &Stats,
     ) -> AuditReport {
-        // Exact uid-set equality between the pool and the ledger.
+        self.finished = true;
+        // Exact uid-set equality between the pool and the ledger. The
+        // bitset scans word by word in uid order, so the ledger's side
+        // comes out sorted.
         pool_live_uids.sort_unstable();
-        let ledger_live_uids: Vec<u64> = self
-            .ledger
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == PacketState::InFlight)
-            .map(|(ix, _)| ix as u64)
-            .collect();
+        let mut ledger_live_uids = Vec::with_capacity(self.live as usize);
+        for (ix, &word) in self.in_flight.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                ledger_live_uids.push(ix as u64 * 64 + u64::from(bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
         if pool_live_uids != ledger_live_uids {
             let pool_only: Vec<u64> = pool_live_uids
                 .iter()
@@ -429,11 +415,11 @@ impl Auditor {
         // Packet conservation: everything injected left through a
         // terminal state or is still live.
         let in_flight = self.live;
-        if self.ledger.len() as u64 != self.delivered + self.dropped + in_flight {
+        if self.injected != self.delivered + self.dropped + in_flight {
             self.violation(format!(
                 "packet conservation broken: {} injected != \
                  {} delivered + {} dropped + {in_flight} in flight",
-                self.ledger.len(),
+                self.injected,
                 self.delivered,
                 self.dropped
             ));
@@ -444,7 +430,7 @@ impl Auditor {
 
         AuditReport {
             sims: 1,
-            packets_injected: self.ledger.len() as u64,
+            packets_injected: self.injected,
             packets_delivered: self.delivered,
             packets_dropped: self.dropped,
             packets_in_flight: in_flight,
@@ -496,7 +482,7 @@ mod tests {
 
     #[test]
     fn collect_mode_records_instead_of_panicking() {
-        let mut auditor = Auditor::new(AuditMode::Collect);
+        let mut auditor = Auditor::default();
         auditor.on_inject(0);
         auditor.on_deliver(0);
         auditor.on_deliver(0); // double terminal state
@@ -505,12 +491,5 @@ mod tests {
         assert_eq!(report.violations, 2);
         assert!(!report.is_clean());
         assert_eq!(report.packets_delivered, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "audit violation")]
-    fn strict_mode_panics_on_violation() {
-        let mut auditor = Auditor::new(AuditMode::Strict);
-        auditor.on_deliver(3); // never injected
     }
 }

@@ -22,24 +22,21 @@
 //!
 //! Budgets reach deeply-constructed simulators through one thread-local
 //! context: a worker thread calls [`set_thread_budget`] and every
-//! `Simulator::new` on that thread captures it — the bounds and the
-//! cell's audit mode ([`Budget::audit`]) alike.
+//! `Simulator::new` on that thread captures it.
 
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::audit::AuditMode;
 use crate::time::SimTime;
 
 /// Check the wall clock and cancel flag when `events & WALL_CHECK_MASK
 /// == 0`: every 4096 events, amortizing `Instant::now()` to noise.
 const WALL_CHECK_MASK: u64 = 0xFFF;
 
-/// Cooperative execution bounds for one simulation, plus the audit mode
-/// its simulators are born with. `Default` is fully unlimited (nothing
-/// armed, one branch per event) and unaudited.
+/// Cooperative execution bounds for one simulation. `Default` is fully
+/// unlimited (nothing armed, one branch per event).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Wall-clock limit, measured from the `Simulator`'s construction.
@@ -59,10 +56,6 @@ pub struct Budget {
     pub livelock_events: Option<u64>,
     /// Observe the process-global cancel flag ([`request_cancel`]).
     pub observe_cancel: bool,
-    /// Invariant-audit mode for every `Simulator` built under this
-    /// budget (`None`: unaudited). Read once, at construction. Not a
-    /// bound, so it never arms the per-event check.
-    pub audit: Option<AuditMode>,
 }
 
 impl Budget {
@@ -77,12 +70,8 @@ impl Budget {
     }
 
     /// True when nothing is armed: the per-event check short-circuits.
-    /// The audit mode is not a bound and does not count.
     pub fn is_unlimited(&self) -> bool {
-        Budget {
-            audit: None,
-            ..*self
-        } == Budget::default()
+        *self == Budget::default()
     }
 
     /// Builder: arm the wall-clock limit.
@@ -106,12 +95,6 @@ impl Budget {
     /// Builder: observe the process-global cancel flag.
     pub fn with_cancel(mut self) -> Self {
         self.observe_cancel = true;
-        self
-    }
-
-    /// Builder: audit every simulator built under this budget in `mode`.
-    pub fn with_audit(mut self, mode: AuditMode) -> Self {
-        self.audit = Some(mode);
         self
     }
 }
@@ -170,16 +153,14 @@ thread_local! {
         max_events: None,
         livelock_events: None,
         observe_cancel: false,
-        audit: None,
     }) };
 }
 
 /// Install `budget` as this thread's default: every `Simulator`
 /// constructed on this thread afterwards is born with it. Supervisors
 /// set it on worker threads before running a cell (and reset it after),
-/// so budgets and the cell's audit mode reach simulators built deep
-/// inside experiment code without threading a parameter through every
-/// layer.
+/// so budgets reach simulators built deep inside experiment code
+/// without threading a parameter through every layer.
 pub fn set_thread_budget(budget: Budget) {
     THREAD_BUDGET.with(|b| b.set(budget));
 }
@@ -391,15 +372,6 @@ mod tests {
         reset_cancel();
         assert_eq!(abort, SimAbort::Cancelled);
         assert!(!cancel_requested());
-    }
-
-    #[test]
-    fn audit_mode_never_arms_the_per_event_check() {
-        let audited = Budget::none().with_audit(AuditMode::Collect);
-        assert!(audited.is_unlimited());
-        let state = BudgetState::new(audited);
-        assert!(!state.armed);
-        assert!(!audited.with_max_events(1).is_unlimited());
     }
 
     #[test]

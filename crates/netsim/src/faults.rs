@@ -35,8 +35,7 @@
 //! `arrivals == departures + drops + held-in-buffer` is undisturbed.
 //! Duplicates are injected into the packet ledger like any send, and flap
 //! drops are recorded through the same stats/audit drop hooks as scripted
-//! loss. A [`crate::audit::AuditMode::Strict`] audit runs clean over any
-//! plan.
+//! loss. The audit runs clean over any plan.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

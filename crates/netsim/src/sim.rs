@@ -120,9 +120,9 @@ struct World {
     stats: Stats,
     next_uid: u64,
     trace: Option<Box<dyn TraceSink>>,
-    /// Invariant auditor, when enabled (see [`crate::audit`]). Boxed so
-    /// the disabled case costs one null check per hook.
-    audit: Option<Box<Auditor>>,
+    /// Invariant auditor (see [`crate::audit`]): every run keeps the
+    /// books.
+    audit: Auditor,
     /// Cooperative execution budget, checked between events (see
     /// [`crate::budget`]). Unarmed by default: one branch per event.
     budget: BudgetState,
@@ -183,9 +183,7 @@ impl World {
                 dup.uid = *next_uid;
                 *next_uid += 1;
                 stats.record_link_duplicate(link_id);
-                if let Some(a) = audit.as_deref_mut() {
-                    a.on_inject(dup.uid);
-                }
+                audit.on_inject(dup.uid);
                 trace_event(trace, now, TraceKind::FaultDup { link: link_id }, &dup);
                 let dup_id = pool.insert(dup);
                 queue.schedule(
@@ -237,17 +235,13 @@ impl World {
         } = self;
         let link = &mut links[link_id.index()];
         stats.record_link_arrival(link_id, now, link.queue_len());
-        if let Some(a) = audit.as_deref_mut() {
-            a.on_link_arrival(link_id);
-        }
+        audit.on_link_arrival(link_id);
 
         // Scripted outage: a down link blackholes everything offered to
         // it, accounted as ordinary link drops.
         if link.faults.as_mut().is_some_and(|f| f.is_down(now)) {
             stats.record_link_flap_drop(link_id, now);
-            if let Some(a) = audit.as_deref_mut() {
-                a.on_link_drop(link_id, pool.get(pkt).uid);
-            }
+            audit.on_link_drop(link_id, pool.get(pkt).uid);
             trace_event(
                 trace,
                 now,
@@ -265,9 +259,7 @@ impl World {
         if let Some(loss) = link.loss.as_mut() {
             if loss.should_drop(pool.get(pkt), now) {
                 stats.record_link_drop(link_id, now);
-                if let Some(a) = audit.as_deref_mut() {
-                    a.on_link_drop(link_id, pool.get(pkt).uid);
-                }
+                audit.on_link_drop(link_id, pool.get(pkt).uid);
                 trace_event(
                     trace,
                     now,
@@ -320,9 +312,7 @@ impl World {
             }
             EnqueueResult::Dropped => {
                 stats.record_link_drop(link_id, now);
-                if let Some(a) = audit.as_deref_mut() {
-                    a.on_link_drop(link_id, pool.get(pkt).uid);
-                }
+                audit.on_link_drop(link_id, pool.get(pkt).uid);
                 trace_event(
                     trace,
                     now,
@@ -360,9 +350,7 @@ impl World {
         // Booked in the bin where serialization *ends*, so the per-bin
         // `tx_bytes` series keeps meaning "bytes put on the wire by then".
         stats.record_link_tx(link_id, tx_end, size);
-        if let Some(a) = audit.as_deref_mut() {
-            a.on_link_departure(link_id, size);
-        }
+        audit.on_link_departure(link_id, size);
         trace_event(trace, now, TraceKind::Dequeue { link: link_id }, pool.get(pkt));
         // Fault-layer delay jitter stretches this packet's propagation.
         let jitter = link
@@ -435,7 +423,8 @@ pub const DEFAULT_STATS_BIN: SimDuration = SimDuration::from_millis(10);
 
 impl Simulator {
     /// A fresh simulator with the given RNG seed, born with this
-    /// thread's budget and its audit mode ([`budget::set_thread_budget`]).
+    /// thread's budget ([`budget::set_thread_budget`]) and its own
+    /// invariant auditor.
     pub fn new(seed: u64) -> Self {
         let budget = budget::thread_budget();
         Simulator {
@@ -448,7 +437,7 @@ impl Simulator {
                 stats: Stats::new(DEFAULT_STATS_BIN),
                 next_uid: 0,
                 trace: None,
-                audit: budget.audit.map(|mode| Box::new(Auditor::new(mode))),
+                audit: Auditor::default(),
                 budget: BudgetState::new(budget),
             },
             agents: Vec::new(),
@@ -457,24 +446,11 @@ impl Simulator {
         }
     }
 
-    /// A fresh simulator with the invariant auditor enabled in
-    /// [`AuditMode::Strict`]: any violation of packet conservation,
-    /// pool/ledger consistency, link accounting or timer discipline
-    /// panics on the spot. See [`crate::audit`].
-    pub fn with_audit(seed: u64) -> Self {
-        Simulator::with_audit_mode(seed, AuditMode::Strict)
-    }
-
-    /// A fresh simulator with the invariant auditor enabled in `mode`.
-    pub fn with_audit_mode(seed: u64, mode: AuditMode) -> Self {
-        let mut sim = Simulator::new(seed);
-        sim.world.audit = Some(Box::new(Auditor::new(mode)));
-        sim
-    }
-
-    /// Whether this simulator is running under the invariant auditor.
-    pub fn audit_enabled(&self) -> bool {
-        self.world.audit.is_some()
+    /// The same simulator as [`Self::new`]: every simulator audits in the
+    /// one [`AuditMode`]. Kept because the repo benchmark
+    /// (`benchmark/src/simload.rs`) calls it.
+    pub fn with_audit_mode(seed: u64, _mode: AuditMode) -> Self {
+        Simulator::new(seed)
     }
 
     /// Run the teardown audit (pool/ledger uid-set reconciliation, link
@@ -482,21 +458,24 @@ impl Simulator {
     /// report is also merged into this thread's accumulator, read by
     /// [`audit::take_thread_report`].
     ///
-    /// Returns `None` when auditing is off, and on the second call (the
-    /// auditor is consumed). In [`AuditMode::Strict`] the teardown checks
-    /// panic on the first violation. If never called, [`Drop`] runs the
-    /// same teardown.
+    /// Returns `None` on the second call: the teardown runs once. If
+    /// never called, [`Drop`] runs it. (The `Option` stays for the repo
+    /// benchmark, which calls this.)
     pub fn finish_audit(&mut self) -> Option<AuditReport> {
-        let mut auditor = self.world.audit.take()?;
-        let report = Self::audit_teardown(&mut auditor, &self.world);
+        let World {
+            audit: auditor,
+            pool,
+            links,
+            stats,
+            ..
+        } = &mut self.world;
+        if auditor.is_finished() {
+            return None;
+        }
+        let queued: Vec<usize> = links.iter().map(Link::queue_len).collect();
+        let report = auditor.finish(pool.live_uids(), &queued, stats);
         audit::merge_thread(&report);
         Some(report)
-    }
-
-    fn audit_teardown(auditor: &mut Auditor, world: &World) -> AuditReport {
-        let pool_live = world.pool.live_uids();
-        let queued: Vec<usize> = world.links.iter().map(Link::queue_len).collect();
-        auditor.finish(pool_live, &queued, &world.stats)
     }
 
     /// Number of events dispatched so far: everything ever scheduled
@@ -684,11 +663,8 @@ impl Simulator {
             // unwinds with a `SimAbort` payload (see `crate::budget`).
             self.world.budget.on_event(time);
             self.dispatch_event(kind);
-            // O(1) cross-check: pool live slots vs ledger. With auditing
-            // off this is a single null check.
-            if let Some(a) = self.world.audit.as_deref_mut() {
-                a.check_pool(self.world.pool.len(), time);
-            }
+            // O(1) cross-check: pool live slots vs ledger.
+            self.world.audit.check_pool(self.world.pool.len(), time);
         }
     }
 
@@ -701,9 +677,7 @@ impl Simulator {
                     // Delivery ends the packet's pooled life; the agent
                     // receives the value.
                     let pkt = self.world.pool.remove(packet);
-                    if let Some(a) = self.world.audit.as_deref_mut() {
-                        a.on_deliver(pkt.uid);
-                    }
+                    self.world.audit.on_deliver(pkt.uid);
                     if pkt.is_data() {
                         self.world
                             .stats
@@ -717,14 +691,10 @@ impl Simulator {
                 }
             }
             EventKind::AgentTimer { agent, token } => {
-                let armed_before = self.world.audit.as_deref_mut().map(|a| {
-                    a.on_timer_fired(agent);
-                    a.timers_armed_of(agent)
-                });
+                self.world.audit.on_timer_fired(agent);
+                let armed_before = self.world.audit.timers_armed_of(agent);
                 self.dispatch(agent, |a, ctx| a.on_timer(token, ctx));
-                if let Some(before) = armed_before {
-                    self.audit_check_timer_leak(agent, before);
-                }
+                self.audit_check_timer_leak(agent, armed_before);
             }
             EventKind::AgentStart { agent } => {
                 self.dispatch(agent, |a, ctx| a.on_start(ctx));
@@ -746,10 +716,7 @@ impl Simulator {
     /// reporting itself done, it will tick forever — flag the leak.
     fn audit_check_timer_leak(&mut self, agent: AgentId, armed_before: u64) {
         let now = self.world.now;
-        let Some(a) = self.world.audit.as_deref_mut() else {
-            return;
-        };
-        if a.timers_armed_of(agent) <= armed_before {
+        if self.world.audit.timers_armed_of(agent) <= armed_before {
             return;
         }
         let done = self.agents[agent.index()]
@@ -757,11 +724,7 @@ impl Simulator {
             .as_deref()
             .is_some_and(|ag| ag.audit_done(now));
         if done {
-            self.world
-                .audit
-                .as_deref_mut()
-                .expect("audit checked above")
-                .on_timer_leak(agent, now);
+            self.world.audit.on_timer_leak(agent, now);
         }
     }
 
@@ -790,20 +753,10 @@ impl Simulator {
 }
 
 impl Drop for Simulator {
-    /// Audited simulators that were never [`Self::finish_audit`]ed still
-    /// run the teardown checks and merge into this thread's report. When
-    /// the thread is already panicking the auditor is downgraded to
-    /// [`AuditMode::Collect`] so a strict-mode teardown never
-    /// double-panics.
+    /// A simulator that was never [`Self::finish_audit`]ed runs the
+    /// teardown audit here and merges it into this thread's report.
     fn drop(&mut self) {
-        let Some(mut auditor) = self.world.audit.take() else {
-            return;
-        };
-        if std::thread::panicking() {
-            auditor.set_collect();
-        }
-        let report = Self::audit_teardown(&mut auditor, &self.world);
-        audit::merge_thread(&report);
+        self.finish_audit();
     }
 }
 
@@ -862,9 +815,7 @@ impl Ctx<'_> {
                 .record_flow_tx(pkt.flow, self.world.now, pkt.size);
         }
         self.world.trace(TraceKind::Send, &pkt);
-        if let Some(a) = self.world.audit.as_deref_mut() {
-            a.on_inject(uid);
-        }
+        self.world.audit.on_inject(uid);
         let local = pkt.dst_node == self.node;
         let id = self.world.pool.insert(pkt);
         if local {
@@ -885,9 +836,7 @@ impl Ctx<'_> {
     /// fires should be a [`Timer`] instead, which pushes nothing when a
     /// re-arm only moves its deadline later.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        if let Some(a) = self.world.audit.as_deref_mut() {
-            a.on_timer_armed(self.agent_id);
-        }
+        self.world.audit.on_timer_armed(self.agent_id);
         self.world.queue.schedule(
             self.world.now + delay,
             EventKind::AgentTimer {
@@ -941,9 +890,7 @@ impl Ctx<'_> {
 
     /// Push `timer`'s one live entry at `key`, under a new token.
     fn push_timer(&mut self, timer: &mut Timer, key: (SimTime, u64)) {
-        if let Some(a) = self.world.audit.as_deref_mut() {
-            a.on_timer_armed(self.agent_id);
-        }
+        self.world.audit.on_timer_armed(self.agent_id);
         timer.gen += 1;
         timer.queued = Some(key);
         let kind = EventKind::AgentTimer {
@@ -1640,17 +1587,6 @@ mod tests {
             run(armed),
             "armed budget altered the simulation"
         );
-    }
-
-    #[test]
-    fn thread_budget_audit_mode_reaches_new_simulators() {
-        let mut audited = under_budget(Budget::none().with_audit(AuditMode::Collect), || {
-            Simulator::new(0)
-        });
-        let plain = under_budget(Budget::none(), || Simulator::new(0));
-        assert!(audited.audit_enabled());
-        assert!(!plain.audit_enabled());
-        assert!(audited.finish_audit().expect("audited").is_clean());
     }
 
     #[test]

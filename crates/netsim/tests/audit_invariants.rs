@@ -1,9 +1,9 @@
 //! End-to-end checks of the invariant auditor: a run with real queue
 //! drops must audit clean with exact conservation counts, a done agent
-//! that keeps re-arming its timer must be flagged as a leak, and the
-//! auditor must stay off (and free) by default.
+//! that keeps re-arming its timer must be flagged as a leak, and every
+//! simulator audits itself.
 
-use slowcc_netsim::audit::{take_thread_report, AuditMode};
+use slowcc_netsim::audit::take_thread_report;
 use slowcc_netsim::prelude::*;
 
 /// Sends `count` data packets back-to-back at start.
@@ -59,8 +59,7 @@ fn two_nodes(sim: &mut Simulator, qcap: usize) -> (NodeId, NodeId) {
 
 #[test]
 fn overflowing_run_audits_clean_with_exact_conservation() {
-    let mut sim = Simulator::with_audit(1);
-    assert!(sim.audit_enabled());
+    let mut sim = Simulator::new(1);
     let (a, b) = two_nodes(&mut sim, 4);
     let sink = sim.add_agent(b, Box::new(AckingSink));
     let flow = sim.new_flow();
@@ -75,7 +74,7 @@ fn overflowing_run_audits_clean_with_exact_conservation() {
     );
     sim.run_until(SimTime::from_secs(1));
 
-    let report = sim.finish_audit().expect("auditor installed");
+    let report = sim.finish_audit().unwrap();
     report.assert_clean();
     // Burst of 10 into a 4-deep queue: 1 on the wire + 4 queued survive,
     // 5 drop; the 5 delivered data packets each produce one ack.
@@ -93,7 +92,7 @@ fn overflowing_run_audits_clean_with_exact_conservation() {
 
 #[test]
 fn packets_cut_off_mid_flight_are_accounted_not_leaked() {
-    let mut sim = Simulator::with_audit(2);
+    let mut sim = Simulator::new(2);
     let (a, b) = two_nodes(&mut sim, 100);
     let sink = sim.add_agent(b, Box::new(AckingSink));
     let flow = sim.new_flow();
@@ -138,7 +137,7 @@ impl Agent for EternalTicker {
 
 #[test]
 fn done_agent_rearming_its_timer_is_flagged_as_leak() {
-    let mut sim = Simulator::with_audit_mode(3, AuditMode::Collect);
+    let mut sim = Simulator::new(3);
     let n = sim.add_node();
     sim.add_agent(n, Box::new(EternalTicker));
     sim.run_until(SimTime::from_millis(100));
@@ -175,7 +174,7 @@ impl Agent for EternalTimer {
 
 #[test]
 fn done_agent_rearming_a_timer_is_flagged_as_leak() {
-    let mut sim = Simulator::with_audit_mode(3, AuditMode::Collect);
+    let mut sim = Simulator::new(3);
     let n = sim.add_node();
     sim.add_agent(n, Box::<EternalTimer>::default());
     sim.run_until(SimTime::from_millis(100));
@@ -189,25 +188,20 @@ fn done_agent_rearming_a_timer_is_flagged_as_leak() {
 }
 
 #[test]
-#[should_panic(expected = "timer leak")]
-fn strict_mode_panics_on_timer_leak() {
-    let mut sim = Simulator::with_audit(4);
-    let n = sim.add_node();
-    sim.add_agent(n, Box::new(EternalTicker));
-    sim.run_until(SimTime::from_millis(100));
-}
-
-#[test]
-fn audit_is_off_by_default_and_drop_merges_into_thread_report() {
+fn simulator_new_audits_and_drop_merges_into_thread_report() {
     let mut plain = Simulator::new(5);
-    assert!(!plain.audit_enabled());
+    let n = plain.add_node();
+    plain.add_agent(n, Box::new(EternalTicker));
+    plain.run_until(SimTime::from_millis(100));
+    let report = plain.finish_audit().expect("every simulator audits");
+    assert!(report.timer_leaks >= 1 && !report.is_clean());
     assert!(plain.finish_audit().is_none());
 
     // A drop-without-finish still lands the report in this thread's
     // accumulator (drained first: the accumulator is per thread, so
     // nothing but this simulator can feed it afterwards).
     {
-        let mut sim = Simulator::with_audit_mode(6, AuditMode::Collect);
+        let mut sim = Simulator::new(6);
         let (a, b) = two_nodes(&mut sim, 100);
         let sink = sim.add_agent(b, Box::new(AckingSink));
         let flow = sim.new_flow();

@@ -7,7 +7,6 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
-use slowcc_netsim::audit::AuditMode;
 use slowcc_netsim::faults::FaultPlan;
 use slowcc_netsim::ids::{AgentId, FlowId, NodeId};
 use slowcc_netsim::link::Link;
@@ -86,10 +85,10 @@ struct Outcome {
 }
 
 /// Two hosts joined by a faulted A->B link and a clean B->A link; a paced
-/// source sends `count` packets under a strict auditor, and everything
-/// observable is folded into an [`Outcome`].
+/// source sends `count` packets, the audit must come back clean, and
+/// everything observable is folded into an [`Outcome`].
 fn run_faulted(seed: u64, plan: FaultPlan, count: u64) -> Outcome {
-    let mut sim = Simulator::with_audit_mode(seed, AuditMode::Strict);
+    let mut sim = Simulator::new(seed);
     let a = sim.add_node();
     let b = sim.add_node();
     let ab = sim.add_link(
@@ -138,7 +137,7 @@ fn run_faulted(seed: u64, plan: FaultPlan, count: u64) -> Outcome {
         .expect("VecTrace downcasts");
     let trace = format!("{:?}", trace.events());
 
-    let report = sim.finish_audit().expect("audit enabled");
+    let report = sim.finish_audit().unwrap();
     report.assert_clean();
 
     let delivery_order = seqs.lock().unwrap().clone();
@@ -162,8 +161,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
     /// For any plan drawn from the full fault space: the run replays
-    /// byte-identically from `(plan, seed)`, the strict auditor stays
-    /// silent, and the packet ledger balances exactly.
+    /// byte-identically from `(plan, seed)`, the audit comes back
+    /// clean, and the packet ledger balances exactly.
     #[test]
     fn seeded_fault_plans_replay_bit_identically(
         seed in 0u64..1_000,
@@ -195,8 +194,8 @@ proptest! {
         prop_assert_eq!(&first, &second, "identical (plan, seed) must replay identically");
 
         // The ledger balances: every injected packet reached exactly one
-        // terminal state (strict audit would have panicked otherwise, but
-        // pin the arithmetic explicitly too).
+        // terminal state (a clean audit says so already, but pin the
+        // arithmetic explicitly too).
         prop_assert_eq!(
             first.injected,
             first.delivered + first.dropped + first.in_flight
@@ -286,13 +285,13 @@ fn distinct_fault_seeds_diverge() {
 
 /// A three-hop parking lot with fault plans on the first hop in both
 /// directions: reordered, duplicated and jittered packets cross several
-/// routers, and the run still replays identically from its seed with the
-/// strict auditor silent. Returns the delivery order and every flow and
+/// routers, and the run still replays identically from its seed with a
+/// clean audit. Returns the delivery order and every flow and
 /// link counter.
 fn run_faulted_parking_lot(seed: u64) -> (Vec<u64>, String) {
     let mut cfg = DumbbellConfig::paper(8e6);
     cfg.queue = QueueKind::DropTail(64);
-    let mut sim = Simulator::with_audit_mode(seed, AuditMode::Strict);
+    let mut sim = Simulator::new(seed);
     let opts = DumbbellOptions::new()
         .forward_faults(
             FaultPlan::seeded(seed ^ 0xBEEF)
@@ -318,7 +317,7 @@ fn run_faulted_parking_lot(seed: u64) -> (Vec<u64>, String) {
         }),
     );
     sim.run_until(SimTime::from_secs(2));
-    sim.finish_audit().expect("audit enabled").assert_clean();
+    sim.finish_audit().unwrap().assert_clean();
 
     let mut counters = format!("{:?}\n", sim.stats().flow(flow));
     for &link in lot.forward.iter().chain(&lot.reverse) {

@@ -145,12 +145,12 @@ fn a_packet_arriving_as_the_wire_frees_up_respects_fifo() {
 }
 
 #[test]
-fn stopping_mid_serialization_reconciles_under_strict_audit() {
+fn stopping_mid_serialization_reconciles_the_audit() {
     // Ten 1 ms packets at once into a 4-deep buffer: one goes on the
     // wire, four queue, five drop. At 2.5 ms packets 0 and 1 are fully
     // serialized, packet 2 is half way, two still wait.
     let mut run = run_script(
-        Simulator::with_audit(3),
+        Simulator::new(3),
         &[ms(0); 10],
         &[1000; 10],
         4,
@@ -164,7 +164,7 @@ fn stopping_mid_serialization_reconciles_under_strict_audit() {
     assert_eq!(run.sim.stats().link_tx_bytes_in(run.link, ms(0), ms(3)), 3000);
     assert!(run.arrivals.is_empty(), "nothing has propagated yet");
 
-    let report = run.sim.finish_audit().expect("auditor installed");
+    let report = run.sim.finish_audit().unwrap();
     report.assert_clean();
     assert_eq!(report.packets_dropped, 5);
     assert_eq!(report.packets_in_flight, 5, "three on the wire or beyond, two queued");

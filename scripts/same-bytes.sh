@@ -9,9 +9,12 @@
 # repository's `.git` is only read) and from the working tree, all
 # offline. Then two checks, each against REV:
 #
-# * `repro --quick all --audit` at `--jobs 1` on both and again on the
-#   working tree at `--jobs 2`: stdout with `cmp`, the `--out` tree with
-#   `diff -r`. Prints both audit lines.
+# * `repro --quick all` at `--jobs 1` on both and again on the working
+#   tree at `--jobs 2`: stdout with `cmp`, the `--out` tree with `diff
+#   -r`, and the closing `audit:` line with `cmp`. A REV whose usage
+#   line still lists `--audit` gets that flag and prints the audit line
+#   on stdout, where it is taken out before the stdout `cmp`; a binary
+#   without the flag audits every run and prints the line on stderr.
 # * the scenario DSL path, which `all` never runs: `repro --quick run F`
 #   on both for every `examples/scenarios/*.toml` except the
 #   `malformed-*` rejection fixtures (the working tree's files on both
@@ -47,8 +50,19 @@ echo "== building repro and benchmark from the working tree =="
 build . "$PWD/target"
 
 run() { # run NAME REPRO JOBS
-  echo "== repro --quick all --audit --jobs $3 ($1) =="
-  "$2" --quick all --audit --jobs "$3" --out "$tmp/$1.out" > "$tmp/$1.txt"
+  local flag=() usage
+  usage="$("$2" --help 2>&1)"
+  case "$usage" in *--audit*) flag=(--audit) ;; esac
+  echo "== repro --quick all ${flag[*]:+${flag[*]} }--jobs $3 ($1) =="
+  "$2" --quick all "${flag[@]}" --jobs "$3" --out "$tmp/$1.out" \
+    > "$tmp/$1.stdout" 2> "$tmp/$1.err"
+  if [ ${#flag[@]} -gt 0 ]; then
+    grep '^audit: ' "$tmp/$1.stdout" > "$tmp/$1.audit" || true
+    grep -v '^audit: ' "$tmp/$1.stdout" > "$tmp/$1.txt" || true
+  else
+    grep '^audit: ' "$tmp/$1.err" > "$tmp/$1.audit" || true
+    mv "$tmp/$1.stdout" "$tmp/$1.txt"
+  fi
 }
 run rev "$tmp/rev-target/release/repro" 1
 run tree-j1 ./target/release/repro 1
@@ -56,15 +70,16 @@ run tree-j2 ./target/release/repro 2
 
 status=0
 for side in tree-j1 tree-j2; do
-  if cmp "$tmp/rev.txt" "$tmp/$side.txt" && diff -r "$tmp/rev.out" "$tmp/$side.out"; then
-    echo "$side: stdout and --out tree identical to $rev"
+  if cmp "$tmp/rev.txt" "$tmp/$side.txt" && diff -r "$tmp/rev.out" "$tmp/$side.out" &&
+    [ -s "$tmp/rev.audit" ] && cmp "$tmp/rev.audit" "$tmp/$side.audit"; then
+    echo "$side: stdout, --out tree and audit line identical to $rev"
   else
     echo "$side: DIFFERS from $rev"
     status=1
   fi
 done
-echo "audit ($rev):  $(grep "audit: " "$tmp/rev.txt")"
-echo "audit (tree): $(grep "audit: " "$tmp/tree-j1.txt")"
+echo "audit ($rev):  $(cat "$tmp/rev.audit")"
+echo "audit (tree): $(cat "$tmp/tree-j1.audit")"
 
 echo "== repro --quick run: every shipped scenario =="
 for file in examples/scenarios/*.toml; do
@@ -73,7 +88,8 @@ for file in examples/scenarios/*.toml; do
   for side in rev tree; do
     if [ "$side" = rev ]; then bin="$tmp/rev-target/release/repro"; else bin=./target/release/repro; fi
     code=0
-    "$bin" --quick run "$file" --out "$tmp/$name.$side.out" > "$tmp/$name.$side.txt" || code=$?
+    "$bin" --quick run "$file" --out "$tmp/$name.$side.out" > "$tmp/$name.$side.txt" \
+      2> "$tmp/$name.$side.err" || code=$?
     echo "exit $code" >> "$tmp/$name.$side.txt"
   done
   if cmp "$tmp/$name.rev.txt" "$tmp/$name.tree.txt" &&

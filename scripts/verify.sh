@@ -47,6 +47,16 @@ if [ -z "$targets" ]; then
 fi
 echo "targets: $(echo "$targets" | tr '\n' ' ')"
 
+section "an unknown option is named (repro --audit)"
+# Auditing is not an option: every simulation keeps the books. A flag
+# outside the five must be named, with the usage line, and fail.
+if ./target/release/repro --quick --audit fig45 > "$tmp/unknown.txt" 2>&1; then
+  echo "ERROR: repro --audit should have produced a nonzero exit"; exit 1
+fi
+grep -q 'unknown option `--audit`' "$tmp/unknown.txt"
+grep -q '^usage: repro ' "$tmp/unknown.txt"
+echo "repro --audit rejected as an unknown option, usage printed"
+
 section "repro --quick smoke over all listed targets (--jobs 1 vs --jobs 8)"
 # shellcheck disable=SC2086
 ./target/release/repro --quick $targets --jobs 1 --out "$tmp/j1" > "$tmp/stdout_j1.txt"
@@ -69,44 +79,47 @@ for rfc in rfc1122 rfc2481 rfc3448 rfc5681 rfc6298 rfc6582; do
 done
 echo "conformance ledger clean over all six RFCs"
 
-section "audited smoke (repro --audit fig45)"
+section "audit line smoke (repro fig45)"
+# Every simulation is audited; the closing audit: line goes to stderr.
 # A violation fails its cell: nonzero exit and a failures.json record.
-./target/release/repro --quick --audit fig45 --out "$tmp/audit" > "$tmp/audit.txt"
-grep "audit: " "$tmp/audit.txt"
-grep -q " 0 timer leaks, 0 violations" "$tmp/audit.txt"
+./target/release/repro --quick fig45 --out "$tmp/audit" > "$tmp/audit.txt" 2> "$tmp/audit_err.txt"
+grep "^audit: " "$tmp/audit_err.txt"
+grep -q " 0 timer leaks, 0 violations" "$tmp/audit_err.txt"
 cmp "$tmp/audit/failures.json" results/failures.json
-echo "audited fig45 clean, failures.json the committed empty report"
+echo "fig45 audit clean, failures.json the committed empty report"
 
-section "pop-order assertion on real cells (test-profile repro --audit fig45)"
+section "pop-order assertion on real cells (test-profile repro fig45)"
 # Release builds compile out the event queue's strict pop-order
 # debug_assert; the test profile (opt-level 2, debug assertions on)
 # keeps it. Here it checks every pop of the fig45 cells, where TCP's
 # re-armed retransmission timers push entries at reserved keys, and
 # the output must be the release run's byte for byte.
 cargo build --profile test -p slowcc-experiments --bin repro
-./target/debug/repro --quick --audit fig45 --out "$tmp/audit_checked" > "$tmp/audit_checked.txt"
+./target/debug/repro --quick fig45 --out "$tmp/audit_checked" > "$tmp/audit_checked.txt" \
+  2> "$tmp/audit_checked_err.txt"
 cmp "$tmp/audit.txt" "$tmp/audit_checked.txt"
+cmp <(grep "^audit: " "$tmp/audit_err.txt") <(grep "^audit: " "$tmp/audit_checked_err.txt")
 diff -r "$tmp/audit" "$tmp/audit_checked"
 echo "fig45 with debug assertions on: every pop in order, output identical to release"
 
-section "audited targets without audited simulations (fig11 fig20 conformance)"
-# Nothing to audit is not a failure: exit 0 and no violation line.
-./target/release/repro --quick --audit fig11 fig20 conformance --out "$tmp/audit_none" \
-  > "$tmp/audit_none.txt" 2>&1
-if grep -q "audit violation" "$tmp/audit_none.txt"; then
-  echo "ERROR: audited fig11/fig20/conformance reported a violation"; exit 1
-fi
-echo "audited fig11, fig20 and conformance exit 0"
+section "targets with little or nothing to audit (fig11 fig20 conformance)"
+# Nothing to audit is not a failure: exit 0 (set -e) and a clean line.
+./target/release/repro --quick fig11 fig20 conformance --out "$tmp/audit_none" \
+  > "$tmp/audit_none.txt" 2> "$tmp/audit_none_err.txt"
+grep "^audit: " "$tmp/audit_none_err.txt"
+grep -q " 0 timer leaks, 0 violations" "$tmp/audit_none_err.txt"
+echo "fig11, fig20 and conformance exit 0 with a clean audit line"
 
-section "chaos fault-injection smoke (repro --audit chaos)"
-# Chaos cells audit themselves strictly; --audit adds the sweep report.
-./target/release/repro --quick --audit chaos --out "$tmp/chaos" > "$tmp/chaos.txt"
+section "chaos fault-injection smoke (repro chaos)"
+# A violation in a chaos cell fails the cell; the audit line sums them.
+./target/release/repro --quick chaos --out "$tmp/chaos" > "$tmp/chaos.txt" 2> "$tmp/chaos_err.txt"
 # Same seeds, second run: must replay byte-identically.
-./target/release/repro --quick --audit chaos --out "$tmp/chaos2" > "$tmp/chaos2.txt"
+./target/release/repro --quick chaos --out "$tmp/chaos2" > "$tmp/chaos2.txt" 2> "$tmp/chaos2_err.txt"
 diff -r "$tmp/chaos" "$tmp/chaos2"
 diff "$tmp/chaos.txt" "$tmp/chaos2.txt"
+diff "$tmp/chaos_err.txt" "$tmp/chaos2_err.txt"
 grep -q "all graceful" "$tmp/chaos.txt"
-grep -q " 0 timer leaks, 0 violations" "$tmp/chaos.txt"
+grep -q " 0 timer leaks, 0 violations" "$tmp/chaos_err.txt"
 echo "chaos sweep audit-clean, bit-identical across runs"
 
 section "resume replay smoke (fully cached rerun, byte-identical)"
