@@ -133,25 +133,75 @@ impl BinomialParams {
     /// packets ACKed per RTT.
     pub fn increase_per_ack(&self, w: f64) -> f64 {
         let w = w.max(1.0);
-        self.a / w.powf(self.k + 1.0)
+        self.a / pow(w, self.k + 1.0)
     }
 
     /// New window after a loss event: `W - b·W^l`, floored at one packet.
     pub fn decrease(&self, w: f64) -> f64 {
         let w = w.max(1.0);
-        (w - self.b * w.powf(self.l)).max(1.0)
+        (w - self.b * pow(w, self.l)).max(1.0)
     }
 
     /// Relative decrease `b·W^(l-1)` at window `w` (1/γ at the anchor).
     pub fn relative_decrease(&self, w: f64) -> f64 {
         let w = w.max(1.0);
-        (self.b * w.powf(self.l - 1.0)).min(1.0)
+        (self.b * pow(w, self.l - 1.0)).min(1.0)
+    }
+}
+
+/// `w^e` for a window `w >= 1`. The exponents AIMD runs on every ACK
+/// and loss, 1 and 0, are answered without a libm call: `powf` returns
+/// exactly `w` and `1.0` for them, so the bits are the same. SQRT's and
+/// IIAD's exponents go to `powf`.
+#[inline]
+fn pow(w: f64, e: f64) -> f64 {
+    if e == 1.0 {
+        w
+    } else if e == 0.0 {
+        1.0
+    } else {
+        w.powf(e)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pow_matches_powf_bit_for_bit() {
+        let mut ws: Vec<f64> = (0..=60).map(|i| 2f64.powi(i)).collect();
+        ws.extend((0..10_000).map(|i| 1.0 + i as f64 * 0.0137));
+        ws.extend([1.0 + f64::EPSILON, 3.0, 1e300, f64::MAX]);
+        for w in ws {
+            for e in [0.0, 1.0] {
+                assert_eq!(pow(w, e).to_bits(), w.powf(e).to_bits(), "{w}^{e}");
+            }
+        }
+        // The per-ACK and per-loss rules of every flavor, against the
+        // plain `powf` formulas.
+        for p in [
+            BinomialParams::standard_tcp(),
+            BinomialParams::tcp_gamma(256.0),
+            BinomialParams::sqrt_gamma(2.0),
+            BinomialParams::iiad_gamma(2.0),
+        ] {
+            for w in [1.0, 2.0, 7.25, 64.0, 1000.5] {
+                assert_eq!(
+                    p.increase_per_ack(w).to_bits(),
+                    (p.a / w.powf(p.k + 1.0)).to_bits()
+                );
+                assert_eq!(
+                    p.decrease(w).to_bits(),
+                    (w - p.b * w.powf(p.l)).max(1.0).to_bits()
+                );
+                assert_eq!(
+                    p.relative_decrease(w).to_bits(),
+                    (p.b * w.powf(p.l - 1.0)).min(1.0).to_bits()
+                );
+            }
+        }
+    }
 
     #[test]
     fn standard_tcp_has_a_equal_one() {

@@ -207,20 +207,28 @@ impl Auditor {
         }
     }
 
-    fn link_mut(&mut self, link: LinkId) -> &mut LinkLedger {
-        let ix = link.index();
-        if self.links.len() <= ix {
-            self.links.resize_with(ix + 1, LinkLedger::default);
+    /// Open a ledger for each of `links` links and a timer ledger for
+    /// each of `agents` agents. The simulator calls this as each run
+    /// starts, when every link and agent the run can touch exists, so
+    /// the hooks index the ledgers directly; built once, at its full
+    /// size, it allocates nothing while the topology is being wired.
+    pub(crate) fn open_ledgers(&mut self, links: usize, agents: usize) {
+        if self.links.len() < links {
+            self.links.resize_with(links, LinkLedger::default);
         }
-        &mut self.links[ix]
+        if self.timers.len() < agents {
+            self.timers.resize_with(agents, TimerLedger::default);
+        }
     }
 
+    #[inline]
+    fn link_mut(&mut self, link: LinkId) -> &mut LinkLedger {
+        &mut self.links[link.index()]
+    }
+
+    #[inline]
     fn timer_mut(&mut self, agent: AgentId) -> &mut TimerLedger {
-        let ix = agent.index();
-        if self.timers.len() <= ix {
-            self.timers.resize_with(ix + 1, TimerLedger::default);
-        }
-        &mut self.timers[ix]
+        &mut self.timers[agent.index()]
     }
 
     // --- hooks fed by sim.rs ---
@@ -301,7 +309,7 @@ impl Auditor {
 
     /// Timers `agent` has armed so far (for the re-arm-while-done check).
     pub(crate) fn timers_armed_of(&self, agent: AgentId) -> u64 {
-        self.timers.get(agent.index()).map_or(0, |t| t.armed)
+        self.timers[agent.index()].armed
     }
 
     /// `agent` reported itself done yet re-armed a timer from its own

@@ -8,6 +8,15 @@
 //! drifts. A head of ties says nothing about spacing and keeps the
 //! width it finds.
 //!
+//! The buckets hold one "year" only: the `buckets.len()` days from the
+//! cursor on, one day per bucket. An event scheduled a year or more
+//! ahead — an RTO or feedback timer seconds out behind a few packets in
+//! flight — goes into a binary heap on the same key instead, so a pop
+//! never inspects an entry of a later year and never scans the whole
+//! calendar. A pop takes the smaller of the first non-empty day's
+//! minimum and the heap's top; a pop from the heap moves the cursor
+//! forward to that entry's day, and a resize re-files every entry.
+//!
 //! Ordering is by `(time, sequence)`: the instant the event fires, then
 //! a monotone token assigned at scheduling time. Ties in simulated time
 //! are therefore broken by scheduling order — explicitly, not by bucket
@@ -24,7 +33,11 @@
 //! assertions — the whole test suite — every queue asserts that each
 //! pop's key is strictly greater than the previous pop's, which for a
 //! simulation (nothing is ever scheduled into the past) holds exactly
-//! when every pop was the pending minimum.
+//! when every pop was the pending minimum, and that every minimum found
+//! in a bucket lies on the cursor's day.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use crate::ids::{AgentId, LinkId, NodeId};
 use crate::pool::PacketId;
@@ -79,7 +92,8 @@ pub enum EventKind {
 /// The ordering key: fire time, then scheduling order.
 type Key = (SimTime, u64);
 
-/// One scheduled event.
+/// One scheduled event. Entries compare by their key alone (keys are
+/// unique), which is the order the far-future heap keeps.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     time: SimTime,
@@ -94,6 +108,35 @@ impl Entry {
     }
 }
 
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// Where [`EventQueue::locate_min`] found the pending minimum.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// `buckets[.0][.1]`, on the cursor's day.
+    Bucket(usize, usize),
+    /// The top of the far-future heap.
+    Far,
+}
+
 /// Smallest bucket-array size the calendar queue shrinks down to.
 const MIN_BUCKETS: usize = 16;
 /// Largest bucket-array size the calendar queue grows up to.
@@ -104,20 +147,27 @@ const MAX_BUCKETS: usize = 1 << 20;
 const INITIAL_SHIFT: u32 = 16;
 
 /// Deterministic earliest-first event queue, implemented as a calendar
-/// queue: `buckets[(time >> shift) & mask]` holds the events of every
-/// "day" (bucket-width slice of time) congruent to that index. A cursor
-/// walks days in order; each pop scans the current day's bucket for the
-/// `(time, seq)` minimum.
+/// queue: `buckets[(time >> shift) & mask]` holds the events of one
+/// "day" (bucket-width slice of time) of the current "year", the
+/// `buckets.len()` days from the cursor on. Everything else waits in a
+/// binary heap on the same key. Each pop takes the smaller of the first
+/// non-empty day's minimum and the heap's top.
 #[derive(Debug)]
 pub struct EventQueue {
+    /// Invariant: every entry of every bucket has
+    /// `cursor_day <= day < cursor_day + buckets.len()`, so a bucket
+    /// holds exactly one day.
     buckets: Vec<Vec<Entry>>,
+    /// Entries a year or more past the cursor when pushed (or, in
+    /// queue-level tests, before it), earliest on top.
+    far: BinaryHeap<Reverse<Entry>>,
     /// Bucket width is `1 << shift` nanoseconds.
     shift: u32,
     /// `buckets.len() - 1`; the length is a power of two.
     mask: u64,
+    /// Pending entries, buckets and heap together.
     len: usize,
-    /// Day the pop cursor is on. Invariant: no pending event has an
-    /// earlier day.
+    /// First day of the year the buckets hold.
     cursor_day: u64,
     /// Pops since the last resize; amortizes the skew-triggered rebuild
     /// in [`Self::locate_min`] so it costs O(1) per pop even when a
@@ -146,8 +196,19 @@ impl EventQueue {
         time.as_nanos() >> self.shift
     }
 
-    /// Locate the `(time, seq)` minimum: advance the cursor to its
-    /// day and return `(bucket, index_in_bucket)`. `None` when empty.
+    /// File `entry` in its day's bucket if that day is in the current
+    /// year, else in the far heap.
+    #[inline]
+    fn insert(&mut self, entry: Entry) {
+        let day = self.day_of(entry.time);
+        if day.wrapping_sub(self.cursor_day) < self.buckets.len() as u64 {
+            self.buckets[(day & self.mask) as usize].push(entry);
+        } else {
+            self.far.push(Reverse(entry));
+        }
+    }
+
+    /// Locate the `(time, seq)` minimum. `None` when empty.
     ///
     /// Includes the *skew guard*: if the minimum's day bucket holds far
     /// more events than the occupancy target, the bucket width no longer
@@ -156,66 +217,89 @@ impl EventQueue {
     /// width and retry. The `pops_since_resize` gate keeps the O(n)
     /// rebuild amortized O(1) even when rebuilding cannot spread the
     /// events (e.g. everything at one instant).
-    fn locate_min(&mut self) -> Option<(usize, usize)> {
+    fn locate_min(&mut self) -> Option<Slot> {
         if self.len == 0 {
             return None;
         }
         self.pops_since_resize += 1;
         loop {
-            let (b, i) = self.scan_min();
-            // Cheap checks first: the division only runs on the rare
-            // pop that actually looks skewed.
-            if self.buckets[b].len() > 16
-                && self.pops_since_resize > self.len
-                && self.buckets[b].len() > 8 * self.len / self.buckets.len()
-            {
-                self.resize(self.buckets.len());
-                continue;
+            let slot = self.scan_min();
+            if let Slot::Bucket(b, _) = slot {
+                // Cheap checks first: the division only runs on the rare
+                // pop that actually looks skewed.
+                if self.buckets[b].len() > 16
+                    && self.pops_since_resize > self.len
+                    && self.buckets[b].len() > 8 * self.len / self.buckets.len()
+                {
+                    self.resize(self.buckets.len());
+                    continue;
+                }
             }
-            return Some((b, i));
+            return Some(slot);
         }
     }
 
-    /// One pass of the minimum search, cursor advanced to the found day.
-    /// Caller guarantees `len > 0`.
-    fn scan_min(&mut self) -> (usize, usize) {
-        // Walk at most one "year" (full cycle of the bucket array) from
-        // the cursor; each day's events live in exactly one bucket.
-        let nb = self.buckets.len() as u64;
-        for day in self.cursor_day..self.cursor_day + nb {
+    /// One pass of the minimum search: walk the year from the cursor to
+    /// the first non-empty day, but no further than the far heap's top,
+    /// and take the smaller of the two. A bucket minimum moves the
+    /// cursor to its day. Caller guarantees `len > 0`.
+    fn scan_min(&mut self) -> Slot {
+        if self.len == self.far.len() {
+            return Slot::Far;
+        }
+        let far = self.far.peek().map(|Reverse(e)| e.key());
+        let mut end = self.cursor_day + self.buckets.len() as u64;
+        if let Some((t, _)) = far {
+            end = end.min(self.day_of(t) + 1);
+        }
+        for day in self.cursor_day..end {
             let b = (day & self.mask) as usize;
-            let mut best: Option<(usize, Key)> = None;
-            for (i, e) in self.buckets[b].iter().enumerate() {
-                if self.day_of(e.time) == day && best.is_none_or(|(_, k)| e.key() < k) {
-                    best = Some((i, e.key()));
+            let bucket = &self.buckets[b];
+            let Some(first) = bucket.first() else {
+                continue;
+            };
+            let (mut i, mut key) = (0, first.key());
+            for (j, e) in bucket.iter().enumerate().skip(1) {
+                if e.key() < key {
+                    (i, key) = (j, e.key());
                 }
             }
-            if let Some((i, _)) = best {
-                self.cursor_day = day;
-                return (b, i);
+            if far.is_some_and(|f| f < key) {
+                break;
             }
+            self.cursor_day = day;
+            debug_assert_eq!(
+                self.day_of(key.0),
+                self.cursor_day,
+                "located bucket entry {key:?} is not on the cursor's day"
+            );
+            return Slot::Bucket(b, i);
         }
-        // Every pending event is more than a year past the cursor (e.g.
-        // far-future timers behind a drained present): fall back to a
-        // direct scan of all buckets for the global minimum, then jump
-        // the cursor to it.
-        let mut best: Option<(usize, usize, Key)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, e) in bucket.iter().enumerate() {
-                if best.is_none_or(|(_, _, k)| e.key() < k) {
-                    best = Some((b, i, e.key()));
-                }
-            }
-        }
-        let (b, i, (t, _)) = best.expect("len > 0 but no entry found");
-        self.cursor_day = self.day_of(t);
-        (b, i)
+        Slot::Far
     }
 
-    /// Pop the entry [`Self::locate_min`] found.
+    /// The entry at `slot`.
     #[inline]
-    fn remove(&mut self, pos: (usize, usize)) -> (SimTime, EventKind) {
-        let entry = self.buckets[pos.0].swap_remove(pos.1);
+    fn at(&self, slot: Slot) -> &Entry {
+        match slot {
+            Slot::Bucket(b, i) => &self.buckets[b][i],
+            Slot::Far => &self.far.peek().expect("a located far minimum").0,
+        }
+    }
+
+    /// Pop the entry [`Self::locate_min`] found. A pop from the far heap
+    /// moves the cursor forward to the entry's day: every bucket entry
+    /// is later, so the year still covers them all.
+    #[inline]
+    fn remove(&mut self, slot: Slot) -> (SimTime, EventKind) {
+        let entry = match slot {
+            Slot::Bucket(b, i) => self.buckets[b].swap_remove(i),
+            Slot::Far => {
+                let Reverse(entry) = self.far.pop().expect("a located far minimum");
+                self.cursor_day = self.cursor_day.max(self.day_of(entry.time));
+                entry
+            }
+        };
         self.len -= 1;
         self.note_pop(entry.key());
         if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
@@ -244,7 +328,8 @@ impl EventQueue {
 
     /// Rebuild with `new_nb` buckets, re-picking the bucket width from
     /// the spacing of the events at the *head* of the queue (Brown's
-    /// rule). The head gap is what pops will actually see; a global
+    /// rule), then re-filing every entry into the new year or the far
+    /// heap. The head gap is what pops will actually see; a global
     /// `(max - min) / len` estimate is wrong whenever the distribution
     /// is skewed — e.g. a dense recycling cluster at the front with a
     /// sparse tail of far-out timers behind it.
@@ -259,6 +344,8 @@ impl EventQueue {
         for bucket in &mut self.buckets {
             entries.extend(std::mem::take(bucket));
         }
+        // Draining keeps the heap's allocation for the re-filing below.
+        entries.extend(self.far.drain().map(|Reverse(e)| e));
         // The WIDTH_SAMPLE earliest event times, via an O(n) select,
         // then sorted and deduplicated.
         let mut head: Vec<u64> = entries.iter().map(|e| e.time.as_nanos()).collect();
@@ -281,14 +368,11 @@ impl EventQueue {
         let cap = (2 * entries.len() / new_nb + 2).next_power_of_two();
         self.buckets = (0..new_nb).map(|_| Vec::with_capacity(cap)).collect();
         self.mask = (new_nb - 1) as u64;
-        let mut min_day = u64::MAX;
-        for e in &entries {
-            min_day = min_day.min(self.day_of(e.time));
+        if let Some(first) = head.first() {
+            self.cursor_day = first >> self.shift;
         }
-        self.cursor_day = if entries.is_empty() { 0 } else { min_day };
         for e in entries {
-            let day = self.day_of(e.time);
-            self.buckets[(day & self.mask) as usize].push(e);
+            self.insert(e);
         }
         self.pops_since_resize = 0;
     }
@@ -299,6 +383,7 @@ impl EventQueue {
     pub fn new() -> Self {
         EventQueue {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::with_capacity(8)).collect(),
+            far: BinaryHeap::new(),
             shift: INITIAL_SHIFT,
             mask: (MIN_BUCKETS - 1) as u64,
             len: 0,
@@ -344,14 +429,12 @@ impl EventQueue {
         if cfg!(debug_assertions) && self.last_popped.is_some_and(|last| entry.key() < last) {
             self.last_popped = None;
         }
-        let day = self.day_of(time);
-        // Keep the cursor invariant when an event lands in the past of
-        // the cursor (arbitrary schedules in tests) or when the queue was
-        // drained and the clock has moved far ahead.
-        if day < self.cursor_day || self.len == 0 {
-            self.cursor_day = day;
+        // A drained queue starts its year at the new entry, wherever the
+        // clock has moved.
+        if self.len == 0 {
+            self.cursor_day = self.day_of(time);
         }
-        self.buckets[(day & self.mask) as usize].push(entry);
+        self.insert(entry);
         self.len += 1;
         if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
             self.resize(self.buckets.len() * 2);
@@ -361,20 +444,21 @@ impl EventQueue {
     /// Remove and return the earliest event.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        let pos = self.locate_min()?;
-        Some(self.remove(pos))
+        let slot = self.locate_min()?;
+        Some(self.remove(slot))
     }
 
     /// Remove and return the earliest event if it fires at or before
     /// `horizon`. This is the simulator's dispatch loop: one call per
-    /// event (a head past the horizon still advances the cursor to it).
+    /// event (a head past the horizon in a bucket still advances the
+    /// cursor to its day).
     #[inline]
     pub fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        let pos = self.locate_min()?;
-        if self.buckets[pos.0][pos.1].time > horizon {
+        let slot = self.locate_min()?;
+        if self.at(slot).time > horizon {
             None
         } else {
-            Some(self.remove(pos))
+            Some(self.remove(slot))
         }
     }
 
@@ -389,8 +473,8 @@ impl EventQueue {
     /// Time of the earliest scheduled event. `&mut` because the search
     /// advances the day cursor.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let pos = self.locate_min()?;
-        Some(self.buckets[pos.0][pos.1].time)
+        let slot = self.locate_min()?;
+        Some(self.at(slot).time)
     }
 
     /// Number of pending events.
@@ -420,6 +504,26 @@ mod tests {
             EventKind::AgentTimer { token, .. } => token,
             _ => unreachable!("only timers are scheduled"),
         }
+    }
+
+    /// The year invariant, entry by entry: every bucket entry lies in
+    /// the year from the cursor and in its own day's bucket, and `len`
+    /// counts buckets and far heap together.
+    fn assert_one_year(q: &EventQueue) {
+        let nb = q.buckets.len() as u64;
+        for (b, bucket) in q.buckets.iter().enumerate() {
+            for e in bucket {
+                let day = q.day_of(e.time);
+                assert!(
+                    q.cursor_day <= day && day < q.cursor_day + nb,
+                    "day {day} outside the year from {}",
+                    q.cursor_day
+                );
+                assert_eq!((day & q.mask) as usize, b);
+            }
+        }
+        let near: usize = q.buckets.iter().map(Vec::len).sum();
+        assert_eq!(q.len, near + q.far.len());
     }
 
     /// Pop everything; the tokens in pop order.
@@ -502,12 +606,14 @@ mod tests {
 
     #[test]
     fn far_future_events_pop_correctly() {
-        // Events many "years" past the calendar cursor exercise the
-        // overflow fallback scan.
+        // Events many "years" past the calendar cursor wait in the far
+        // heap; each pop from it moves the cursor to its day.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(5), timer(0, 0));
         q.schedule(SimTime::from_secs(3600), timer(0, 1));
         q.schedule(SimTime::from_secs(7200), timer(0, 2));
+        assert_eq!(q.far.len(), 2);
+        assert_one_year(&q);
         let tokens = drain_tokens(&mut q);
         assert_eq!(tokens, vec![0, 1, 2]);
     }
@@ -574,6 +680,9 @@ mod tests {
                 // still pending; the drain below checks the full order.
                 q.pop().unwrap();
                 pending -= 1;
+            }
+            if i % 1000 == 0 {
+                assert_one_year(&q);
             }
         }
         let drained: Vec<SimTime> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t).collect();

@@ -628,6 +628,9 @@ impl Simulator {
     /// Events dispatch one at a time in `(time, seq)` order.
     pub fn run_until(&mut self, until: SimTime) {
         self.world.stats.set_reserve_hint(until);
+        self.world
+            .audit
+            .open_ledgers(self.world.links.len(), self.agents.len());
         self.run_window(until);
         if self.world.now < until {
             self.world.now = until;

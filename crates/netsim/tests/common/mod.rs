@@ -109,7 +109,7 @@ pub fn token_of(kind: EventKind) -> u64 {
 /// Map raw sampled values into a time distribution that stresses every
 /// calendar-queue regime: dense collisions (many ties per bucket),
 /// ordinary nanosecond spacing, and far-future times hours ahead that
-/// overflow the bucket year and take the global-scan fallback.
+/// lie past the bucket year and wait in the far heap.
 pub fn shape_time(raw: u64) -> u64 {
     match raw % 4 {
         0 => raw % 16,                                    // heavy ties near zero

@@ -1,6 +1,7 @@
 //! Property tests pinning `EventQueue` (the calendar queue) to the
 //! `BinaryHeap` reference model in `tests/common`: for *any* schedule —
-//! equal-timestamp ties, far-future times that land in overflow buckets,
+//! equal-timestamp ties, far-future times that land in the far heap,
+//! times on and either side of the calendar year's edge,
 //! pops interleaved with pushes, handlers that schedule mid-dispatch,
 //! sequence numbers reserved now and pushed with later —
 //! the queue must produce the model's event sequence. This is the
@@ -89,6 +90,79 @@ fn run_reserved_trace<Q: Queue>(ops: &[(u64, u64)]) -> Vec<(u64, u64)> {
     popped
 }
 
+/// A log-uniform offset from 1 ns to about 2.4 hours (2^43 ns): the
+/// exponent is uniform, the mantissa bits below it are `raw`'s.
+fn log_uniform(raw: u64) -> u64 {
+    let e = raw % 44;
+    (1 << e) | ((raw >> 8) & ((1 << e) - 1))
+}
+
+/// A time that sits on a power-of-two day boundary `2^j` days of width
+/// `2^s` past the day of `last`, give or take a nanosecond. Bucket
+/// widths and counts are both powers of two, so some of these land
+/// exactly on the first day past the calendar's year.
+fn on_an_edge(last: u64, raw: u64) -> u64 {
+    let s = 4 + raw % 37;
+    let j = 4 + (raw >> 8) % 17;
+    let edge = ((last >> s) + (1 << j)) << s;
+    match (raw >> 16) % 3 {
+        0 => edge - 1,
+        1 => edge,
+        _ => edge + 1,
+    }
+}
+
+/// `run_reserved_trace` with times relative to the last pop, so entries
+/// land on both sides of the calendar's year wherever the cursor is.
+/// Each op is `(kind, raw)`: kind 0 schedules `log_uniform` past the
+/// last pop, 1 on a day boundary (`on_an_edge`), 2 `log_uniform`
+/// *before* the last pop (queue-level only: the far heap takes it),
+/// 3 reserves a seq for a time `log_uniform` past the last pop, 4 pushes
+/// the oldest outstanding reservation, 5 pops.
+fn run_window_trace<Q: Queue>(ops: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut q = Q::default();
+    let mut token = 0u64;
+    let mut last = 0u64;
+    let mut reserved: VecDeque<(SimTime, u64, u64)> = VecDeque::new();
+    let mut popped = Vec::new();
+    for &(kind, raw) in ops {
+        let t = match kind {
+            0 | 3 => last + log_uniform(raw),
+            1 => on_an_edge(last, raw),
+            _ => last.saturating_sub(log_uniform(raw)),
+        };
+        match kind {
+            0..=2 => {
+                q.schedule(SimTime::from_nanos(t), ev(token));
+                token += 1;
+            }
+            3 => {
+                reserved.push_back((SimTime::from_nanos(t), q.reserve_seq(), token));
+                token += 1;
+            }
+            4 => {
+                if let Some((time, seq, tok)) = reserved.pop_front() {
+                    q.schedule_at_seq(time, seq, ev(tok));
+                }
+            }
+            _ => match q.pop() {
+                Some((t, kind)) => {
+                    last = t.as_nanos();
+                    popped.push((last, token_of(kind)));
+                }
+                None => popped.push((u64::MAX, u64::MAX)),
+            },
+        }
+    }
+    for (time, seq, tok) in reserved {
+        q.schedule_at_seq(time, seq, ev(tok));
+    }
+    while let Some((t, kind)) = q.pop() {
+        popped.push((t.as_nanos(), token_of(kind)));
+    }
+    popped
+}
+
 /// What a handler schedules on dispatching `token`: usually nothing, else
 /// a child at offset zero (the very timestamp being dispatched), small,
 /// or hours out. Children spawn children; `budget` bounds the cascade.
@@ -136,9 +210,9 @@ fn run_dispatch<Q: Queue>(times: &[u64], budget: usize) -> Vec<(u64, u64)> {
 /// doublings, then holds the population constant while the head condenses
 /// into a single bucket-day (pop 1000, schedule 1000 `dense` apart just
 /// past the clock) until the skew guard re-picks the width with no
-/// grow/shrink to prompt it — which strands the coarse tail more than a
-/// year out, on the global-scan fallback — then drains back down through
-/// the shrinks.
+/// grow/shrink to prompt it — which moves the coarse tail more than a
+/// year out, into the far heap — then drains back down through the
+/// shrinks.
 #[test]
 fn resizes_and_skew_rebuilds_keep_the_model_order() {
     const NS: u64 = 1;
@@ -206,6 +280,28 @@ proptest! {
             .map(|(&r, &kind)| (kind, if r % 2 == 0 { r % 4 } else { shape_time(r) }))
             .collect();
         prop_assert_eq!(run_reserved_trace::<EventQueue>(&ops), run_reserved_trace::<HeapModel>(&ops));
+    }
+
+    /// The year's edges: log-uniform times from 1 ns to hours past the
+    /// last pop, times exactly on power-of-two day boundaries (some on
+    /// `cursor_day + buckets.len()`, the first day of the far heap) and
+    /// a nanosecond either side, times before the cursor, reserved seqs
+    /// pushed later and pops, interleaved. Kinds are weighted toward
+    /// schedules so the calendar grows through several resizes.
+    #[test]
+    fn the_window_edge_keeps_the_model_order(
+        raw in prop::collection::vec(0u64..u64::MAX, 1..400),
+        kinds in prop::collection::vec(0u64..10, 1..400),
+    ) {
+        // 0-1 log-uniform, 2-3 on an edge, 4 before the cursor,
+        // 5 reserve, 6 push a reservation, 7-9 pop.
+        const KIND: [u64; 10] = [0, 0, 1, 1, 2, 3, 4, 5, 5, 5];
+        let ops: Vec<(u64, u64)> = raw
+            .iter()
+            .zip(kinds.iter().cycle())
+            .map(|(&r, &k)| (KIND[k as usize], r))
+            .collect();
+        prop_assert_eq!(run_window_trace::<EventQueue>(&ops), run_window_trace::<HeapModel>(&ops));
     }
 
     /// Massed equal-timestamp ties: every event at one of a handful of

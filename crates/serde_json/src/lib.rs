@@ -355,7 +355,13 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 }
 
 fn write_float(out: &mut String, f: f64) {
-    debug_assert!(f.is_finite(), "serde shim maps non-finite floats to Null");
+    // JSON has no NaN or infinity: a non-finite `Value::Float` (one built
+    // by hand; `f64::to_value` already maps these to `Null`) is written
+    // as `null`, as real serde_json writes it.
+    if !f.is_finite() {
+        out.push_str("null");
+        return;
+    }
     // `{:?}` for f64 is the shortest representation that round-trips
     // (same guarantee ryu gives real serde_json), and always includes
     // a `.0` or exponent so the value reads back as a float.
@@ -407,6 +413,27 @@ mod tests {
         assert_eq!(to_string(&1.0f64).unwrap(), "1.0");
         assert_eq!(to_string(&0.1f64).unwrap(), "0.1");
         assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+    }
+
+    #[test]
+    fn a_non_finite_float_value_is_written_as_null() {
+        let v = Value::Array(vec![
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(2.5),
+        ]);
+        let text = to_string(&v).unwrap();
+        assert_eq!(text, "[null,null,null,2.5]");
+        assert_eq!(
+            parse(&text).unwrap(),
+            Value::Array(vec![
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Float(2.5)
+            ])
+        );
     }
 
     #[test]

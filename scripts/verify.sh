@@ -2,10 +2,11 @@
 # Full verification: tier-1 (release build + tests) plus smoke runs of
 # the unified `repro` execution path — parallel and resumed sweeps must
 # be byte-identical, audits clean, a panicking cell isolated to
-# itself — and, last, the repo benchmark's smoke: `benchmark/` is a package outside the workspace, so this is
-# the only step that notices a public-signature change that stops it
-# compiling. Timing is not judged here; that is `benchmark/run.sh
-# --all` on two commits, then `--compare`.
+# itself — and, last, the repo benchmark's smoke and unit tests:
+# `benchmark/` is a package outside the workspace, so these are the only
+# steps that notice a public-signature change that stops it compiling.
+# Timing is not judged here; that is `benchmark/run.sh --all` on two
+# commits, then `--compare`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -255,6 +256,12 @@ section "repo benchmark smoke (benchmark/run.sh --smoke)"
 # workload briefly with its own checks: per-seed digest identity,
 # link conservation, a clean audit, sweep and replay byte-identity.
 benchmark/run.sh --smoke
+
+section "repo benchmark tests (cargo test --manifest-path benchmark/Cargo.toml)"
+# The benchmark package is outside the workspace, so the workspace test
+# step above never runs its unit tests (quartiles, parsers, the verdict
+# table, the committed BENCHMARK.json against its spec).
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 section ""
 echo "== elapsed per section =="
